@@ -11,10 +11,11 @@ formulas against brute-force linear algebra.
 Layout:
     partitions  partition combinatorics (duals, dominance, enumeration)
     words       strings and bands in the letters x, y
-    exactla     exact rational matrices, rank, and linear solving
+    exactla     exact matrices (int entries, Fraction only when needed),
+                one sparse fraction-free elimination for rank and solving
     modmatrix   matrix-pair modules: string/band constructions, stats
     homalg      Hom/End/Ext dimensions, graph maps, orbit dimensions
-    richmond    biserial index modules and stratum dimensions
+    indexmod    biserial index modules and stratum dimensions
     classify    the component classification itself
     verify      randomized/batch verification suites
     cli         command-line interface

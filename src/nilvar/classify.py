@@ -305,9 +305,13 @@ def normalize_params(n: int, a: int, b: int) -> AlgebraParams:
     a > n, so the bounds cap at n."""
     if n < 2:
         raise ValueError("normalize_params needs n >= 2")
+    _check_bounds(a, b)
+    return AlgebraParams(min(a, n), min(b, n))
+
+
+def _check_bounds(a: int, b: int) -> None:
     if a < 2 or b < 2:
         raise ValueError(f"need a, b >= 2, got ({a}, {b})")
-    return AlgebraParams(min(a, n), min(b, n))
 
 
 def components(n: int, a: int, b: int) -> list:
@@ -315,6 +319,7 @@ def components(n: int, a: int, b: int) -> list:
     each group ordered by descending dimension then label."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_bounds(a, b)
     if n == 1:
         # A = B = 0 is the only point
         return [Component(kind="zero", dim=0)]

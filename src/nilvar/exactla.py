@@ -1,31 +1,46 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, integer first.
 
 Every dimension this package reports is ultimately the rank of a matrix,
-and ranks computed in floating point lie silently.  So: matrices carry
-Fraction entries, ranks go through fraction-free Bareiss elimination on
-integers (denominators cleared row by row), and linear systems are solved
-by Fraction Gauss-Jordan.  Sizes stay modest (a few hundred rows), so
-dense lists of rows are fine.
+and ranks computed in floating point lie silently.  So entries are exact:
+an integral value is stored as a plain int, and a Fraction is kept only
+for a value that is not an integer (rational band parameters, JSON
+input).  Floats are refused.
+
+Callers see dense lists of rows, but every elimination -- rank, pivot
+columns, basis completion and solving -- goes through one routine,
+`echelon`.  It takes rows as sparse {col: int} dicts (a row holding a
+Fraction is first scaled by the lcm of its denominators) and reduces each
+against an incremental echelon keyed by leading column, with the
+fraction-free step row * piv - f * pivot_row followed by division by the
+row's content gcd (Bareiss 1968).  The module matrices downstream are
+mostly zeros and mostly 0/1, so the work stays proportional to the
+nonzeros and the integers stay small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 
 
-def _entry(v) -> Fraction:
+def _entry(v):
+    """v as an exact entry: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
     if isinstance(v, float):
         raise TypeError(f"refusing float entry {v!r}; use Fraction or int")
-    return Fraction(v)
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 class RationalMatrix:
-    """A dense matrix of Fractions, stored as a list of row lists.
+    """A dense matrix of exact entries, stored as a list of row lists.
 
-    Entries may be given as int, Fraction or "p/q" strings; floats are
-    rejected.  Instances are mutable (rows is plain data) but the methods
-    never modify their operands.
+    Entries may be given as int, Fraction or "p/q" strings and are stored
+    as int when integral, Fraction otherwise; floats are rejected.
+    Instances are mutable (rows is plain data) but the methods never
+    modify their operands.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -44,17 +59,24 @@ class RationalMatrix:
             self.ncols = 0 if ncols is None else ncols
 
     @classmethod
-    def zeros(cls, nrows, ncols):
+    def of_rows(cls, rows, ncols):
+        """Wraps rows of exact entries (int or Fraction, each ncols long)
+        as they are: no copy, no check.  For matrices built in this
+        package from entries that are already exact."""
         m = cls.__new__(cls)
-        m.rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        m.nrows, m.ncols = nrows, ncols
+        m.rows = rows
+        m.nrows, m.ncols = len(rows), ncols
         return m
+
+    @classmethod
+    def zeros(cls, nrows, ncols):
+        return cls.of_rows([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n):
         m = cls.zeros(n, n)
         for i in range(n):
-            m.rows[i][i] = Fraction(1)
+            m.rows[i][i] = 1
         return m
 
     def __eq__(self, other):
@@ -72,92 +94,98 @@ class RationalMatrix:
         return RationalMatrix(self.rows, self.ncols)
 
     def transpose(self) -> "RationalMatrix":
-        m = RationalMatrix.__new__(RationalMatrix)
-        m.rows = [list(col) for col in zip(*self.rows)] if self.nrows else []
-        m.nrows, m.ncols = self.ncols, self.nrows
-        if not m.rows:
-            m.rows = [[] for _ in range(self.ncols)]
-        return m
+        if not self.nrows:
+            return RationalMatrix.zeros(self.ncols, 0)
+        return RationalMatrix.of_rows([list(col) for col in zip(*self.rows)],
+                                      self.nrows)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Matrix product self @ other, skipping zero entries (the module
-        matrices downstream are mostly zeros)."""
+        """Matrix product self @ other over the nonzero entries only (the
+        module matrices downstream are mostly zeros)."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
+        left = [_sparse(row) for row in self.rows]
+        right = [_sparse(row) for row in other.rows]
         out = RationalMatrix.zeros(self.nrows, other.ncols)
-        for i, row in enumerate(self.rows):
-            acc = out.rows[i]
-            for k, v in enumerate(row):
-                if v:
-                    orow = other.rows[k]
-                    for j, w in enumerate(orow):
-                        if w:
-                            acc[j] += v * w
+        for row, acc in zip(left, out.rows):
+            for k, v in row.items():
+                for j, w in right[k].items():
+                    acc[j] += v * w
+        if not all(type(v) is int for row in left + right for v in row.values()):
+            out.rows = [[_entry(v) for v in acc] for acc in out.rows]
         return out
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
-
-    # -- ranks -------------------------------------------------------------
-
-    def _int_rows(self):
-        """Rows scaled to integers (each row by the lcm of denominators)."""
-        out = []
-        for row in self.rows:
-            m = lcm(*(v.denominator for v in row)) if row else 1
-            out.append([int(v * m) for v in row])
-        return out
+        return not any(map(any, self.rows))
 
     def rank(self) -> int:
-        """Rank by fraction-free Bareiss elimination on the integer-scaled
-        rows, with full pivoting preferring +-1 pivots (keeps the exact
-        divisions cheap)."""
-        m = self._int_rows()
-        nr, nc = self.nrows, self.ncols
-        r = 0
-        prev = 1
-        while r < nr:
-            # pick a pivot in the live submatrix m[r:][r:]
-            best = None
-            for i in range(r, nr):
-                row = m[i]
-                for j in range(r, nc):
-                    v = row[j]
-                    if v:
-                        if v == 1 or v == -1:
-                            best = (i, j)
-                            break
-                        if best is None or abs(v) < abs(m[best[0]][best[1]]):
-                            best = (i, j)
-                if best and m[best[0]][best[1]] in (1, -1):
-                    break
-            if best is None:
-                break
-            bi, bj = best
-            m[r], m[bi] = m[bi], m[r]
-            if bj != r:
-                for row in m:
-                    row[r], row[bj] = row[bj], row[r]
-            piv = m[r][r]
-            for i in range(r + 1, nr):
-                row, prow = m[i], m[r]
-                f = row[r]
-                if f:
-                    for j in range(r + 1, nc):
-                        row[j] = (row[j] * piv - f * prow[j]) // prev
-                    row[r] = 0
-                elif prev != 1:
-                    for j in range(r + 1, nc):
-                        row[j] = (row[j] * piv) // prev
-                else:
-                    for j in range(r + 1, nc):
-                        row[j] = row[j] * piv
-            prev = piv
-            r += 1
-        return r
+        """Rank as the number of pivots of `echelon`."""
+        return len(echelon(map(_int_row, self.rows), self.ncols))
 
     def nullity(self) -> int:
         return self.ncols - self.rank()
+
+
+# ---------------------------------------------------------------------------
+# the elimination
+# ---------------------------------------------------------------------------
+
+def _sparse(row) -> dict:
+    """The nonzero entries of a dense row, as {col: value}."""
+    return {j: row[j] for j in compress(range(len(row)), row)}
+
+
+def _int_row(row) -> dict:
+    """A dense row as a sparse {col: int} row spanning the same line:
+    scaled by the lcm of its denominators when it holds a Fraction."""
+    out = _sparse(row)
+    if all(type(v) is int for v in out.values()):
+        return out
+    m = lcm(*(v.denominator for v in out.values()))
+    return {j: v.numerator * (m // v.denominator) for j, v in out.items()}
+
+
+def echelon(rows, limit=None) -> dict:
+    """Fraction-free echelon form of sparse integer rows.
+
+    Returns {leading column: row}, one row per pivot; it spans the same
+    row space as the input.  Each incoming row is reduced by the pivot
+    row of its current leading column until its leading column is new
+    (it becomes a pivot) or it vanishes.  Stops early once there are
+    `limit` pivots.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                if len(pivots) == limit:
+                    return pivots
+                break
+            row = _eliminate(row, prow, c)
+    return pivots
+
+
+def _eliminate(row: dict, prow: dict, c: int) -> dict:
+    """row * piv - f * prow, reduced by its content gcd, where piv and f
+    are the entries at c of prow and row divided by their gcd; the result
+    vanishes at c."""
+    piv, f = prow[c], row[c]
+    g = gcd(piv, f)
+    piv, f = piv // g, f // g
+    out = dict(row) if piv == 1 else {j: v * piv for j, v in row.items()}
+    for j, w in prow.items():
+        v = out.get(j, 0) - f * w
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {j: v // g for j, v in out.items()}
+    return out
 
 
 def hstack(mats) -> RationalMatrix:
@@ -165,11 +193,8 @@ def hstack(mats) -> RationalMatrix:
     nr = {m.nrows for m in mats}
     if len(nr) != 1:
         raise ValueError(f"row counts differ: {sorted(nr)}")
-    out = RationalMatrix.__new__(RationalMatrix)
-    out.rows = [sum((m.rows[i] for m in mats), []) for i in range(nr.pop())]
-    out.nrows = len(out.rows)
-    out.ncols = sum(m.ncols for m in mats)
-    return out
+    rows = [sum((m.rows[i] for m in mats), []) for i in range(nr.pop())]
+    return RationalMatrix.of_rows(rows, sum(m.ncols for m in mats))
 
 
 def vstack(mats) -> RationalMatrix:
@@ -177,38 +202,15 @@ def vstack(mats) -> RationalMatrix:
     nc = {m.ncols for m in mats}
     if len(nc) != 1:
         raise ValueError(f"column counts differ: {sorted(nc)}")
-    out = RationalMatrix.__new__(RationalMatrix)
-    out.rows = [list(row) for m in mats for row in m.rows]
-    out.nrows = len(out.rows)
-    out.ncols = nc.pop()
-    return out
+    return RationalMatrix.of_rows([list(row) for m in mats for row in m.rows],
+                                  nc.pop())
 
 
 def pivot_columns(mat: RationalMatrix) -> list[int]:
     """Indices of a left-to-right greedy maximal independent set of
-    columns (the pivot columns of the reduced echelon form).  Fraction
-    Gauss without column swaps -- deliberately a different algorithm from
-    rank(), so the two can cross-check each other.
-    """
-    work = [list(row) for row in mat.rows]
-    pivots = []
-    r = 0
-    for c in range(mat.ncols):
-        pr = next((i for i in range(r, mat.nrows) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(mat.nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == mat.nrows:
-            break
-    return pivots
+    columns: the pivot columns of the reduced echelon form, which are the
+    leading columns of any echelon form of the rows."""
+    return sorted(echelon(map(_int_row, mat.rows)))
 
 
 def complement_standard_vectors(mat: RationalMatrix) -> list[int]:
@@ -225,29 +227,18 @@ def solve_consistent(a: RationalMatrix, b: RationalMatrix):
     or None when the system is inconsistent."""
     if a.nrows != b.nrows:
         raise ValueError(f"row counts differ: {a.nrows} vs {b.nrows}")
-    work = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    n, na, total = a.nrows, a.ncols, a.ncols + b.ncols
-    pivots = []
-    r = 0
-    for c in range(na):
-        pr = next((i for i in range(r, n) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(n):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if any(work[i][na:]):
-            return None
-    x = RationalMatrix.zeros(a.ncols, b.ncols)
-    for row_idx, c in enumerate(pivots):
-        x.rows[c] = work[row_idx][na:]
+    na = a.ncols
+    pivots = echelon(map(_int_row, hstack([a, b]).rows))
+    if any(c >= na for c in pivots):
+        return None
+    x = RationalMatrix.zeros(na, b.ncols)
+    # back-substitute from the last pivot up; free variables stay 0
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in range(b.ncols):
+            acc = row.get(na + k, 0)
+            for j, v in row.items():
+                if c < j < na:
+                    acc -= v * x.rows[j][k]
+            x.rows[c][k] = _entry(Fraction(acc, row[c]))
     return x

@@ -28,7 +28,6 @@ exact solving) double-checks the rank computation in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import (
@@ -60,13 +59,17 @@ class GraphMap:
     def matrix(self) -> RationalMatrix:
         """The (|target|+1) x (|source|+1) matrix: entry [|D2|+i, |D1|+i]
         is 1 for i = 0..|E|."""
+        m = RationalMatrix.zeros(len(self.target) + 1, len(self.source) + 1)
+        for t, s in self.ones():
+            m.rows[t][s] = 1
+        return m
+
+    def ones(self) -> list:
+        """The (row, column) positions of the ones of matrix():
+        (|D2|+i, |D1|+i) for i = 0..|E|."""
         d1 = len(self.triple_src[0])
         d2 = len(self.triple_tgt[0])
-        e = len(self.triple_src[1])
-        m = RationalMatrix.zeros(len(self.target) + 1, len(self.source) + 1)
-        for i in range(e + 1):
-            m.rows[d2 + i][d1 + i] = Fraction(1)
-        return m
+        return [(d2 + i, d1 + i) for i in range(len(self.triple_src[1]) + 1)]
 
 
 def hom_basis(src: Word, tgt: Word) -> list[GraphMap]:
@@ -165,7 +168,7 @@ def _hom_dim_dense(m1, m2) -> int:
     for x1, x2 in ((m1.A, m2.A), (m1.B, m2.B)):
         for i in range(n2):
             for j in range(n1):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for s in range(n1):
                     v = x1.rows[s][j]
                     if v:
@@ -178,7 +181,7 @@ def _hom_dim_dense(m1, m2) -> int:
                     rows.append(row)
     if not rows:
         return total
-    return total - RationalMatrix(rows).rank()
+    return total - RationalMatrix.of_rows(rows, total).rank()
 
 
 def hom_dim_oracle(m1: MatrixPairModule, m2: MatrixPairModule, method=None) -> int:
@@ -186,7 +189,7 @@ def hom_dim_oracle(m1: MatrixPairModule, m2: MatrixPairModule, method=None) -> i
     algebra, independent of any word combinatorics.
 
     method: None picks union-find when all four matrices are partial
-    permutations (exact, linear-time) and dense Bareiss otherwise; pass
+    permutations (exact, linear-time) and exact elimination otherwise; pass
     "unionfind" or "dense" to force a route.
     """
     if m1.params != m2.params:
@@ -248,8 +251,8 @@ def projective_cover(mod: MatrixPairModule):
     cover = direct_sum([string_module(lam)] * len(top))
     cols = []
     for v_idx in top:
-        v = [Fraction(0)] * mod.n
-        v[v_idx] = Fraction(1)
+        v = [0] * mod.n
+        v[v_idx] = 1
         xs = [v]
         for _ in range(a - 1):
             xs.append(_matvec(mod.A, xs[-1]))
@@ -266,14 +269,8 @@ def projective_cover(mod: MatrixPairModule):
 
 
 def _matvec(mat: RationalMatrix, vec):
-    out = [Fraction(0)] * mat.nrows
-    for i, row in enumerate(mat.rows):
-        acc = Fraction(0)
-        for v, x in zip(row, vec):
-            if v and x:
-                acc += v * x
-        out[i] = acc
-    return out
+    nonzero = [(k, x) for k, x in enumerate(vec) if x]
+    return [sum(row[k] * x for k, x in nonzero) for row in mat.rows]
 
 
 @lru_cache(maxsize=None)
@@ -284,23 +281,33 @@ def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
     h = hom_dim_graph(w, c)
     if h == 0:
         return True
+    return _cover_compositions(c, w).rank() == h
+
+
+def _cover_compositions(c: Word, w: Word) -> RationalMatrix:
+    """Maps M(w) -> M(c) spanning those that factor through the projective
+    cover P -> M(c): one per graph map M(w) -> Lambda and Lambda summand
+    of P, composed with the cover and flattened row-major into one row
+    of length (|c|+1)(|w|+1)."""
+    p = c.params
     cover, phi = projective_cover(string_module(c))
-    lam = Word("x" * (a - 1) + "y" * (b - 1), p)
-    copies = cover.n // p.d
-    # phi restricted to each Lambda block
-    blocks = [
-        RationalMatrix([row[u * p.d:(u + 1) * p.d] for row in phi.rows], p.d)
-        for u in range(copies)
-    ]
+    lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
     dim_w = len(w) + 1
+    width = (len(c) + 1) * dim_w
+    # the nonzero entries of each column of phi, as (row, value)
+    cols = [[(r, v) for r, v in enumerate(col) if v]
+            for col in phi.transpose().rows]
     rows = []
     for gm in hom_basis(w, lam):
-        small = gm.matrix()  # d x dim_w
-        for blk in blocks:
-            comp = blk.mul(small)  # n x dim_w
-            rows.append([v for row in comp.rows for v in row])
-    rank = RationalMatrix(rows, (len(c) + 1) * dim_w).rank()
-    return rank == h
+        ones = gm.ones()
+        for u in range(0, cover.n, p.d):
+            # (phi on summand u) . gm: column s of gm picks column u + t
+            row = [0] * width
+            for t, s in ones:
+                for r, v in cols[u + t]:
+                    row[r * dim_w + s] = v
+            rows.append(row)
+    return RationalMatrix.of_rows(rows, width)
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:
@@ -325,27 +332,14 @@ def ext1_vanishes_membership(c: Word, d: Word) -> bool:
     ext1_vanishes."""
     if c.params != d.params:
         raise ValueError("ext1_vanishes_membership needs words over the same algebra")
-    p = c.params
     w = tau_inverse(d)
     basis = hom_basis(w, c)
     if not basis:
         return True
-    cover, phi = projective_cover(string_module(c))
-    lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
-    copies = cover.n // p.d
-    blocks = [
-        RationalMatrix([row[u * p.d:(u + 1) * p.d] for row in phi.rows], p.d)
-        for u in range(copies)
-    ]
-    span_cols = []
-    for gm in hom_basis(w, lam):
-        small = gm.matrix()
-        for blk in blocks:
-            comp = blk.mul(small)
-            span_cols.append([v for row in comp.rows for v in row])
-    if not span_cols:
+    comps = _cover_compositions(c, w)
+    if not comps.nrows:
         return False
-    span = RationalMatrix(span_cols).transpose()
+    span = comps.transpose()
     for gm in basis:
         target = RationalMatrix(
             [[v] for row in gm.matrix().rows for v in row]

@@ -29,9 +29,7 @@ one-parameter families; equal lambdas stack Jordan layers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactla import RationalMatrix, hstack, vstack
+from .exactla import RationalMatrix, _entry, hstack, vstack
 from .partitions import Partition
 from .words import AlgebraParams, Word, band_class, parse_word
 
@@ -113,10 +111,12 @@ class MatrixPairModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "MatrixPairModule":
-        n = int(data["n"])
-        params = AlgebraParams(int(data["a"]), int(data["b"]))
-        A = RationalMatrix([[Fraction(v) for v in row] for row in data["A"]], n)
-        B = RationalMatrix([[Fraction(v) for v in row] for row in data["B"]], n)
+        n, a, b = data["n"], data["a"], data["b"]
+        if not all(type(v) is int for v in (n, a, b)):
+            raise TypeError(f"n, a and b must be ints, got {n!r}, {a!r}, {b!r}")
+        params = AlgebraParams(a, b)
+        A = RationalMatrix(data["A"], n)
+        B = RationalMatrix(data["B"], n)
         if A.nrows != n or B.nrows != n:
             raise ValueError("matrix size does not match n")
         return cls(n, A, B, params)
@@ -166,9 +166,9 @@ def string_module(word, params: AlgebraParams | None = None) -> MatrixPairModule
     B = RationalMatrix.zeros(n, n)
     for i, letter in enumerate(word):
         if letter == "x":
-            A.rows[i][i + 1] = Fraction(1)
+            A.rows[i][i + 1] = 1
         else:
-            B.rows[i + 1][i] = Fraction(1)
+            B.rows[i + 1][i] = 1
     return MatrixPairModule(n, A, B, params, [("string", word)])
 
 
@@ -189,7 +189,7 @@ def band_module(word, lambdas, params: AlgebraParams | None = None) -> MatrixPai
         raise ValueError(f"band_module needs a primitive band, got {kind} for {str(word)!r}")
     if isinstance(lambdas, int):
         lambdas = range(1, lambdas + 1)
-    lambdas = tuple(Fraction(v) for v in lambdas)
+    lambdas = tuple(_entry(v) for v in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda layer")
     if any(v == 0 for v in lambdas):
@@ -203,15 +203,15 @@ def band_module(word, lambdas, params: AlgebraParams | None = None) -> MatrixPai
     for j in range(k):
         for i in range(m - 1):
             if canonical[i] == "x":
-                A.rows[idx(i, j)][idx(i + 1, j)] = Fraction(1)
+                A.rows[idx(i, j)][idx(i + 1, j)] = 1
             else:
-                B.rows[idx(i + 1, j)][idx(i, j)] = Fraction(1)
+                B.rows[idx(i + 1, j)][idx(i, j)] = 1
         # canonical form ends with y: the wrap-around letter couples the
         # end of the word back to the start, and adjacent layers to each
         # other (z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1})
         B.rows[idx(0, j)][idx(m - 1, j)] = lambdas[j]
         if j > 0:
-            B.rows[idx(0, j - 1)][idx(m - 1, j)] = Fraction(1)
+            B.rows[idx(0, j - 1)][idx(m - 1, j)] = 1
     return MatrixPairModule(n, A, B, params, [("band", canonical, lambdas)])
 
 
@@ -230,9 +230,8 @@ def direct_sum(modules) -> MatrixPairModule:
     off = 0
     for mod in modules:
         for i in range(mod.n):
-            for j in range(mod.n):
-                A.rows[off + i][off + j] = mod.A.rows[i][j]
-                B.rows[off + i][off + j] = mod.B.rows[i][j]
+            A.rows[off + i][off:off + mod.n] = mod.A.rows[i]
+            B.rows[off + i][off:off + mod.n] = mod.B.rows[i]
         off += mod.n
     summands = None
     if all(m.summands is not None for m in modules):

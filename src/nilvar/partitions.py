@@ -19,7 +19,9 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts=()):
-        parts = tuple(int(v) for v in parts)
+        parts = tuple(parts)
+        if not all(isinstance(v, int) for v in parts):
+            raise ValueError(f"partition parts must be integers, got {parts}")
         for v in parts:
             if v <= 0:
                 raise ValueError(f"partition parts must be positive, got {parts}")

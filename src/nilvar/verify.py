@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import (
     components,
@@ -136,7 +135,7 @@ def random_module(rng, params=None, max_summands=3, max_len=5):
         if rng.random() < 0.3:
             word = _random_band_word(rng, params)
             mult = rng.randint(1, 2)
-            lambdas = [Fraction(rng.randint(1, 5)) for _ in range(mult)]
+            lambdas = [rng.randint(1, 5) for _ in range(mult)]
             parts.append(band_module(word, lambdas, params))
         else:
             parts.append(string_module(_random_string_word(rng, params, max_len)))

@@ -220,6 +220,13 @@ def test_components_n1_is_a_point():
     assert comps[0].as_dict() == {"kind": "zero", "dim": 0}
 
 
+def test_components_validates_bounds_at_n1():
+    with pytest.raises(ValueError):
+        components(1, 0, -5)
+    with pytest.raises(ValueError):
+        components(1, 3, 1)
+
+
 def test_remark_two_smallest_wild_case():
     # V(3, 2, 2) has exactly two components, the open orbits of M(xy)
     # and M(yx), both of dimension 6

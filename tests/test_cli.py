@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,29 @@ def test_classify_point(capsys):
     code, out, _ = run(capsys, "classify", "--n", "1", "--a", "3", "--b", "3")
     assert code == 0
     assert "point:" in out and "  0  0" in out
+
+
+def test_classify_rejects_bad_bounds_at_n1(capsys):
+    code, out, err = run(capsys, "classify", "--n", "1", "--a", "0", "--b", "-5")
+    assert code == 1
+    assert out == "" and "a, b >= 2" in err
+
+
+# sha256 of `nilvar classify --format json` stdout, the values of
+# perfbench/expected_digests.json: classify output must stay byte-identical
+CLASSIFY_JSON_SHA256 = {
+    (12, 3, 3): "0553e508211fe6922574ced58177abbc28ac63e3a388537c727d3280b712e437",
+    (12, 4, 4): "976432605e01ee9ad78249c6d53135b993bd2cb8cc59fe50e826d8a521acf598",
+    (12, 3, 5): "76f035cd1d0a59b4b08d6558b8869a5bb484f2df5dff4eda776b9fbfa83a7465",
+}
+
+
+@pytest.mark.parametrize("n, a, b", sorted(CLASSIFY_JSON_SHA256))
+def test_classify_json_is_byte_identical(capsys, n, a, b):
+    code, out, _ = run(capsys, "classify", "--n", str(n), "--a", str(a),
+                       "--b", str(b), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[n, a, b]
 
 
 def test_classify_json(capsys):

@@ -1,9 +1,10 @@
 """Tests for the exact linear algebra kernel.
 
-rank() (integer Bareiss, full pivoting) is cross-checked against
-pivot_columns() (Fraction Gauss, no column swaps) -- two genuinely
-different eliminations -- and against matrices of known rank built as
-products of random full-rank factors.
+rank() and pivot_columns() share one elimination (the sparse integer
+echelon), so both are checked against a reference kept here: dense
+Fraction Gauss-Jordan without column swaps, a different algorithm over a
+different number representation.  rank() is also checked against
+matrices of known rank built as products of random full-rank factors.
 """
 
 import random
@@ -42,6 +43,34 @@ def rand_with_rank(rng, nrows, ncols, r):
             return left.mul(right)
 
 
+def gauss_jordan_pivots(mat):
+    """Reference pivot columns: dense Fraction Gauss-Jordan, left to
+    right, no column swaps."""
+    work = [[Fraction(v) for v in row] for row in mat.rows]
+    pivots = []
+    r = 0
+    for c in range(mat.ncols):
+        pr = next((i for i in range(r, mat.nrows) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(mat.nrows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == mat.nrows:
+            break
+    return pivots
+
+
+def entries(mat):
+    return [v for row in mat.rows for v in row]
+
+
 def naive_mul(a, b):
     return RationalMatrix(
         [
@@ -57,6 +86,10 @@ def naive_mul(a, b):
 def test_entry_coercion():
     m = RationalMatrix([[1, "1/2"], [Fraction(3, 4), 0]])
     assert m.rows[0][1] == Fraction(1, 2)
+    # integral values are stored as plain ints, whatever their input type
+    m = RationalMatrix([[Fraction(4, 2), "3", "-6/3", True]])
+    assert m.rows == [[2, 3, -2, 1]]
+    assert all(type(v) is int for v in m.rows[0])
     with pytest.raises(TypeError):
         RationalMatrix([[0.5]])
     with pytest.raises(ValueError):
@@ -126,9 +159,20 @@ def test_rank_hand_examples():
 
 def test_rank_against_gauss_random():
     rng = random.Random(11)
-    for _ in range(60):
-        m = rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), denom=rng.random() < 0.5)
-        assert m.rank() == len(pivot_columns(m))
+    mats = [
+        rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), denom=rng.random() < 0.5)
+        for _ in range(60)
+    ]
+    # mostly-zero 0/+-1 matrices, the shape of the Ext^1 compositions
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        mats.append(RationalMatrix(
+            [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(ncols)] for _ in range(nrows)]
+        ))
+    for m in mats:
+        ref = gauss_jordan_pivots(m)
+        assert m.rank() == len(ref)
+        assert pivot_columns(m) == ref
 
 
 def test_rank_known_values():
@@ -219,3 +263,41 @@ def test_complement_standard_vectors():
 def test_complement_of_full_rank_is_empty():
     assert complement_standard_vectors(RationalMatrix.identity(4)) == []
     assert complement_standard_vectors(RationalMatrix.zeros(3, 2)) == [0, 1, 2]
+
+
+# -- no floats -------------------------------------------------------------
+
+def test_int_matrices_never_produce_floats():
+    # 1 / int is a float, and a float elimination of [[3, 7], [9, 21]]
+    # leaves 21 - 9 * (7 / 3) != 0 behind: a second pivot
+    m = RationalMatrix([[3, 7], [9, 21]])
+    assert pivot_columns(m) == [0]
+    assert complement_standard_vectors(m) == [0]
+    x = solve_consistent(m, RationalMatrix([[1], [3]]))
+    assert x.rows == [[Fraction(1, 3)], [0]]
+    rng = random.Random(31)
+    for _ in range(40):
+        ncols = rng.randint(1, 5)
+        a = RationalMatrix(
+            [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+        )
+        x_true = RationalMatrix([[rng.randint(-3, 3)] for _ in range(a.ncols)])
+        b = a.mul(x_true)
+        for mat in (a.mul(a.transpose()), b, x_true):
+            assert all(type(v) is int for v in entries(mat))
+        x = solve_consistent(a, b)
+        assert x is not None and a.mul(x) == b
+        assert all(type(v) in (int, Fraction) for v in entries(x))
+        assert all(v.denominator != 1 for v in entries(x) if type(v) is Fraction)
+        ref = gauss_jordan_pivots(a)
+        assert pivot_columns(a) == ref
+        assert len(complement_standard_vectors(a)) == a.nrows - len(ref)
+
+
+def test_solve_divides_exactly():
+    x = solve_consistent(RationalMatrix([[3]]), RationalMatrix([[1]]))
+    assert x.rows == [[Fraction(1, 3)]] and type(x.rows[0][0]) is Fraction
+    x = solve_consistent(RationalMatrix([[2, 1], [0, 4]]), RationalMatrix([[3], [2]]))
+    assert x.rows == [[Fraction(5, 4)], [Fraction(1, 2)]]
+    x = solve_consistent(RationalMatrix([[2]]), RationalMatrix([[4]]))
+    assert x.rows == [[2]] and type(x.rows[0][0]) is int

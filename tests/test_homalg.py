@@ -46,6 +46,13 @@ def test_graph_map_matrix_shape():
     assert sum(1 for row in m.rows for v in row if v) == 2
 
 
+def test_graph_map_matrices_store_ints():
+    for src in enumerate_words(4, P33):
+        for tgt in enumerate_words(4, P33):
+            for gm in hom_basis(src, tgt):
+                assert all(type(v) is int for row in gm.matrix().rows for v in row)
+
+
 def test_graph_maps_are_module_maps():
     words = enumerate_words(4, P33)
     for w1, w2 in itertools.product(words, repeat=2):

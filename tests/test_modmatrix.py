@@ -269,3 +269,33 @@ def test_from_json_validates():
 def test_fraction_entries_serialize_as_ratios():
     m = band_module("xxy", [Fraction(1, 2)], P33)
     assert m.to_json()["B"][0][2] == "1/2"
+
+
+def test_from_json_rejects_floats():
+    for key, value in (("A", 0.1), ("n", 3.0), ("a", 3.7)):
+        data = string_module("xy", P33).to_json()
+        if key == "A":
+            data["A"][0][1] = value
+        else:
+            data[key] = value
+        with pytest.raises(TypeError):
+            MatrixPairModule.from_json(data)
+
+
+# -- exact entries ---------------------------------------------------------
+
+def test_constructions_store_ints():
+    # integral entries are ints; a Fraction appears only for a lambda that
+    # is not an integer
+    half = Fraction(1, 2)
+    mods = [
+        string_module("xxyxyy", P33),
+        band_module("xxy", 2, P33),
+        band_module("xxy", [Fraction(6, 3), half, "-4/2"], P33),
+        direct_sum([string_module("xy", P33), band_module("xyy", [half, 3], P33)]),
+    ]
+    for mod in mods:
+        for v in [v for m in (mod.A, mod.B) for row in m.rows for v in row]:
+            assert type(v) is int or (type(v) is Fraction and v == half)
+    assert band_module("xxy", [Fraction(6, 3)], P33).summands[0][2] == (2,)
+    assert type(band_module("xxy", [Fraction(6, 3)], P33).summands[0][2][0]) is int

@@ -65,6 +65,13 @@ def test_rejects_nonpositive():
         Partition([-1])
 
 
+def test_rejects_non_integer_parts():
+    with pytest.raises(ValueError):
+        Partition([2.5, 1])
+    with pytest.raises(ValueError):
+        Partition(["2", 1])
+
+
 def test_tuple_interop():
     p = Partition([2, 1])
     assert p == (2, 1)
