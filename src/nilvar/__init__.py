@@ -11,8 +11,9 @@ formulas against brute-force linear algebra.
 Layout:
     partitions  partition combinatorics (duals, dominance, enumeration)
     words       strings and bands in the letters x, y
-    exactla     exact matrices (int entries, Fraction only when needed),
-                one sparse fraction-free elimination for rank and solving
+    exactla     exact matrices stored as sparse rows (int entries, Fraction
+                only when needed), one sparse fraction-free elimination
+                for rank and solving
     modmatrix   matrix-pair modules: string/band constructions, stats
     homalg      Hom/End/Ext dimensions, graph maps, orbit dimensions
     indexmod    biserial index modules and stratum dimensions

@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .classify import components, normalize_params
+from .classify import _check_bounds, components, normalize_params
 from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
 from .modmatrix import band_module, string_module
 from .verify import CHECKS, run_suite
@@ -66,6 +66,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    _check_bounds(args.a, args.b)
+    if args.max_n < 2:
+        raise ValueError(f"need --max-n >= 2, got {args.max_n}")
     rows_reg, rows_orb = [], []
     for n in range(2, args.max_n + 1):
         for c in components(n, args.a, args.b):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, integer first.
+"""Exact linear algebra over the rationals, integer first and sparse.
 
 Every dimension this package reports is ultimately the rank of a matrix,
 and ranks computed in floating point lie silently.  So entries are exact:
@@ -6,15 +6,17 @@ an integral value is stored as a plain int, and a Fraction is kept only
 for a value that is not an integer (rational band parameters, JSON
 input).  Floats are refused.
 
-Callers see dense lists of rows, but every elimination -- rank, pivot
-columns, basis completion and solving -- goes through one routine,
-`echelon`.  It takes rows as sparse {col: int} dicts (a row holding a
-Fraction is first scaled by the lcm of its denominators) and reduces each
-against an incremental echelon keyed by leading column, with the
-fraction-free step row * piv - f * pivot_row followed by division by the
-row's content gcd (Bareiss 1968).  The module matrices downstream are
-mostly zeros and mostly 0/1, so the work stays proportional to the
-nonzeros and the integers stay small.
+The module matrices downstream are mostly zeros and mostly 0/1, so a
+matrix stores each row as a sparse {col: entry} dict of its nonzero
+entries, from construction through products to elimination; dense lists
+of rows are accepted on input and given back by `dense()` only.  Every
+elimination -- rank, pivot columns, basis completion and solving -- goes
+through one routine, `echelon`.  It takes the rows as they are (a row
+holding a Fraction is first scaled by the lcm of its denominators) and
+reduces each against an incremental echelon keyed by leading column,
+with the fraction-free step row * piv - f * pivot_row followed by
+division by the row's content gcd (Bareiss 1968).  The work stays
+proportional to the nonzeros and the integers stay small.
 """
 
 from __future__ import annotations
@@ -34,11 +36,18 @@ def _entry(v):
     return v.numerator if v.denominator == 1 else v
 
 
-class RationalMatrix:
-    """A dense matrix of exact entries, stored as a list of row lists.
+def _sparse(row) -> dict:
+    """The nonzero entries of a dense row, as {col: value}."""
+    return {j: row[j] for j in compress(range(len(row)), row)}
 
-    Entries may be given as int, Fraction or "p/q" strings and are stored
-    as int when integral, Fraction otherwise; floats are rejected.
+
+class RationalMatrix:
+    """A matrix of exact entries, stored as a list of sparse rows.
+
+    rows[i] is a {col: entry} dict holding the nonzero entries of row i
+    only; entries are int when integral, Fraction otherwise.  The
+    constructor takes dense rows (entries as int, Fraction or "p/q"
+    strings; floats are rejected), `of_rows` takes sparse ones.
     Instances are mutable (rows is plain data) but the methods never
     modify their operands.
     """
@@ -46,10 +55,10 @@ class RationalMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, ncols=None):
-        self.rows = [[_entry(v) for v in row] for row in rows]
-        self.nrows = len(self.rows)
+        rows = [[_entry(v) for v in row] for row in rows]
+        self.nrows = len(rows)
         if self.nrows:
-            widths = {len(r) for r in self.rows}
+            widths = {len(r) for r in rows}
             if len(widths) != 1:
                 raise ValueError(f"ragged rows, widths {sorted(widths)}")
             self.ncols = widths.pop()
@@ -57,12 +66,13 @@ class RationalMatrix:
                 raise ValueError(f"expected {ncols} columns, got {self.ncols}")
         else:
             self.ncols = 0 if ncols is None else ncols
+        self.rows = [_sparse(row) for row in rows]
 
     @classmethod
     def of_rows(cls, rows, ncols):
-        """Wraps rows of exact entries (int or Fraction, each ncols long)
-        as they are: no copy, no check.  For matrices built in this
-        package from entries that are already exact."""
+        """Wraps sparse {col: entry} rows as they are: no copy, no check.
+        For matrices built in this package from nonzero entries that are
+        already exact and columns below ncols."""
         m = cls.__new__(cls)
         m.rows = rows
         m.nrows, m.ncols = len(rows), ncols
@@ -70,14 +80,15 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls.of_rows([[0] * ncols for _ in range(nrows)], ncols)
+        return cls.of_rows([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.rows[i][i] = 1
-        return m
+        return cls.of_rows([{i: 1} for i in range(n)], n)
+
+    def dense(self) -> list:
+        """The entries as a list of row lists, zeros included."""
+        return [[row.get(j, 0) for j in range(self.ncols)] for row in self.rows]
 
     def __eq__(self, other):
         return (
@@ -90,33 +101,31 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.ncols)
-
     def transpose(self) -> "RationalMatrix":
-        if not self.nrows:
-            return RationalMatrix.zeros(self.ncols, 0)
-        return RationalMatrix.of_rows([list(col) for col in zip(*self.rows)],
-                                      self.nrows)
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return RationalMatrix.of_rows(cols, self.nrows)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Matrix product self @ other over the nonzero entries only (the
-        module matrices downstream are mostly zeros)."""
+        """Matrix product self @ other over the nonzero entries only;
+        entries that cancel to 0 are dropped."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        left = [_sparse(row) for row in self.rows]
-        right = [_sparse(row) for row in other.rows]
-        out = RationalMatrix.zeros(self.nrows, other.ncols)
-        for row, acc in zip(left, out.rows):
+        right = other.rows
+        out = []
+        for row in self.rows:
+            acc = {}
             for k, v in row.items():
                 for j, w in right[k].items():
-                    acc[j] += v * w
-        if not all(type(v) is int for row in left + right for v in row.values()):
-            out.rows = [[_entry(v) for v in acc] for acc in out.rows]
-        return out
+                    acc[j] = acc.get(j, 0) + v * w
+            out.append({j: v if type(v) is int else _entry(v)
+                        for j, v in acc.items() if v})
+        return RationalMatrix.of_rows(out, other.ncols)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(self.rows)
 
     def rank(self) -> int:
         """Rank as the number of pivots of `echelon`."""
@@ -130,19 +139,17 @@ class RationalMatrix:
 # the elimination
 # ---------------------------------------------------------------------------
 
-def _sparse(row) -> dict:
-    """The nonzero entries of a dense row, as {col: value}."""
-    return {j: row[j] for j in compress(range(len(row)), row)}
-
-
-def _int_row(row) -> dict:
-    """A dense row as a sparse {col: int} row spanning the same line:
-    scaled by the lcm of its denominators when it holds a Fraction."""
-    out = _sparse(row)
-    if all(type(v) is int for v in out.values()):
-        return out
-    m = lcm(*(v.denominator for v in out.values()))
-    return {j: v.numerator * (m // v.denominator) for j, v in out.items()}
+def _int_row(row: dict) -> dict:
+    """A sparse row as a {col: int} row spanning the same line: the row
+    itself when its entries are ints, else scaled by the lcm of its
+    denominators."""
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
+        return row
+    m = lcm(*(v.denominator for v in row.values()))
+    return {j: v.numerator * (m // v.denominator) for j, v in row.items()}
 
 
 def echelon(rows, limit=None) -> dict:
@@ -193,8 +200,14 @@ def hstack(mats) -> RationalMatrix:
     nr = {m.nrows for m in mats}
     if len(nr) != 1:
         raise ValueError(f"row counts differ: {sorted(nr)}")
-    rows = [sum((m.rows[i] for m in mats), []) for i in range(nr.pop())]
-    return RationalMatrix.of_rows(rows, sum(m.ncols for m in mats))
+    rows = [{} for _ in range(nr.pop())]
+    off = 0
+    for m in mats:
+        for row, part in zip(rows, m.rows):
+            for j, v in part.items():
+                row[off + j] = v
+        off += m.ncols
+    return RationalMatrix.of_rows(rows, off)
 
 
 def vstack(mats) -> RationalMatrix:
@@ -202,7 +215,7 @@ def vstack(mats) -> RationalMatrix:
     nc = {m.ncols for m in mats}
     if len(nc) != 1:
         raise ValueError(f"column counts differ: {sorted(nc)}")
-    return RationalMatrix.of_rows([list(row) for m in mats for row in m.rows],
+    return RationalMatrix.of_rows([dict(row) for m in mats for row in m.rows],
                                   nc.pop())
 
 
@@ -239,6 +252,7 @@ def solve_consistent(a: RationalMatrix, b: RationalMatrix):
             acc = row.get(na + k, 0)
             for j, v in row.items():
                 if c < j < na:
-                    acc -= v * x.rows[j][k]
-            x.rows[c][k] = _entry(Fraction(acc, row[c]))
+                    acc -= v * x.rows[j].get(k, 0)
+            if acc:
+                x.rows[c][k] = _entry(Fraction(acc, row[c]))
     return x

@@ -32,6 +32,7 @@ from functools import lru_cache
 
 from .exactla import (
     RationalMatrix,
+    _entry,
     complement_standard_vectors,
     hstack,
     solve_consistent,
@@ -100,16 +101,14 @@ def hom_dim_graph(src: Word, tgt: Word) -> int:
 
 def _partial_permutation(mat: RationalMatrix) -> bool:
     """Entries all 0/1 with at most one 1 per row and per column."""
-    col_used = [False] * mat.ncols
+    col_used = set()
     for row in mat.rows:
-        seen = False
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            if v != 1 or seen or col_used[j]:
+        if len(row) > 1:
+            return False
+        for j, v in row.items():
+            if v != 1 or j in col_used:
                 return False
-            seen = True
-            col_used[j] = True
+            col_used.add(j)
     return True
 
 
@@ -137,15 +136,13 @@ def _hom_dim_unionfind(m1, m2) -> int:
     for x1, x2 in ((m1.A, m2.A), (m1.B, m2.B)):
         # column j of x1 hits row s; row i of x2 hits column t
         colsrc = [None] * n1
-        for s in range(n1):
-            for j, v in enumerate(x1.rows[s]):
-                if v:
-                    colsrc[j] = s
+        for s, row in enumerate(x1.rows):
+            for j in row:
+                colsrc[j] = s
         rowtgt = [None] * n2
-        for i in range(n2):
-            for t, v in enumerate(x2.rows[i]):
-                if v:
-                    rowtgt[i] = t
+        for i, row in enumerate(x2.rows):
+            for t in row:
+                rowtgt[i] = t
         for j in range(n1):
             s = colsrc[j]
             for i in range(n2):
@@ -166,18 +163,19 @@ def _hom_dim_dense(m1, m2) -> int:
     total = n1 * n2
     rows = []
     for x1, x2 in ((m1.A, m2.A), (m1.B, m2.B)):
-        for i in range(n2):
-            for j in range(n1):
-                row = [0] * total
-                for s in range(n1):
-                    v = x1.rows[s][j]
-                    if v:
-                        row[i * n1 + s] += v
-                for t in range(n2):
-                    v = x2.rows[i][t]
-                    if v:
-                        row[t * n1 + j] -= v
-                if any(row):
+        cols1 = x1.transpose().rows
+        for i, row2 in enumerate(x2.rows):
+            for j, col1 in enumerate(cols1):
+                # (F x1)[i,j] - (x2 F)[i,j] over the entries of F, row-major
+                row = {i * n1 + s: v for s, v in col1.items()}
+                for t, v in row2.items():
+                    k = t * n1 + j
+                    w = row.get(k, 0) - v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+                if row:
                     rows.append(row)
     if not rows:
         return total
@@ -194,16 +192,14 @@ def hom_dim_oracle(m1: MatrixPairModule, m2: MatrixPairModule, method=None) -> i
     """
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
-    if method is None:
-        fast = all(_partial_permutation(m) for m in (m1.A, m1.B, m2.A, m2.B))
-        method = "unionfind" if fast else "dense"
-    if method == "unionfind":
-        if not all(_partial_permutation(m) for m in (m1.A, m1.B, m2.A, m2.B)):
+    if method in (None, "unionfind"):
+        if all(_partial_permutation(m) for m in (m1.A, m1.B, m2.A, m2.B)):
+            return _hom_dim_unionfind(m1, m2)
+        if method == "unionfind":
             raise ValueError("union-find route needs partial-permutation matrices")
-        return _hom_dim_unionfind(m1, m2)
-    if method == "dense":
-        return _hom_dim_dense(m1, m2)
-    raise ValueError(f"unknown method {method!r}")
+    elif method != "dense":
+        raise ValueError(f"unknown method {method!r}")
+    return _hom_dim_dense(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +241,13 @@ def projective_cover(mod: MatrixPairModule):
     Returns (P, phi) with phi the n x (t*d) matrix of the surjection.
     """
     p = mod.params
-    a, b, d = p.a, p.b, p.d
+    a, b = p.a, p.b
     lam = Word("x" * (a - 1) + "y" * (b - 1), p)
     top = complement_standard_vectors(hstack([mod.A, mod.B]))
     cover = direct_sum([string_module(lam)] * len(top))
     cols = []
     for v_idx in top:
-        v = [0] * mod.n
-        v[v_idx] = 1
+        v = {v_idx: 1}
         xs = [v]
         for _ in range(a - 1):
             xs.append(_matvec(mod.A, xs[-1]))
@@ -262,15 +257,20 @@ def projective_cover(mod: MatrixPairModule):
         for _ in range(b - 1):
             w = _matvec(mod.B, w)
             cols.append(w)
-    phi = RationalMatrix([[cols[c][r] for c in range(len(cols))] for r in range(mod.n)],
-                         ncols=d * len(top))
+    # cols are the columns of phi, as sparse {row: entry}
+    phi = RationalMatrix.of_rows(cols, mod.n).transpose()
     assert phi.rank() == mod.n, "cover fails to surject -- relations violated?"
     return cover, phi
 
 
-def _matvec(mat: RationalMatrix, vec):
-    nonzero = [(k, x) for k, x in enumerate(vec) if x]
-    return [sum(row[k] * x for k, x in nonzero) for row in mat.rows]
+def _matvec(mat: RationalMatrix, vec: dict) -> dict:
+    """mat @ vec for a sparse vector {index: entry}, as one."""
+    out = {}
+    for i, row in enumerate(mat.rows):
+        acc = sum(v * vec[k] for k, v in row.items() if k in vec)
+        if acc:
+            out[i] = _entry(acc)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -294,17 +294,15 @@ def _cover_compositions(c: Word, w: Word) -> RationalMatrix:
     lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
     dim_w = len(w) + 1
     width = (len(c) + 1) * dim_w
-    # the nonzero entries of each column of phi, as (row, value)
-    cols = [[(r, v) for r, v in enumerate(col) if v]
-            for col in phi.transpose().rows]
+    cols = phi.transpose().rows
     rows = []
     for gm in hom_basis(w, lam):
         ones = gm.ones()
         for u in range(0, cover.n, p.d):
             # (phi on summand u) . gm: column s of gm picks column u + t
-            row = [0] * width
+            row = {}
             for t, s in ones:
-                for r, v in cols[u + t]:
+                for r, v in cols[u + t].items():
                     row[r * dim_w + s] = v
             rows.append(row)
     return RationalMatrix.of_rows(rows, width)
@@ -340,10 +338,12 @@ def ext1_vanishes_membership(c: Word, d: Word) -> bool:
     if not comps.nrows:
         return False
     span = comps.transpose()
+    dim_w = len(w) + 1
     for gm in basis:
-        target = RationalMatrix(
-            [[v] for row in gm.matrix().rows for v in row]
-        )
+        # gm flattened row-major into one column, like the compositions
+        flat = {t * dim_w + s for t, s in gm.ones()}
+        target = RationalMatrix.of_rows(
+            [{0: 1} if r in flat else {} for r in range(span.nrows)], 1)
         if solve_consistent(span, target) is None:
             return False
     return True

@@ -105,8 +105,8 @@ class MatrixPairModule:
             "n": self.n,
             "a": self.params.a,
             "b": self.params.b,
-            "A": [[str(v) for v in row] for row in self.A.rows],
-            "B": [[str(v) for v in row] for row in self.B.rows],
+            "A": [[str(v) for v in row] for row in self.A.dense()],
+            "B": [[str(v) for v in row] for row in self.B.dense()],
         }
 
     @classmethod
@@ -225,14 +225,14 @@ def direct_sum(modules) -> MatrixPairModule:
     if any(m.params != params for m in modules):
         raise ValueError("direct_sum needs equal algebra parameters")
     n = sum(m.n for m in modules)
-    A = RationalMatrix.zeros(n, n)
-    B = RationalMatrix.zeros(n, n)
+    a_rows, b_rows = [], []
     off = 0
     for mod in modules:
-        for i in range(mod.n):
-            A.rows[off + i][off:off + mod.n] = mod.A.rows[i]
-            B.rows[off + i][off:off + mod.n] = mod.B.rows[i]
+        for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
+            rows.extend({off + j: v for j, v in row.items()} for row in part.rows)
         off += mod.n
+    A = RationalMatrix.of_rows(a_rows, n)
+    B = RationalMatrix.of_rows(b_rows, n)
     summands = None
     if all(m.summands is not None for m in modules):
         summands = [s for m in modules for s in m.summands]

@@ -78,6 +78,16 @@ def test_tables_json(capsys):
                for row in payload["open_orbits"])
 
 
+def test_tables_rejects_bad_bounds(capsys):
+    # checked up front: with --max-n < 2 no component is ever computed
+    code, out, err = run(capsys, "tables", "--a", "1", "--b", "3", "--max-n", "1")
+    assert code == 1
+    assert out == "" and "a, b >= 2" in err
+    code, out, err = run(capsys, "tables", "--a", "3", "--b", "3", "--max-n", "1")
+    assert code == 1
+    assert out == "" and "--max-n >= 2" in err
+
+
 def test_tables_text_layout(capsys):
     code, out, _ = run(capsys, "tables", "--a", "2", "--b", "2",
                        "--max-n", "4")

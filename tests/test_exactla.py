@@ -46,7 +46,7 @@ def rand_with_rank(rng, nrows, ncols, r):
 def gauss_jordan_pivots(mat):
     """Reference pivot columns: dense Fraction Gauss-Jordan, left to
     right, no column swaps."""
-    work = [[Fraction(v) for v in row] for row in mat.rows]
+    work = [[Fraction(v) for v in row] for row in mat.dense()]
     pivots = []
     r = 0
     for c in range(mat.ncols):
@@ -68,13 +68,25 @@ def gauss_jordan_pivots(mat):
 
 
 def entries(mat):
-    return [v for row in mat.rows for v in row]
+    return [v for row in mat.dense() for v in row]
+
+
+def assert_sparse(mat):
+    """The storage invariant: one {col: entry} dict per row, keys inside
+    the matrix, no stored zeros, an int for every integral entry."""
+    assert len(mat.rows) == mat.nrows
+    for row in mat.rows:
+        for j, v in row.items():
+            assert 0 <= j < mat.ncols
+            assert v != 0
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 def naive_mul(a, b):
+    da, db = a.dense(), b.dense()
     return RationalMatrix(
         [
-            [sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)) for j in range(b.ncols)]
+            [sum(da[i][k] * db[k][j] for k in range(a.ncols)) for j in range(b.ncols)]
             for i in range(a.nrows)
         ],
         b.ncols,
@@ -85,11 +97,11 @@ def naive_mul(a, b):
 
 def test_entry_coercion():
     m = RationalMatrix([[1, "1/2"], [Fraction(3, 4), 0]])
-    assert m.rows[0][1] == Fraction(1, 2)
+    assert m.dense()[0][1] == Fraction(1, 2)
     # integral values are stored as plain ints, whatever their input type
     m = RationalMatrix([[Fraction(4, 2), "3", "-6/3", True]])
-    assert m.rows == [[2, 3, -2, 1]]
-    assert all(type(v) is int for v in m.rows[0])
+    assert m.dense() == [[2, 3, -2, 1]]
+    assert all(type(v) is int for v in m.dense()[0])
     with pytest.raises(TypeError):
         RationalMatrix([[0.5]])
     with pytest.raises(ValueError):
@@ -115,10 +127,52 @@ def test_empty_shapes():
 
 def test_mul_matches_naive():
     rng = random.Random(7)
+    pairs = []
     for _ in range(30):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), denom=True)
         b = rand_matrix(rng, a.ncols, rng.randint(1, 5), denom=True)
-        assert a.mul(b) == naive_mul(a, b)
+        pairs.append((a, b))
+    for _ in range(30):
+        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        pairs.append((a, rand_matrix(rng, a.ncols, rng.randint(1, 5))))
+    # mostly zeros, where products cancel, with and without a Fraction
+    for pool in ((0, 0, 0, 1, -1), (0, 0, 1, Fraction(1, 2), -3)):
+        for _ in range(30):
+            nrows, inner, ncols = (rng.randint(1, 7) for _ in range(3))
+            a, b = (RationalMatrix([[rng.choice(pool) for _ in range(c)] for _ in range(r)])
+                    for r, c in ((nrows, inner), (inner, ncols)))
+            pairs.append((a, b))
+    for a, b in pairs:
+        prod = a.mul(b)
+        assert prod == naive_mul(a, b)
+        assert_sparse(prod)
+
+
+def test_mul_drops_cancelled_entries():
+    prod = RationalMatrix([[1, 1]]).mul(RationalMatrix([[1], [-1]]))
+    assert prod.rows == [{}] and prod.is_zero()
+    half = RationalMatrix([["1/2", "1/2"], [1, 0]])
+    prod = half.mul(RationalMatrix([[2, 1], [2, -1]]))
+    # 1/2 * 2 + 1/2 * 2 = 2 is stored as an int, 1/2 - 1/2 is not stored
+    assert prod.rows == [{0: 2}, {0: 2, 1: 1}]
+    assert_sparse(prod)
+
+
+def test_operations_store_no_zeros():
+    rng = random.Random(37)
+    for _ in range(30):
+        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), span=1,
+                        denom=rng.random() < 0.5)
+        b = rand_matrix(rng, a.nrows, rng.randint(1, 3), span=1)
+        assert_sparse(a)
+        for mat in (a.transpose(), hstack([a, b]), vstack([a, a]),
+                    a.mul(a.transpose())):
+            assert_sparse(mat)
+        x = solve_consistent(a, a.mul(rand_matrix(rng, a.ncols, 2, span=1)))
+        assert x is not None
+        assert_sparse(x)
+    assert_sparse(RationalMatrix.identity(4))
+    assert RationalMatrix.zeros(3, 2).rows == [{}, {}, {}]
 
 
 def test_mul_shape_check():
@@ -130,14 +184,14 @@ def test_transpose_involution():
     rng = random.Random(3)
     m = rand_matrix(rng, 4, 6, denom=True)
     assert m.transpose().transpose() == m
-    assert m.transpose().rows[2][1] == m.rows[1][2]
+    assert m.transpose().dense()[2][1] == m.dense()[1][2]
 
 
 def test_stacks():
     a = RationalMatrix([[1, 2], [3, 4]])
     b = RationalMatrix([[5, 6], [7, 8]])
-    assert hstack([a, b]).rows == [[1, 2, 5, 6], [3, 4, 7, 8]]
-    assert vstack([a, b]).rows == [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert hstack([a, b]).dense() == [[1, 2, 5, 6], [3, 4, 7, 8]]
+    assert vstack([a, b]).dense() == [[1, 2], [3, 4], [5, 6], [7, 8]]
     with pytest.raises(ValueError):
         hstack([a, RationalMatrix([[1, 2]])])
     with pytest.raises(ValueError):
@@ -225,7 +279,7 @@ def test_solve_underdetermined_free_vars_zero():
     a = RationalMatrix([[1, 1]])
     b = RationalMatrix([[5]])
     x = solve_consistent(a, b)
-    assert x.rows == [[Fraction(5)], [Fraction(0)]]
+    assert x.dense() == [[Fraction(5)], [Fraction(0)]]
 
 
 def test_solve_zero_system():
@@ -274,7 +328,7 @@ def test_int_matrices_never_produce_floats():
     assert pivot_columns(m) == [0]
     assert complement_standard_vectors(m) == [0]
     x = solve_consistent(m, RationalMatrix([[1], [3]]))
-    assert x.rows == [[Fraction(1, 3)], [0]]
+    assert x.dense() == [[Fraction(1, 3)], [0]]
     rng = random.Random(31)
     for _ in range(40):
         ncols = rng.randint(1, 5)
@@ -296,8 +350,8 @@ def test_int_matrices_never_produce_floats():
 
 def test_solve_divides_exactly():
     x = solve_consistent(RationalMatrix([[3]]), RationalMatrix([[1]]))
-    assert x.rows == [[Fraction(1, 3)]] and type(x.rows[0][0]) is Fraction
+    assert x.dense() == [[Fraction(1, 3)]] and type(x.dense()[0][0]) is Fraction
     x = solve_consistent(RationalMatrix([[2, 1], [0, 4]]), RationalMatrix([[3], [2]]))
-    assert x.rows == [[Fraction(5, 4)], [Fraction(1, 2)]]
+    assert x.dense() == [[Fraction(5, 4)], [Fraction(1, 2)]]
     x = solve_consistent(RationalMatrix([[2]]), RationalMatrix([[4]]))
-    assert x.rows == [[2]] and type(x.rows[0][0]) is int
+    assert x.dense() == [[2]] and type(x.dense()[0][0]) is int

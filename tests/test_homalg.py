@@ -42,15 +42,15 @@ def test_graph_map_matrix_shape():
     gm = GraphMap("xxy", "xyxx", ("x", "x", "y"), ("", "x", "yxx"))
     m = gm.matrix()
     assert (m.nrows, m.ncols) == (5, 4)
-    assert m.rows[0][1] == 1 and m.rows[1][2] == 1
-    assert sum(1 for row in m.rows for v in row if v) == 2
+    assert m.dense()[0][1] == 1 and m.dense()[1][2] == 1
+    assert sum(1 for row in m.dense() for v in row if v) == 2
 
 
 def test_graph_map_matrices_store_ints():
     for src in enumerate_words(4, P33):
         for tgt in enumerate_words(4, P33):
             for gm in hom_basis(src, tgt):
-                assert all(type(v) is int for row in gm.matrix().rows for v in row)
+                assert all(type(v) is int for row in gm.matrix().dense() for v in row)
 
 
 def test_graph_maps_are_module_maps():
@@ -69,7 +69,7 @@ def test_graph_maps_linearly_independent():
     for t1, t2 in (("xxy", "xyxx"), ("xy", "xxyy"), ("xxyy", "xxyy")):
         w1, w2 = Word(t1, P33), Word(t2, P33)
         basis = hom_basis(w1, w2)
-        rows = [[v for row in gm.matrix().rows for v in row] for gm in basis]
+        rows = [[v for row in gm.matrix().dense() for v in row] for gm in basis]
         assert RationalMatrix(rows).rank() == len(basis)
 
 
@@ -111,6 +111,26 @@ def test_unionfind_refuses_nonpermutation():
     band = band_module("xxy", [2], P33)
     with pytest.raises(ValueError):
         hom_dim_oracle(band, band, method="unionfind")
+    with pytest.raises(ValueError):
+        hom_dim_oracle(band, band, method="gauss")
+
+
+def test_oracle_checks_the_route_once(monkeypatch):
+    import nilvar.homalg as homalg
+
+    calls = []
+    real = homalg._partial_permutation
+    monkeypatch.setattr(homalg, "_partial_permutation",
+                        lambda mat: calls.append(mat) or real(mat))
+    m1, m2 = string_module("xxy", P33), string_module("xyy", P33)
+    assert hom_dim_oracle(m1, m2) == hom_dim_graph(Word("xxy", P33), Word("xyy", P33))
+    assert len(calls) == 4
+    # a band is no partial permutation: the automatic choice falls back
+    # to elimination after the same single check
+    calls.clear()
+    band = band_module("xxy", [2], P33)
+    assert hom_dim_oracle(band, band) == hom_dim_oracle(band, band, method="dense")
+    assert len(calls) <= 4
 
 
 def test_hom_from_free_module_is_dimension():

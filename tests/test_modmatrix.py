@@ -28,6 +28,13 @@ P22 = AlgebraParams(2, 2)
 P43 = AlgebraParams(4, 3)
 
 
+def assert_sparse(mat):
+    """No stored zeros and no column outside the matrix."""
+    assert len(mat.rows) == mat.nrows
+    for row in mat.rows:
+        assert all(0 <= j < mat.ncols and v != 0 for j, v in row.items())
+
+
 def string_jordan_oracle(word):
     """Jordan pair of M(word) straight from the run structure."""
     n = len(word) + 1
@@ -56,9 +63,9 @@ def band_jordan_oracle(canonical, k):
 def test_orientation_convention():
     # these two entries pin the action convention for everything else
     mx = string_module("x", P33)
-    assert mx.A.rows[0][1] == 1 and mx.A.rank() == 1 and mx.B.rank() == 0
+    assert mx.A.dense()[0][1] == 1 and mx.A.rank() == 1 and mx.B.rank() == 0
     my = string_module("y", P33)
-    assert my.B.rows[1][0] == 1 and my.B.rank() == 1 and my.A.rank() == 0
+    assert my.B.dense()[1][0] == 1 and my.B.rank() == 1 and my.A.rank() == 0
 
 
 def test_simple_module():
@@ -115,7 +122,7 @@ def test_band_xxy_single_layer():
     assert m.jordan_pair() == ((3,), (2, 1))
     assert m.stats() == {"rkA": 2, "rkB": 1, "top_dim": 1, "soc_dim": 1, "regular": True}
     # wrap-around entry carries the lambda
-    assert m.B.rows[0][2] == 2
+    assert m.B.dense()[0][2] == 2
 
 
 def test_band_xxyy_single_layer():
@@ -233,10 +240,10 @@ def test_dual_point_is_reversed_string():
         n = m.n
         rev = string_module(w.reverse())
         perm = list(reversed(range(n)))
-        for mat_d, mat_r in ((d.A, rev.A), (d.B, rev.B)):
+        for mat_d, mat_r in ((d.A.dense(), rev.A.dense()), (d.B.dense(), rev.B.dense())):
             for i in range(n):
                 for j in range(n):
-                    assert mat_d.rows[perm[i]][perm[j]] == mat_r.rows[i][j]
+                    assert mat_d[perm[i]][perm[j]] == mat_r[i][j]
         st, std = m.stats(), d.stats()
         assert std["top_dim"] == st["soc_dim"] and std["soc_dim"] == st["top_dim"]
         assert (std["rkA"], std["rkB"]) == (st["rkA"], st["rkB"])
@@ -295,7 +302,58 @@ def test_constructions_store_ints():
         direct_sum([string_module("xy", P33), band_module("xyy", [half, 3], P33)]),
     ]
     for mod in mods:
-        for v in [v for m in (mod.A, mod.B) for row in m.rows for v in row]:
+        for v in [v for m in (mod.A, mod.B) for row in m.dense() for v in row]:
             assert type(v) is int or (type(v) is Fraction and v == half)
     assert band_module("xxy", [Fraction(6, 3)], P33).summands[0][2] == (2,)
     assert type(band_module("xxy", [Fraction(6, 3)], P33).summands[0][2][0]) is int
+
+
+# -- sparse storage ----------------------------------------------------------
+
+def test_constructions_store_no_zeros():
+    mods = [
+        string_module("", P33),
+        string_module("xxyxyy", P33),
+        band_module("xxy", [1, "1/2", -3], P33),
+        band_module("xyxyy", 2, P33),
+        direct_sum([string_module("xy", P33), band_module("xyy", ["1/2", 3], P33),
+                    string_module("xxy", P33)]),
+    ]
+    for mod in mods:
+        for mat in (mod.A, mod.B):
+            assert_sparse(mat)
+        for mat in (mod.A.mul(mod.B), mod.B.mul(mod.A)):
+            assert mat.rows == [{}] * mod.n
+
+
+# `nilvar module ... --format json` stdout, as it was printed while the
+# matrices were stored dense: to_json must give the same bytes
+MODULE_JSON = {
+    ("--word", "xxyy"): {
+        "A": [["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+              ["0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0"],
+              ["0", "0", "0", "0", "0"]],
+        "B": [["0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0"],
+              ["0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+              ["0", "0", "0", "1", "0"]],
+        "a": 3, "b": 3, "jordan": {"A": [3, 1, 1], "B": [3, 1, 1]}, "n": 5,
+        "stats": {"regular": False, "rkA": 2, "rkB": 2, "soc_dim": 2, "top_dim": 1},
+    },
+    ("--word", "xy", "--lambdas", "1,1/2"): {
+        "A": [["0", "1", "0", "0"], ["0", "0", "0", "0"],
+              ["0", "0", "0", "1"], ["0", "0", "0", "0"]],
+        "B": [["0", "1", "0", "1"], ["0", "0", "0", "0"],
+              ["0", "0", "0", "1/2"], ["0", "0", "0", "0"]],
+        "a": 3, "b": 3, "jordan": {"A": [2, 2], "B": [2, 2]}, "n": 4,
+        "stats": {"regular": True, "rkA": 2, "rkB": 2, "soc_dim": 2, "top_dim": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(MODULE_JSON), ids=" ".join)
+def test_module_json_bytes_pinned(capsys, args):
+    from nilvar.cli import main
+
+    assert main(["module", *args, "--format", "json"]) == 0
+    expected = json.dumps(MODULE_JSON[args], indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == expected
