@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homalg import end_dim, ext1_vanishes
+from .homalg import ext1_vanishes, orbit_dim
 from .modmatrix import direct_sum, string_module
-from .partitions import Partition, dominates, enumerate_partitions, reduced_length
+from .partitions import Partition, enumerate_partitions, reduced_length
 from .words import AlgebraParams, Word, enumerate_open_strings
 
 
@@ -45,16 +45,16 @@ def is_regular_pair(a_part, b_part) -> bool:
     return reduced_length(a_part) == reduced_length(b_part)
 
 
-def regular_pairs(n, params: AlgebraParams):
-    """All regular pairs of partitions of n with parts bounded by a, b."""
+def regular_pairs(n, params: AlgebraParams, extra=0):
+    """All pairs of partitions of n with parts bounded by a, b, equal
+    reduced lengths and l(a_part) + l(b_part) = n + extra: the regular
+    pairs at extra = 0; at extra = 1 the length condition of the
+    semi-projective strata."""
     for a_part in enumerate_partitions(n, params.a):
         for b_part in enumerate_partitions(n, params.b):
-            if is_regular_pair(a_part, b_part):
-                yield Partition(a_part), Partition(b_part)
-
-
-def _minus(p: Partition) -> Partition:
-    return Partition(v - 1 for v in p if v >= 2)
+            if (len(a_part) + len(b_part) == n + extra
+                    and reduced_length(a_part) == reduced_length(b_part)):
+                yield a_part, b_part
 
 
 def diamond_family(a_part, b_part, params: AlgebraParams):
@@ -66,7 +66,7 @@ def diamond_family(a_part, b_part, params: AlgebraParams):
     Returns [(band word, multiplicity)], longest bands first.
     """
     a_part, b_part = Partition(a_part), Partition(b_part)
-    c, d = _minus(a_part), _minus(b_part)
+    c, d = a_part.minus_one(), b_part.minus_one()
     t = len(c)
     if len(d) != t:
         raise ValueError(f"not a regular pair: l(a-1) = {t} != l(b-1) = {len(d)}")
@@ -87,7 +87,7 @@ def delta_dim(a_part, b_part) -> int:
     their common length."""
     a_part, b_part = Partition(a_part), Partition(b_part)
     n = a_part.size()
-    c, d = _minus(a_part), _minus(b_part)
+    c, d = a_part.minus_one(), b_part.minus_one()
     return (n * n - sum(m * m for m in c.dual()) - sum(m * m for m in d.dual())
             + len(c) ** 2)
 
@@ -137,33 +137,6 @@ def is_regular_component(a_part, b_part, params: AlgebraParams) -> bool:
     full = (sum(1 for v in a_part if v == params.a)
             + sum(1 for v in b_part if v == params.b))
     return reduced_length(a_part) <= full + 1
-
-
-# ---------------------------------------------------------------------------
-# closure criteria
-# ---------------------------------------------------------------------------
-
-def stratum_closure_leq(pair1, pair2) -> bool:
-    """True when the criterion certifies C(pair1) inside the closure of
-    C(pair2): the pairs lie in the same (length, reduced length) cell
-    and dominate componentwise.  Says nothing about pairs in different
-    cells (returns False there)."""
-    a1, b1 = Partition(pair1[0]), Partition(pair1[1])
-    a2, b2 = Partition(pair2[0]), Partition(pair2[1])
-    for x, y in ((a1, b1), (a2, b2)):
-        if not is_regular_pair(x, y):
-            raise ValueError(f"({x}, {y}) is not a regular pair")
-    if (a1.length(), reduced_length(a1)) != (a2.length(), reduced_length(a2)):
-        return False
-    return dominates(a1, a2) and dominates(b1, b2)
-
-
-def delta_closure_leq_nnn(pair1, pair2) -> bool:
-    """Closure order of the strata when a, b >= n (no nilpotency caps
-    besides A, B nilpotent): plain componentwise dominance."""
-    a1, b1 = Partition(pair1[0]), Partition(pair1[1])
-    a2, b2 = Partition(pair2[0]), Partition(pair2[1])
-    return dominates(a1, a2) and dominates(b1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +216,6 @@ def regular_components(n: int, params: AlgebraParams) -> list:
     return out
 
 
-def _orbit_dim(words) -> int:
-    mod = direct_sum([string_module(w) for w in words])
-    return mod.n * mod.n - end_dim(mod)
-
-
 def _ext_orthogonal(words) -> bool:
     distinct = sorted(set(words), key=str)
     for u in distinct:
@@ -289,7 +257,7 @@ def nonregular_components(n: int, params: AlgebraParams) -> list:
 
     out = []
     for words in found:
-        dim = _orbit_dim(words)
+        dim = orbit_dim(direct_sum([string_module(w) for w in words]))
         key = lambda w: (len(w), str(w))
         out.append(Component(kind="orbit", dim=dim, side="semi-projective",
                              strings=tuple(sorted(words, key=key))))
@@ -386,7 +354,7 @@ def open_orbit_dim_formula(a_part, b_part, params: AlgebraParams) -> int:
     n = a_part.size()
     if b_part.size() != n:
         raise ValueError("partitions must have equal size")
-    c, d = _minus(a_part), _minus(b_part)
+    c, d = a_part.minus_one(), b_part.minus_one()
     p = len(c)
     if len(d) != p or p == 0:
         raise ValueError("need equal positive reduced lengths")

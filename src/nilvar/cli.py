@@ -9,15 +9,13 @@
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when a
 verification-style command finds a disagreement.  Output is plain text
-or JSON (--format) and is byte-identical across runs for fixed inputs;
-NILVAR_THREADS caps the worker count of `verify` (default sequential).
+or JSON (--format) and is byte-identical across runs for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -171,15 +169,7 @@ def cmd_module(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = os.environ.get("NILVAR_THREADS", "1")
-    try:
-        jobs = max(1, int(raw))
-    except ValueError:
-        print(f"nilvar: error: NILVAR_THREADS must be an integer, got {raw!r}",
-              file=sys.stderr)
-        return 1
-    results = run_suite(args.level, seed=args.seed, names=args.check or None,
-                        jobs=jobs)
+    results = run_suite(args.level, seed=args.seed, names=args.check or None)
     if args.format == "json":
         print(_dump([{"name": r.name, "passed": r.passed, "detail": r.detail}
                      for r in results]))

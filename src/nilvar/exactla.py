@@ -131,9 +131,6 @@ class RationalMatrix:
         """Rank as the number of pivots of `echelon`."""
         return len(echelon(map(_int_row, self.rows), self.ncols))
 
-    def nullity(self) -> int:
-        return self.ncols - self.rank()
-
 
 # ---------------------------------------------------------------------------
 # the elimination

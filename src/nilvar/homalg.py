@@ -38,7 +38,7 @@ from .exactla import (
     solve_consistent,
 )
 from .modmatrix import MatrixPairModule, direct_sum, string_module
-from .words import AlgebraParams, Word, admissible_pairs, parse_word, tau_inverse
+from .words import AlgebraParams, Word, admissible_pairs, tau_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -345,25 +345,5 @@ def ext1_vanishes_membership(c: Word, d: Word) -> bool:
         target = RationalMatrix.of_rows(
             [{0: 1} if r in flat else {} for r in range(span.nrows)], 1)
         if solve_consistent(span, target) is None:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# hom-order comparison
-# ---------------------------------------------------------------------------
-
-def hom_order_consistent(ys, xs, tests) -> bool:
-    """True iff dim Hom(Y, T) <= dim Hom(X, T) for every test module T,
-    where Y = sum of the words in ys and X = sum of the words in xs.
-
-    Hom dimensions only grow under degeneration, so this is a necessary
-    condition for X to lie in the orbit closure of Y; it is how the
-    degeneration moves (flips, box moves) are sanity-checked.
-    """
-    for t in tests:
-        hy = sum(hom_dim_graph(y, t) for y in ys)
-        hx = sum(hom_dim_graph(x, t) for x in xs)
-        if hy > hx:
             return False
     return True

@@ -11,9 +11,7 @@ inequalities; each one pins down an irreducible stratum of the variety,
 of dimension  n * dim Hom(L, Lambda) - dim End(L).
 
 We store an index module as a multiset of exponent pairs (i, j) >= (0,0):
-(0,0) is the simple module, (i,0) is M(x^i), (0,j) is M(y^j).  That makes
-the combinatorial moves between index modules (flips and box moves)
-uniform bookkeeping on pairs.
+(0,0) is the simple module, (i,0) is M(x^i), (0,j) is M(y^j).
 """
 
 from __future__ import annotations
@@ -43,26 +41,7 @@ class BiserialIndexModule:
                 items.append(((int(i), int(j)), int(mult)))
         self._items = tuple(items)
 
-    @classmethod
-    def from_parts(cls, m_s=0, m_x=None, m_y=None, m_xy=None):
-        counts = Counter()
-        if m_s:
-            counts[(0, 0)] = m_s
-        for i, mult in (m_x or {}).items():
-            counts[(i, 0)] += mult
-        for j, mult in (m_y or {}).items():
-            counts[(0, j)] += mult
-        for (i, j), mult in (m_xy or {}).items():
-            if i == 0 or j == 0:
-                raise ValueError(f"m_xy exponents must be positive, got {(i, j)}")
-            counts[(i, j)] += mult
-        return cls(counts)
-
     # -- views -------------------------------------------------------------
-
-    @property
-    def counts(self) -> dict:
-        return dict(self._items)
 
     @property
     def m_s(self) -> int:
@@ -156,65 +135,8 @@ def stratum_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# moves between index modules
-# ---------------------------------------------------------------------------
-
-def _take_two(idx, s1, s2):
-    counts = Counter(idx.counts)
-    need = Counter([s1, s2])
-    for key, m in need.items():
-        if counts[key] < m:
-            raise ValueError(f"index module has no {m} copies of {key}")
-        counts[key] -= m
-    return counts
-
-
-def flip(idx: BiserialIndexModule, s1, s2) -> BiserialIndexModule:
-    """Exchange tails between nested summands: {x^i y^j, x^p y^q} with
-    p <= i, q <= j becomes {x^i y^q, x^p y^j}.  The result is less
-    degenerate (its orbit is larger; the input lies in its closure).
-    """
-    (i, j), (p, q) = s1, s2
-    if not (p <= i and q <= j):
-        raise ValueError(f"flip needs nested exponents, got {s1} vs {s2}")
-    counts = _take_two(idx, s1, s2)
-    counts[(i, q)] += 1
-    counts[(p, j)] += 1
-    return BiserialIndexModule(counts)
-
-
-def box_move(idx: BiserialIndexModule, s1, s2, letter: str, params: AlgebraParams) -> BiserialIndexModule:
-    """Move one box of the given letter between two summands:
-
-      x:  {x^i y^j, x^p y^q}, 1 <= p <= i <= a-2  ->  {x^{i+1} y^j, x^{p-1} y^q}
-      y:  mirror in the second exponent, bounded by b-2.
-
-    Like flip, the output is the less degenerate side.
-    """
-    (i, j), (p, q) = s1, s2
-    if letter == "x":
-        if not 1 <= p <= i <= params.a - 2:
-            raise ValueError(f"x box move needs 1 <= p <= i <= a-2, got p={p}, i={i}")
-        new1, new2 = (i + 1, j), (p - 1, q)
-    elif letter == "y":
-        if not 1 <= q <= j <= params.b - 2:
-            raise ValueError(f"y box move needs 1 <= q <= j <= b-2, got q={q}, j={j}")
-        new1, new2 = (i, j + 1), (p, q - 1)
-    else:
-        raise ValueError(f"letter must be x or y, got {letter!r}")
-    counts = _take_two(idx, s1, s2)
-    counts[new1] += 1
-    counts[new2] += 1
-    return BiserialIndexModule(counts)
-
-
-# ---------------------------------------------------------------------------
 # the index modules of the classification
 # ---------------------------------------------------------------------------
-
-def _minus_parts(p: Partition) -> list:
-    return [v - 1 for v in p if v >= 2]
-
 
 def index_of_regular_stratum(a_part, b_part, params: AlgebraParams) -> BiserialIndexModule:
     """The index module of the regular stratum C(a_part, b_part):
@@ -231,7 +153,7 @@ def index_of_regular_stratum(a_part, b_part, params: AlgebraParams) -> BiserialI
     if a_part.length() + b_part.length() != n:
         raise ValueError(f"not a regular pair: l(a) + l(b) = "
                          f"{a_part.length() + b_part.length()} != {n}")
-    c, d = _minus_parts(a_part), _minus_parts(b_part)
+    c, d = a_part.minus_one(), b_part.minus_one()
     t = len(c)
     if len(d) != t:
         raise ValueError(f"not a regular pair: l(a-1) = {t} != l(b-1) = {len(d)}")
@@ -265,7 +187,7 @@ def semiproj_index(a_part, b_part, params: AlgebraParams):
     if a_part.length() + b_part.length() != n + 1:
         raise ValueError(f"need l(a) + l(b) = n + 1, got "
                          f"{a_part.length() + b_part.length()} vs {n + 1}")
-    c, d = _minus_parts(a_part), _minus_parts(b_part)
+    c, d = a_part.minus_one(), b_part.minus_one()
     t = len(c)
     if len(d) != t:
         raise ValueError(f"need l(a-1) = l(b-1), got {t} vs {len(d)}")

@@ -90,13 +90,6 @@ class MatrixPairModule:
             "regular": rka + rkb == self.n,
         }
 
-    def dual_point(self) -> "MatrixPairModule":
-        """The dual module: transpose both matrices.  Sends M(C) to
-        M(reverse(C)); summand metadata is dropped."""
-        return MatrixPairModule(
-            self.n, self.A.transpose(), self.B.transpose(), self.params
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -237,10 +230,3 @@ def direct_sum(modules) -> MatrixPairModule:
     if all(m.summands is not None for m in modules):
         summands = [s for m in modules for s in m.summands]
     return MatrixPairModule(n, A, B, params, summands)
-
-
-def summand_dim(s) -> int:
-    """Dimension contributed by one summand descriptor."""
-    if s[0] == "string":
-        return len(s[1]) + 1
-    return len(s[1]) * len(s[2])

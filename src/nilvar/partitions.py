@@ -39,10 +39,6 @@ class Partition(tuple):
         """Returns the number of parts."""
         return len(self)
 
-    def multiplicity(self, i: int) -> int:
-        """Returns the number of parts equal to i."""
-        return sum(1 for v in self if v == i)
-
     # -- the operations the classification needs --------------------------
 
     def dual(self) -> "Partition":
@@ -52,37 +48,9 @@ class Partition(tuple):
         return Partition(sum(1 for v in self if v > i) for i in range(self[0]))
 
     def minus_one(self) -> "Partition":
-        """Subtract 1 from every part and drop the resulting zeros.
-
-        Raises ValueError on the empty partition and on all-ones partitions
-        (callers that only need the length of the result should count parts
-        >= 2 instead, see reduced_length).
-        """
-        if not self:
-            raise ValueError("minus_one of the empty partition")
-        if self[0] == 1:
-            raise ValueError(f"minus_one of the all-ones partition {self}")
+        """Subtract 1 from every part and drop the resulting zeros; the
+        empty and the all-ones partitions give the empty partition."""
         return Partition(v - 1 for v in self if v >= 2)
-
-    def dominates(self, other) -> bool:
-        """True iff self is dominated by other (self <= other): every prefix
-        sum of self is at most the corresponding prefix sum of other.
-
-        Only defined for partitions of the same number; raises otherwise.
-        """
-        other = Partition(other)
-        if self.size() != other.size():
-            raise ValueError(
-                f"dominance needs equal sizes, got |{self}| = {self.size()} "
-                f"and |{other}| = {other.size()}"
-            )
-        acc_s = acc_o = 0
-        for k in range(max(len(self), len(other))):
-            acc_s += self[k] if k < len(self) else 0
-            acc_o += other[k] if k < len(other) else 0
-            if acc_s > acc_o:
-                return False
-        return True
 
     # -- serialization ----------------------------------------------------
 
@@ -92,30 +60,30 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Parses the bracketed form produced by str(), e.g. "[3,2,2,1]"."""
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"not a partition literal: {text!r}")
-        inner = text[1:-1].strip()
-        if not inner:
-            return cls()
-        return cls(int(v) for v in inner.split(","))
-
 
 def dominates(p, q) -> bool:
     """True iff p <= q in the dominance order (prefix sums of p bounded by
-    those of q).  Both arguments must be partitions of the same number.
+    those of q).  Both arguments must be partitions of the same number;
+    raises otherwise.
     """
-    return Partition(p).dominates(q)
+    p, q = Partition(p), Partition(q)
+    if p.size() != q.size():
+        raise ValueError(
+            f"dominance needs equal sizes, got |{p}| = {p.size()} "
+            f"and |{q}| = {q.size()}"
+        )
+    acc_p = acc_q = 0
+    for k in range(max(len(p), len(q))):
+        acc_p += p[k] if k < len(p) else 0
+        acc_q += q[k] if k < len(q) else 0
+        if acc_p > acc_q:
+            return False
+    return True
 
 
 def reduced_length(p) -> int:
-    """Returns the length of p minus-one, i.e. the number of parts >= 2.
-
-    Safe on all-ones and empty partitions, unlike Partition.minus_one.
-    """
+    """Returns the length of p minus-one, i.e. the number of parts >= 2,
+    without building the partition."""
     return sum(1 for v in p if v >= 2)
 
 

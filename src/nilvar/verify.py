@@ -26,10 +26,9 @@ from .classify import (
     regular_dense,
     regular_pairs,
 )
-from .homalg import end_dim, ext1_vanishes, hom_dim_graph, hom_dim_oracle
+from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle, orbit_dim
 from .indexmod import index_of_regular_stratum, semiproj_index, stratum_dim
 from .modmatrix import band_module, direct_sum, string_module
-from .partitions import Partition, enumerate_partitions, reduced_length
 from .words import AlgebraParams, Word, band_class, enumerate_words
 
 # ---------------------------------------------------------------------------
@@ -221,20 +220,6 @@ def _check_hom_agreement(level, seed):
     return f"{pairs} string pairs across {len(grids)} parameter sets"
 
 
-def _semiproj_pairs(n, params):
-    for a_part in enumerate_partitions(n, params.a):
-        if params.a not in a_part:
-            continue
-        for b_part in enumerate_partitions(n, params.b):
-            if params.b not in b_part:
-                continue
-            if len(a_part) + len(b_part) != n + 1:
-                continue
-            if reduced_length(a_part) != reduced_length(b_part):
-                continue
-            yield Partition(a_part), Partition(b_part)
-
-
 def _check_stratum_dims(level, seed):
     if level == "full":
         top, bounds = 10, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
@@ -251,9 +236,11 @@ def _check_stratum_dims(level, seed):
                         f"delta formula vs index module at {pair}, ({a}, {b}):"
                         f" {delta_dim(*pair)} != {stratum_dim(idx, n, params)}")
                 regular += 1
-            for pair in _semiproj_pairs(n, params):
+            for pair in regular_pairs(n, params, extra=1):
+                if params.a not in pair[0] or params.b not in pair[1]:
+                    continue
                 word, idx = semiproj_index(*pair, params)
-                orbit = n * n - end_dim(string_module(word))
+                orbit = orbit_dim(string_module(word))
                 if orbit != stratum_dim(idx, n, params):
                     raise CheckFailure(
                         f"open orbit vs stratum at {pair}, ({a}, {b}): "
@@ -374,17 +361,11 @@ def run_check(name, level="quick", seed=0) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def run_suite(level="quick", seed=0, names=None, jobs=1) -> list:
-    """Run the named checks (all by default) and return their results in
-    listing order.  jobs > 1 runs them in a thread pool; the result
-    order stays deterministic."""
+def run_suite(level="quick", seed=0, names=None) -> list:
+    """Run the named checks (all by default), one after another, and
+    return their results in listing order."""
     picked = [n for n, _ in CHECKS] if names is None else list(names)
     unknown = [n for n in picked if n not in dict(CHECKS)]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_check, n, level, seed) for n in picked]
-            return [f.result() for f in futures]
     return [run_check(n, level, seed) for n in picked]

@@ -6,7 +6,6 @@ import pytest
 from nilvar.classify import (
     Component,
     components,
-    delta_closure_leq_nnn,
     delta_dim,
     diamond_family,
     ip_maximal,
@@ -20,9 +19,8 @@ from nilvar.classify import (
     regular_dense,
     regular_pairs,
 )
-from nilvar.classify import stratum_closure_leq
 from nilvar.indexmod import index_of_regular_stratum, stratum_dim
-from nilvar.partitions import Partition
+from nilvar.partitions import Partition, dominates, reduced_length
 from nilvar.words import AlgebraParams
 
 P33 = AlgebraParams(3, 3)
@@ -127,8 +125,10 @@ def test_ip_maximal_dominates_its_cell():
     pair = ip_maximal(9, P43, 4, 3)
     assert pair == (Partition((4, 2, 2, 1)), Partition((3, 2, 2, 1, 1)))
     other = (Partition((3, 3, 2, 1)), pair[1])
-    assert stratum_closure_leq(other, pair)
-    assert not stratum_closure_leq(pair, other)
+    assert is_regular_pair(*other)
+    assert (len(other[0]), reduced_length(other[0])) == (4, 3)
+    assert dominates(other[0], pair[0]) and dominates(other[1], pair[1])
+    assert not dominates(pair[0], other[0])
     assert delta_dim(*other) <= delta_dim(*pair)
 
 
@@ -149,26 +149,14 @@ def test_is_regular_component_criterion():
 # closure criteria
 # ---------------------------------------------------------------------------
 
-def test_stratum_closure_needs_matching_cell():
-    inner = ((3, 2, 1), (3, 2, 1))
-    outer = ((3, 3), (2, 2, 1, 1))
-    # different (length, reduced length) cells: the criterion stays silent
-    assert not stratum_closure_leq(inner, outer)
-    assert stratum_closure_leq(inner, inner)
-    with pytest.raises(ValueError):
-        stratum_closure_leq(((2, 1), (2, 1)), inner)
-
-
 def test_nnn_closure_is_componentwise_dominance():
-    assert delta_closure_leq_nnn(((2, 1), (2, 1)), ((3,), (2, 1)))
-    assert not delta_closure_leq_nnn(((3,), (2, 1)), ((2, 1), (2, 1)))
     # the maximal pairs are pairwise incomparable
     comps = nnn_components(5)
     for c1 in comps:
         for c2 in comps:
             if c1 is not c2:
-                assert not delta_closure_leq_nnn(
-                    (c1.a_part, c1.b_part), (c2.a_part, c2.b_part))
+                assert not (dominates(c1.a_part, c2.a_part)
+                            and dominates(c1.b_part, c2.b_part))
 
 
 # ---------------------------------------------------------------------------

@@ -160,20 +160,9 @@ def test_verify_unknown_check(capsys):
     assert code == 1 and "unknown checks" in err
 
 
-def test_verify_json_and_threads(capsys, monkeypatch):
-    code, seq, _ = run(capsys, "verify", "--check", "remarks", "--check",
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "remarks", "--check",
                        "regular-density", "--format", "json")
     assert code == 0
-    monkeypatch.setenv("NILVAR_THREADS", "2")
-    code, par, _ = run(capsys, "verify", "--check", "remarks", "--check",
-                       "regular-density", "--format", "json")
-    assert code == 0
-    assert seq == par
-    names = [r["name"] for r in json.loads(par)]
+    names = [r["name"] for r in json.loads(out)]
     assert names == ["remarks", "regular-density"]
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("NILVAR_THREADS", "many")
-    code, _, err = run(capsys, "verify")
-    assert code == 1 and "NILVAR_THREADS" in err

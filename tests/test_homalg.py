@@ -20,7 +20,6 @@ from nilvar.homalg import (
     hom_basis,
     hom_dim_graph,
     hom_dim_oracle,
-    hom_order_consistent,
     orbit_dim,
     projective_cover,
 )
@@ -267,14 +266,13 @@ def test_ext1_requires_semi_projective_second_argument():
 # -- hom order -------------------------------------------------------------
 
 def test_hom_order_flip_example():
+    # M(xxyy) + M(xy) degenerates from M(xxy) + M(xyy), so its Hom
+    # dimensions into every test module are at least as large
     ys = [Word("xxy", P33), Word("xyy", P33)]
     xs = [Word("xxyy", P33), Word("xy", P33)]
-    tests = enumerate_words(4, P33)
-    assert hom_order_consistent(ys, xs, tests)
-    # and strictly so: the reverse comparison fails on some test word
-    assert not hom_order_consistent(xs, ys, tests)
-
-
-def test_hom_order_reflexive():
-    ws = [Word("xxy", P33)]
-    assert hom_order_consistent(ws, ws, enumerate_words(4, P33))
+    gaps = [sum(hom_dim_graph(x, t) for x in xs)
+            - sum(hom_dim_graph(y, t) for y in ys)
+            for t in enumerate_words(4, P33)]
+    assert min(gaps) >= 0
+    # and strictly so on some test word
+    assert max(gaps) > 0

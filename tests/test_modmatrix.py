@@ -19,7 +19,6 @@ from nilvar.modmatrix import (
     band_module,
     direct_sum,
     string_module,
-    summand_dim,
 )
 from nilvar.words import AlgebraParams, Word, band_class, enumerate_words, runs
 
@@ -199,7 +198,7 @@ def test_direct_sum_blocks_and_metadata():
     assert m.n == 7
     assert m.verify_relations()
     assert m.summands == (("string", "xxy"), ("string", "xy"))
-    assert [summand_dim(s) for s in m.summands] == [4, 3]
+    assert [len(word) + 1 for _, word in m.summands] == [4, 3]
     st = m.stats()
     assert st == {"rkA": 3, "rkB": 2, "top_dim": 2, "soc_dim": 4, "regular": False}
 
@@ -233,7 +232,7 @@ def test_direct_sum_param_mismatch():
 def test_dual_point_is_reversed_string():
     for w in enumerate_words(5, P33):
         m = string_module(w)
-        d = m.dual_point()
+        d = MatrixPairModule(m.n, m.A.transpose(), m.B.transpose(), P33)
         assert d.verify_relations()
         # reversing the coordinate order turns the transposed matrices
         # into the string matrices of the reversed word on the nose

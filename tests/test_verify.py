@@ -29,14 +29,6 @@ def test_unknown_names_raise():
         run_suite("quick", names=["regular-table", "bogus"])
 
 
-def test_threaded_matches_sequential():
-    seq = run_suite("quick", seed=3, names=["remarks", "regular-density"])
-    par = run_suite("quick", seed=3, names=["remarks", "regular-density"],
-                    jobs=2)
-    assert [(r.name, r.passed, r.detail) for r in seq] == \
-           [(r.name, r.passed, r.detail) for r in par]
-
-
 def test_failure_is_reported_not_raised(monkeypatch):
     monkeypatch.setitem(verify.GOLDEN_REGULAR_33, 2, {(("xy", 1),): 999})
     result = run_check("regular-table", level="quick")
