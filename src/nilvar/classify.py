@@ -21,7 +21,7 @@ for the orbit dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .homalg import ext1_vanishes, orbit_dim
 from .modmatrix import direct_sum, string_module
@@ -143,21 +143,17 @@ def is_regular_component(a_part, b_part, params: AlgebraParams) -> bool:
 # components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component",
+                             "kind dim a_part b_part family side strings",
+                             defaults=(None,) * 5)):
     """One irreducible component, printable and JSON-serializable.
 
     kind "regular": carries the partition pair and the band family.
     kind "orbit":   carries the side and the open strings of the sum.
     kind "zero":    the point variety at n = 1.
     """
-    kind: str
-    dim: int
-    a_part: tuple = None
-    b_part: tuple = None
-    family: tuple = None
-    side: str = None
-    strings: tuple = None
+
+    __slots__ = ()
 
     def label(self) -> str:
         if self.kind == "regular":

@@ -22,7 +22,6 @@ from fractions import Fraction
 from .classify import _check_bounds, components, normalize_params
 from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
 from .modmatrix import band_module, string_module
-from .verify import CHECKS, run_suite
 from .words import AlgebraParams, Word
 
 
@@ -32,6 +31,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    # names the checks in the --check help; nilvar.verify, which holds
+    # them, is imported only when that help is shown
+    def _get_help_string(self, action):
+        if action.dest != "check":
+            return action.help
+        from .verify import CHECKS
+        return action.help + ", ".join(name for name, _ in CHECKS)
 
 
 def _dump(obj) -> str:
@@ -144,7 +153,11 @@ def cmd_module(args) -> int:
     params = AlgebraParams(args.a, args.b)
     word = Word(args.word, params)
     if args.lambdas is not None:
-        lambdas = [Fraction(part) for part in args.lambdas.split(",")]
+        try:
+            lambdas = [Fraction(part) for part in args.lambdas.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"--lambdas needs nonzero denominators, "
+                             f"got {args.lambdas}") from None
         mod = band_module(word, lambdas, params)
         label = f"band {word.caret()} with parameters {args.lambdas}"
     else:
@@ -169,6 +182,7 @@ def cmd_module(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # only this command loads the checks
     results = run_suite(args.level, seed=args.seed, names=args.check or None)
     if args.format == "json":
         print(_dump([{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -240,12 +254,12 @@ def build_parser() -> _Parser:
     add_format(p)
     p.set_defaults(func=cmd_module)
 
-    p = sub.add_parser("verify", help="run the self-verification suites")
+    p = sub.add_parser("verify", help="run the self-verification suites",
+                       formatter_class=_VerifyHelp)
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="append", metavar="NAME",
-                   help="run only this check (repeatable); available: "
-                        + ", ".join(name for name, _ in CHECKS))
+                   help="run only this check (repeatable); available: ")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -137,16 +137,17 @@ class RationalMatrix:
 # ---------------------------------------------------------------------------
 
 def _int_row(row: dict) -> dict:
-    """A sparse row as a {col: int} row spanning the same line: the row
-    itself when its entries are ints, else scaled by the lcm of its
-    denominators."""
+    """A sparse row as a {col: int} row of nonzeros spanning the same
+    line: the row itself when its entries are nonzero ints, else scaled
+    by the lcm of its denominators with stored zeros dropped (`echelon`
+    takes the leading entry of a row as nonzero)."""
     for v in row.values():
-        if type(v) is not int:
+        if type(v) is not int or not v:
             break
     else:
         return row
     m = lcm(*(v.denominator for v in row.values()))
-    return {j: v.numerator * (m // v.denominator) for j, v in row.items()}
+    return {j: v.numerator * (m // v.denominator) for j, v in row.items() if v}
 
 
 def echelon(rows, limit=None) -> dict:

@@ -27,7 +27,7 @@ exact solving) double-checks the rank computation in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exactla import (
@@ -40,22 +40,25 @@ from .exactla import (
 from .modmatrix import MatrixPairModule, direct_sum, string_module
 from .words import AlgebraParams, Word, admissible_pairs, tau_inverse
 
+# entries kept by each memo table (_hom_count, _ext1_vanishes): bounded
+# at any n, and above what a run uses (full verify makes 12 374 distinct
+# Hom keys, classify at n = 24 under 200)
+MEMO_SIZE = 2 ** 16
+
 
 # ---------------------------------------------------------------------------
 # graph maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphMap:
+class GraphMap(namedtuple("GraphMap", "source target triple_src triple_tgt")):
     """The basis homomorphism M(source) -> M(target) attached to one
     admissible pair: it sends the window vectors over the common middle E
-    identically onto each other and everything else to zero.
+    identically onto each other and everything else to zero.  The triples
+    are (D1, E, F1) with D1 E F1 = source and (D2, E, F2) with
+    D2 E F2 = target.
     """
 
-    source: str
-    target: str
-    triple_src: tuple  # (D1, E, F1), D1 E F1 = source
-    triple_tgt: tuple  # (D2, E, F2), D2 E F2 = target
+    __slots__ = ()
 
     def matrix(self) -> RationalMatrix:
         """The (|target|+1) x (|source|+1) matrix: entry [|D2|+i, |D1|+i]
@@ -81,7 +84,7 @@ def hom_basis(src: Word, tgt: Word) -> list[GraphMap]:
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _hom_count(src_text: str, tgt_text: str, a: int, b: int) -> int:
     p = AlgebraParams(a, b)
     return len(admissible_pairs(Word(src_text, p), Word(tgt_text, p)))
@@ -273,7 +276,7 @@ def _matvec(mat: RationalMatrix, vec: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
     p = AlgebraParams(a, b)
     c = Word(c_text, p)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .homalg import end_dim
-from .modmatrix import direct_sum, string_module
+# loaded on demand: functions of other modules are looked up at call
+# time, as in verify
+from . import homalg, modmatrix
 from .partitions import Partition
 from .words import AlgebraParams, Word
 
@@ -88,7 +89,8 @@ class BiserialIndexModule:
 
     def realize(self, params: AlgebraParams):
         """The actual matrix pair of the direct sum."""
-        return direct_sum([string_module(w) for w in self.summand_words(params)])
+        return modmatrix.direct_sum([modmatrix.string_module(w)
+                                     for w in self.summand_words(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,8 @@ def hom_to_proj_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> 
 def stratum_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> int:
     """Dimension of the stratum indexed by idx inside the n-dimensional
     variety:  n * dim Hom(L, Lambda) - dim End(L)."""
-    return n * hom_to_proj_dim(idx, n, params) - end_dim(idx.realize(params))
+    return (n * hom_to_proj_dim(idx, n, params)
+            - homalg.end_dim(idx.realize(params)))
 
 
 # ---------------------------------------------------------------------------

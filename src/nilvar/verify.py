@@ -13,23 +13,13 @@ reported separately and never enter the details.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .classify import (
-    components,
-    delta_dim,
-    nnn_components,
-    nonregular_components,
-    normalize_params,
-    open_orbit_dim_formula,
-    regular_components,
-    regular_dense,
-    regular_pairs,
-)
-from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle, orbit_dim
-from .indexmod import index_of_regular_stratum, semiproj_index, stratum_dim
-from .modmatrix import band_module, direct_sum, string_module
-from .words import AlgebraParams, Word, band_class, enumerate_words
+# Functions of the other modules are looked up in them at call time: this
+# module is loaded on demand, possibly after a profiler has wrapped some
+# of them there, and a from-import would keep what was bound at load.
+from . import classify, homalg, indexmod, modmatrix, words
+from .words import AlgebraParams, Word
 
 # ---------------------------------------------------------------------------
 # the published tables for a = b = 3 (the yardstick of checks 1 and 2)
@@ -74,12 +64,7 @@ class CheckFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+CheckResult = namedtuple("CheckResult", "name passed detail seconds")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +104,7 @@ def _random_band_word(rng, params):
             chunks.append("x" * rng.randint(1, params.a - 1))
             chunks.append("y" * rng.randint(1, params.b - 1))
         word = Word("".join(chunks), params)
-        if t == 1 or band_class(word)[0] == "primitive":
+        if t == 1 or words.band_class(word)[0] == "primitive":
             return word
     return Word("xy", params)
 
@@ -135,10 +120,11 @@ def random_module(rng, params=None, max_summands=3, max_len=5):
             word = _random_band_word(rng, params)
             mult = rng.randint(1, 2)
             lambdas = [rng.randint(1, 5) for _ in range(mult)]
-            parts.append(band_module(word, lambdas, params))
+            parts.append(modmatrix.band_module(word, lambdas, params))
         else:
-            parts.append(string_module(_random_string_word(rng, params, max_len)))
-    return direct_sum(parts)
+            word = _random_string_word(rng, params, max_len)
+            parts.append(modmatrix.string_module(word))
+    return modmatrix.direct_sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +139,9 @@ def _check_regular_table(level, seed):
     top = 12 if level == "full" else 8
     rows = 0
     for n in range(2, top + 1):
+        params = classify.normalize_params(n, 3, 3)
         got = {_family_key(c): c.dim
-               for c in regular_components(n, normalize_params(n, 3, 3))}
+               for c in classify.regular_components(n, params)}
         if got != GOLDEN_REGULAR_33[n]:
             raise CheckFailure(f"regular components differ at n = {n}: "
                                f"{got} != {GOLDEN_REGULAR_33[n]}")
@@ -166,7 +153,8 @@ def _check_orbit_table(level, seed):
     top = 12 if level == "full" else 8
     rows = 0
     for n in range(2, top + 1):
-        comps = nonregular_components(n, normalize_params(n, 3, 3))
+        params = classify.normalize_params(n, 3, 3)
+        comps = classify.nonregular_components(n, params)
         proj = {tuple(str(w) for w in c.strings): c.dim
                 for c in comps if c.side == "semi-projective"}
         want = GOLDEN_ORBIT_33.get(n, {})
@@ -188,9 +176,9 @@ def _check_nnn(level, seed):
     top = 7 if level == "full" else 5
     for n in range(2, top + 1):
         ref = [(c.a_part, c.b_part, _family_key(c), c.dim)
-               for c in nnn_components(n)]
+               for c in classify.nnn_components(n)]
         got = [(c.a_part, c.b_part, _family_key(c), c.dim)
-               for c in components(n, n, n)]
+               for c in classify.components(n, n, n)]
         if got != ref:
             raise CheckFailure(f"V(n, n, n) components differ at n = {n}")
         if len(ref) != n - 1 or any(d != n * n - n + 1 for *_, d in ref):
@@ -206,12 +194,12 @@ def _check_hom_agreement(level, seed):
     pairs = 0
     for a, b in grids:
         params = AlgebraParams(a, b)
-        words = list(enumerate_words(max_len, params))
-        mods = {w: string_module(w) for w in words}
-        for w1 in words:
-            for w2 in words:
-                g = hom_dim_graph(w1, w2)
-                o = hom_dim_oracle(mods[w1], mods[w2])
+        strings = list(words.enumerate_words(max_len, params))
+        mods = {w: modmatrix.string_module(w) for w in strings}
+        for w1 in strings:
+            for w2 in strings:
+                g = homalg.hom_dim_graph(w1, w2)
+                o = homalg.hom_dim_oracle(mods[w1], mods[w2])
                 if g != o:
                     raise CheckFailure(
                         f"Hom({w1}, {w2}) at ({a}, {b}): "
@@ -228,25 +216,27 @@ def _check_stratum_dims(level, seed):
     regular = semiproj = formulas = 0
     for n in range(2, top + 1):
         for a, b in bounds:
-            params = normalize_params(n, a, b)
-            for pair in regular_pairs(n, params):
-                idx = index_of_regular_stratum(*pair, params)
-                if delta_dim(*pair) != stratum_dim(idx, n, params):
+            params = classify.normalize_params(n, a, b)
+            for pair in classify.regular_pairs(n, params):
+                idx = indexmod.index_of_regular_stratum(*pair, params)
+                delta = classify.delta_dim(*pair)
+                stratum = indexmod.stratum_dim(idx, n, params)
+                if delta != stratum:
                     raise CheckFailure(
                         f"delta formula vs index module at {pair}, ({a}, {b}):"
-                        f" {delta_dim(*pair)} != {stratum_dim(idx, n, params)}")
+                        f" {delta} != {stratum}")
                 regular += 1
-            for pair in regular_pairs(n, params, extra=1):
+            for pair in classify.regular_pairs(n, params, extra=1):
                 if params.a not in pair[0] or params.b not in pair[1]:
                     continue
-                word, idx = semiproj_index(*pair, params)
-                orbit = orbit_dim(string_module(word))
-                if orbit != stratum_dim(idx, n, params):
+                word, idx = indexmod.semiproj_index(*pair, params)
+                orbit = homalg.orbit_dim(modmatrix.string_module(word))
+                if orbit != indexmod.stratum_dim(idx, n, params):
                     raise CheckFailure(
                         f"open orbit vs stratum at {pair}, ({a}, {b}): "
-                        f"{orbit} != {stratum_dim(idx, n, params)}")
+                        f"{orbit} != {indexmod.stratum_dim(idx, n, params)}")
                 try:
-                    closed = open_orbit_dim_formula(*pair, params)
+                    closed = classify.open_orbit_dim_formula(*pair, params)
                 except ValueError:
                     closed = None
                 if closed is not None:
@@ -270,16 +260,16 @@ def _check_remarks(level, seed):
     # component: the open string of dimension 9
     p33 = AlgebraParams(3, 3)
     w = Word("xxyxyxyy", p33)
-    if ext1_vanishes(w, w):
+    if homalg.ext1_vanishes(w, w):
         raise CheckFailure("Ext^1(M(xxyxyxyy), M(xxyxyxyy)) should not vanish")
     rows = {tuple(str(u) for u in c.strings): c.dim
-            for c in nonregular_components(9, p33)
+            for c in classify.nonregular_components(9, p33)
             if c.side == "semi-projective"}
     if rows.get(("xxyxyxyy",)) != 66:
         raise CheckFailure(f"xxyxyxyy should give a 66-dimensional component,"
                            f" got {rows}")
     # the smallest variety with orbit components: two open orbits at n = 3
-    comps = components(3, 2, 2)
+    comps = classify.components(3, 2, 2)
     summary = sorted((c.kind, c.dim, tuple(str(w) for w in c.strings))
                      for c in comps)
     if summary != [("orbit", 6, ("xy",)), ("orbit", 6, ("yx",))]:
@@ -324,11 +314,13 @@ def _check_regular_density(level, seed):
     cases = 0
     for n in range(2, top + 1):
         for a, b in bounds:
-            empty = not nonregular_components(n, normalize_params(n, a, b))
-            if empty != regular_dense(n, a, b):
+            params = classify.normalize_params(n, a, b)
+            empty = not classify.nonregular_components(n, params)
+            dense = classify.regular_dense(n, a, b)
+            if empty != dense:
                 raise CheckFailure(
                     f"density criterion fails at n = {n}, ({a}, {b}): "
-                    f"criterion {regular_dense(n, a, b)}, enumeration "
+                    f"criterion {dense}, enumeration "
                     f"{'empty' if empty else 'nonempty'}")
             cases += 1
     return f"{cases} (n, a, b) cases"

@@ -20,24 +20,23 @@ Conventions, fixed once and for all:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class AlgebraParams(namedtuple("AlgebraParams", "a b")):
     """The pair (a, b), both >= 2, defining K[x,y]/(xy, x^a, y^b).
 
     d = a + b - 1 is the K-dimension of the algebra, with monomial basis
     1, x, .., x^{a-1}, y, .., y^{b-1}.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 2 or self.b < 2:
-            raise ValueError(f"need a, b >= 2, got ({self.a}, {self.b})")
+    def __new__(cls, a, b):
+        if a < 2 or b < 2:
+            raise ValueError(f"need a, b >= 2, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
     @property
     def d(self) -> int:

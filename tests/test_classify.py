@@ -208,6 +208,15 @@ def test_components_n1_is_a_point():
     assert comps[0].as_dict() == {"kind": "zero", "dim": 0}
 
 
+def test_component_is_an_immutable_value():
+    c = Component(kind="zero", dim=0)
+    assert (c.a_part, c.b_part, c.family, c.side, c.strings) == (None,) * 5
+    assert c == Component("zero", 0)
+    assert len({c, Component(kind="zero", dim=0)}) == 1
+    with pytest.raises(AttributeError):
+        c.dim = 1
+
+
 def test_components_validates_bounds_at_n1():
     with pytest.raises(ValueError):
         components(1, 0, -5)

@@ -166,3 +166,43 @@ def test_verify_json(capsys):
     assert code == 0
     names = [r["name"] for r in json.loads(out)]
     assert names == ["remarks", "regular-density"]
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "module", "--word", "xy", "--lambdas", "1/0")
+    assert code == 1 and out == ""
+    assert err == "nilvar: error: --lambdas needs nonzero denominators, got 1/0\n"
+
+
+# sha256 of `nilvar [command] --help` stdout at 80 columns, recorded while
+# cli still imported nilvar.verify on load: the help must not change now
+# that the check names are looked up only when the verify help is shown
+HELP_SHA256 = {
+    "": "9629515e3cdac5b1829c9bf78bee51600018f41641513bb0e0eb30133ef73b2c",
+    "classify": "16a8dda7542c287edd6b5c9bdc07db9b3fce3656a6a472a9b3e621daa82028fc",
+    "tables": "80c301192bc2abc9df1f975e07624859d12d52a93fc0ece4128edc8381872fa6",
+    "hom": "4ef77c7002022fd0ee28a7dcf40734be8569fbcd20fc9c35aa0a667862008352",
+    "ext": "d50d8baedd16d01d1b967aa2f6f80251ea4b021735043ac4c0477b6fb6428a52",
+    "module": "200350ed74035c6ef8eff3babc7088004f9e054850bf3e99160a1ecbbaba0ede",
+    "verify": "89456e023f77aeba0ebd4bc5bd420d7e662b049867de6b62715bdbd49bb31f22",
+}
+
+
+def help_text(capsys, monkeypatch, command, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_is_byte_identical(capsys, monkeypatch, command):
+    out = help_text(capsys, monkeypatch, command, 80)
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_verify_help_lists_every_check(capsys, monkeypatch):
+    out = help_text(capsys, monkeypatch, "verify", 400)
+    listed = out.split("available: ")[1].splitlines()[0]
+    assert listed == ", ".join(name for name, _ in verify.CHECKS)

@@ -14,6 +14,7 @@ import pytest
 
 from nilvar.exactla import (
     RationalMatrix,
+    _int_row,
     complement_standard_vectors,
     hstack,
     pivot_columns,
@@ -172,6 +173,38 @@ def test_operations_store_no_zeros():
         assert_sparse(x)
     assert_sparse(RationalMatrix.identity(4))
     assert RationalMatrix.zeros(3, 2).rows == [{}, {}, {}]
+
+
+def with_stored_zeros(rng, mat):
+    """The same matrix with zeros (int or Fraction) written into its rows."""
+    rows = []
+    for row in mat.rows:
+        row = dict(row)
+        for j in rng.sample(range(mat.ncols), rng.randint(0, mat.ncols)):
+            row.setdefault(j, rng.choice((0, Fraction(0))))
+        rows.append(row)
+    return RationalMatrix.of_rows(rows, mat.ncols)
+
+
+def test_stored_zeros_do_not_change_results():
+    # rows are public data, so every route to `echelon` drops stored zeros
+    mat = RationalMatrix.of_rows([{0: 0, 1: 1}, {1: 1}], 2)
+    assert mat.rank() == 1 and pivot_columns(mat) == [1]
+    mat = RationalMatrix.of_rows([{0: 0, 1: 1}, {0: 0, 1: 2}], 2)
+    assert mat.rank() == 1
+    assert solve_consistent(mat, RationalMatrix([[1], [2]])).dense() == [[0], [1]]
+    rng = random.Random(41)
+    for _ in range(60):
+        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), span=2,
+                        denom=rng.random() < 0.5)
+        b = a.mul(rand_matrix(rng, a.ncols, 2, span=2))
+        za, zb = with_stored_zeros(rng, a), with_stored_zeros(rng, b)
+        assert za.rank() == a.rank()
+        assert pivot_columns(za) == pivot_columns(a)
+        assert solve_consistent(za, zb) == solve_consistent(a, b)
+    # an all-int row of nonzeros goes to `echelon` as it is, uncopied
+    row = {0: 2, 3: -1}
+    assert _int_row(row) is row
 
 
 def test_mul_shape_check():

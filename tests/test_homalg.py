@@ -43,6 +43,12 @@ def test_graph_map_matrix_shape():
     assert (m.nrows, m.ncols) == (5, 4)
     assert m.dense()[0][1] == 1 and m.dense()[1][2] == 1
     assert sum(1 for row in m.dense() for v in row if v) == 2
+    assert gm == GraphMap("xxy", "xyxx", ("x", "x", "y"), ("", "x", "yxx"))
+    # an immutable value: equal maps built apart hash alike
+    basis = set(hom_basis(Word("xxy", P33), Word("xyxx", P33)))
+    assert GraphMap("xxy", "xyxx", ("x", "x", "y"), ("xy", "x", "x")) in basis
+    with pytest.raises(AttributeError):
+        gm.source = "xy"
 
 
 def test_graph_map_matrices_store_ints():
@@ -276,3 +282,13 @@ def test_hom_order_flip_example():
     assert min(gaps) >= 0
     # and strictly so on some test word
     assert max(gaps) > 0
+
+
+def test_memo_tables_are_bounded():
+    import nilvar.homalg as homalg
+
+    # finite at any n, and no verify or classify run evicts: a full verify
+    # makes 12 374 distinct Hom keys, hom-agreement alone 12 075
+    for memo in (homalg._hom_count, homalg._ext1_vanishes):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 12_374

@@ -1,17 +1,23 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every command imports only the modules it runs.
 
 No linter ships with the package, so this test is the check.  It reads
 each source file with `ast`, collects the names its import statements
-bind and fails on those the module never loads.
+bind and fails on those the module never loads.  A fresh interpreter
+per command shows which modules that command loads.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nilvar")
-                 .glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "nilvar").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +47,42 @@ def test_checker_flags_an_unused_name():
               "from .words import Word, parse_word\n"
               "def f():\n    return Word(os.sep)\n")
     assert unused_imports(source) == ["line 2: osp", "line 3: parse_word"]
+
+
+# modules a command that does not run them must not load: dataclasses
+# pulls in inspect, ast, dis and tokenize, and nilvar.verify (with
+# nilvar.indexmod) is needed by `verify` alone
+LAZY = ("dataclasses", "inspect", "nilvar.indexmod", "nilvar.verify")
+
+COMMANDS = {
+    "classify": ["classify", "--n", "4", "--a", "3", "--b", "3"],
+    "tables": ["tables", "--a", "3", "--b", "3", "--max-n", "4"],
+    "hom": ["hom", "--source", "xxy", "--target", "xy", "--oracle"],
+    "ext": ["ext", "--source", "xy", "--target", "xxyy"],
+    "module": ["module", "--word", "xy", "--lambdas", "1,1/2"],
+}
+
+
+def lazy_modules_loaded(argv) -> list[str]:
+    """The LAZY modules a fresh interpreter holds after running
+    `nilvar <argv>` through nilvar.cli.main."""
+    code = ("import contextlib, io, json, sys\n"
+            "from nilvar.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_what_it_runs(command):
+    assert lazy_modules_loaded(COMMANDS[command]) == []
+
+
+def test_verify_loads_the_checks():
+    loaded = lazy_modules_loaded(["verify", "--check", "remarks"])
+    assert loaded == ["nilvar.indexmod", "nilvar.verify"]

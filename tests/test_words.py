@@ -40,6 +40,11 @@ def test_params():
     assert AlgebraParams(2, 2).d == 3
     with pytest.raises(ValueError):
         AlgebraParams(1, 3)
+    # an immutable value: equal pairs hash alike and key the same entry
+    assert {P33: "p"}[AlgebraParams(a=3, b=3)] == "p"
+    assert AlgebraParams(3, 3) != P23
+    with pytest.raises(AttributeError):
+        P33.a = 4
 
 
 def test_word_validity():
