@@ -14,9 +14,9 @@ kinds:
   string modules: direct sums of Ext-orthogonal semi-projective open
   strings, together with their reflections (the semi-injective side).
 
-Everything here is arithmetic on partitions and words; the only
-linear-algebra input is dim End of explicit string direct sums, used
-for the orbit dimensions.
+Everything here is arithmetic on partitions and words: the orbit
+dimensions come from graph-map counts of the summand words and the Ext^1
+tests from the words' projective covers, so no matrix module is built.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .homalg import ext1_vanishes, orbit_dim
-from .modmatrix import direct_sum, string_module
 from .partitions import Partition, enumerate_partitions, reduced_length
 from .words import AlgebraParams, Word, enumerate_open_strings
 
@@ -253,7 +252,7 @@ def nonregular_components(n: int, params: AlgebraParams) -> list:
 
     out = []
     for words in found:
-        dim = orbit_dim(direct_sum([string_module(w) for w in words]))
+        dim = orbit_dim(words)
         key = lambda w: (len(w), str(w))
         out.append(Component(kind="orbit", dim=dim, side="semi-projective",
                              strings=tuple(sorted(words, key=key))))
@@ -266,38 +265,31 @@ def nonregular_components(n: int, params: AlgebraParams) -> list:
 
 def normalize_params(n: int, a: int, b: int) -> AlgebraParams:
     """x^a = 0 on an n-dimensional nilpotent pair is no condition once
-    a > n, so the bounds cap at n."""
-    if n < 2:
-        raise ValueError("normalize_params needs n >= 2")
-    _check_bounds(a, b)
-    return AlgebraParams(min(a, n), min(b, n))
-
-
-def _check_bounds(a: int, b: int) -> None:
-    if a < 2 or b < 2:
-        raise ValueError(f"need a, b >= 2, got ({a}, {b})")
+    a > n, so the bounds cap at n.  At n = 1 a cap would fall below 2 and
+    the bounds stay as given."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    params = AlgebraParams(a, b)
+    return params if n == 1 else AlgebraParams(min(a, n), min(b, n))
 
 
 def components(n: int, a: int, b: int) -> list:
     """All irreducible components of V(n, a, b), regular ones first,
     each group ordered by descending dimension then label."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_bounds(a, b)
+    params = normalize_params(n, a, b)
     if n == 1:
         # A = B = 0 is the only point
         return [Component(kind="zero", dim=0)]
-    params = normalize_params(n, a, b)
     return regular_components(n, params) + nonregular_components(n, params)
 
 
 def regular_dense(n: int, a: int, b: int) -> bool:
     """Whether the union of the regular strata is dense, i.e. every
-    component is regular: exactly when n <= a + b - 2 or n = a + b
-    (after capping the bounds at n)."""
+    component is regular: exactly when 2 <= n <= a + b - 2 or n = a + b
+    (after capping the bounds at n; the point n = 1 is no regular stratum)."""
     params = normalize_params(n, a, b)
     a, b = params.a, params.b
-    return n <= a + b - 2 or n == a + b
+    return 2 <= n <= a + b - 2 or n == a + b
 
 
 # ---------------------------------------------------------------------------

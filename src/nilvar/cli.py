@@ -7,7 +7,8 @@
     nilvar module --word xxyy --format json
     nilvar verify --level full --seed 0
 
-Exit codes: 0 on success, 1 on usage or domain errors, 2 when a
+Exit codes: 0 on success, 1 on usage or domain errors and, quietly,
+when stdout closes early (`nilvar ... | head`), 2 when a
 verification-style command finds a disagreement.  Output is plain text
 or JSON (--format) and is byte-identical across runs for fixed inputs.
 """
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .classify import _check_bounds, components, normalize_params
+from .classify import components, normalize_params
 from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
 from .modmatrix import band_module, string_module
 from .words import AlgebraParams, Word
@@ -73,7 +75,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    _check_bounds(args.a, args.b)
+    AlgebraParams(args.a, args.b)  # rejects a or b < 2 before any work
     if args.max_n < 2:
         raise ValueError(f"need --max-n >= 2, got {args.max_n}")
     rows_reg, rows_orb = [], []
@@ -268,9 +270,16 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"nilvar: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone: send what is left, and the flush at exit,
+        # to devnull (the recipe of the `signal` module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

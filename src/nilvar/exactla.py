@@ -10,8 +10,8 @@ The module matrices downstream are mostly zeros and mostly 0/1, so a
 matrix stores each row as a sparse {col: entry} dict of its nonzero
 entries, from construction through products to elimination; dense lists
 of rows are accepted on input and given back by `dense()` only.  Every
-elimination -- rank, pivot columns, basis completion and solving -- goes
-through one routine, `echelon`.  It takes the rows as they are (a row
+elimination -- rank, pivot columns and solving -- goes through one
+routine, `echelon`.  It takes the rows as they are (a row
 holding a Fraction is first scaled by the lcm of its denominators) and
 reduces each against an incremental echelon keyed by leading column,
 with the fraction-free step row * piv - f * pivot_row followed by
@@ -222,15 +222,6 @@ def pivot_columns(mat: RationalMatrix) -> list[int]:
     columns: the pivot columns of the reduced echelon form, which are the
     leading columns of any echelon form of the rows."""
     return sorted(echelon(map(_int_row, mat.rows)))
-
-
-def complement_standard_vectors(mat: RationalMatrix) -> list[int]:
-    """Indices i such that the standard vectors e_i extend the column
-    space of mat to all of K^nrows; greedy left to right, so the result
-    is deterministic.  len(result) = nrows - rank(mat).
-    """
-    aug = hstack([mat, RationalMatrix.identity(mat.nrows)])
-    return [c - mat.ncols for c in pivot_columns(aug) if c >= mat.ncols]
 
 
 def solve_consistent(a: RationalMatrix, b: RationalMatrix):

@@ -20,9 +20,10 @@ Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
 formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
 to M(C) are computed by graph maps, the ones factoring through a
 projective are exactly those factoring through the projective cover of
-M(C), and Ext^1 vanishes iff the cover composition already fills the
-whole Hom space.  A second route (span membership per basis map, via
-exact solving) double-checks the rank computation in the tests.
+M(C), and Ext^1 vanishes iff the cover compositions have rank dim Hom.
+The cover is read off the word C, one Lambda per peak, so that rank is
+the only linear algebra.  A second route (span membership per basis
+map, via exact solving) audits the rank in the tests.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .exactla import (
-    RationalMatrix,
-    _entry,
-    complement_standard_vectors,
-    hstack,
-    solve_consistent,
-)
-from .modmatrix import MatrixPairModule, direct_sum, string_module
+from .exactla import RationalMatrix, solve_consistent
 from .words import AlgebraParams, Word, admissible_pairs, tau_inverse
 
 # entries kept by each memo table (_hom_count, _ext1_vanishes): bounded
@@ -185,9 +179,9 @@ def _hom_dim_dense(m1, m2) -> int:
     return total - RationalMatrix.of_rows(rows, total).rank()
 
 
-def hom_dim_oracle(m1: MatrixPairModule, m2: MatrixPairModule, method=None) -> int:
-    """dim Hom(m1, m2) = dim {F : F A1 = A2 F, F B1 = B2 F} by linear
-    algebra, independent of any word combinatorics.
+def hom_dim_oracle(m1, m2, method=None) -> int:
+    """dim Hom(m1, m2) = dim {F : F A1 = A2 F, F B1 = B2 F} for matrix-pair
+    modules, by linear algebra, independent of any word combinatorics.
 
     method: None picks union-find when all four matrices are partial
     permutations (exact, linear-time) and exact elimination otherwise; pass
@@ -209,71 +203,57 @@ def hom_dim_oracle(m1: MatrixPairModule, m2: MatrixPairModule, method=None) -> i
 # End and orbit dimension
 # ---------------------------------------------------------------------------
 
-def end_dim(mod: MatrixPairModule) -> int:
-    """dim End(mod).  For a known direct sum of strings this is the sum of
-    the pairwise graph counts (memoized, so repeated summand types across
-    a classification run cost nothing); otherwise the oracle."""
-    if mod.summands is not None and all(s[0] == "string" for s in mod.summands):
-        a, b = mod.params.a, mod.params.b
-        texts = [str(s[1]) for s in mod.summands]
-        return sum(_hom_count(t1, t2, a, b) for t1 in texts for t2 in texts)
-    return hom_dim_oracle(mod, mod)
+def end_dim(words) -> int:
+    """dim End of the direct sum of the string modules M(w), w in words:
+    the sum of the pairwise graph counts (memoized, so repeated summand
+    types across a classification run cost nothing).  A band module m
+    has End of dimension hom_dim_oracle(m, m)."""
+    params = {w.params for w in words}
+    if len(params) != 1:
+        raise ValueError("end_dim needs one or more words over one algebra")
+    a, b = params.pop()
+    texts = [str(w) for w in words]
+    return sum(_hom_count(t1, t2, a, b) for t1 in texts for t2 in texts)
 
 
-def orbit_dim(mod: MatrixPairModule) -> int:
-    """Dimension of the conjugation orbit of the point (A, B):
-    n^2 - dim End, since the stabilizer of the point in GL_n is the unit
-    group of End."""
-    return mod.n * mod.n - end_dim(mod)
+def orbit_dim(words) -> int:
+    """Dimension of the conjugation orbit of the direct sum of the string
+    modules M(w), w in words: n^2 - dim End with n = sum of |w| + 1, since
+    the stabilizer of the point in GL_n is the unit group of End."""
+    n = sum(len(w) + 1 for w in words)
+    return n * n - end_dim(words)
 
 
 # ---------------------------------------------------------------------------
 # projective covers and Ext^1
 # ---------------------------------------------------------------------------
 
-def projective_cover(mod: MatrixPairModule):
-    """The projective cover P -> mod.
+def projective_cover(c: Word) -> list:
+    """The projective cover P -> M(c), read off the word.
 
-    P is Lambda^t with t = top_dim; writing z_1..z_d for the string basis
-    of one Lambda = M(x^{a-1}y^{b-1}) (so z_a is the cyclic generator),
-    the cover sends, for each standard-vector lift v of a top basis,
+    The peaks of c -- positions i with no x at c[i] and no y at c[i-1],
+    which neither A nor B reaches -- span the top of M(c), and P has one
+    Lambda = M(x^{a-1}y^{b-1}) per peak.  With z_1..z_d the string basis
+    of Lambda (z_a generates), peak i's summand runs down the x-run to its
+    left and up the y-run to its right, and to zero past their ends:
 
-        z_j      |-> A^{a-j} v      (j = 1..a)
-        z_{a+l}  |-> B^l v          (l = 1..b-1).
+        z_j      |-> A^{a-j} e_i = e_{i-(a-j)}   (j = 1..a)
+        z_{a+l}  |-> B^l e_i     = e_{i+l}       (l = 1..b-1)
 
-    Returns (P, phi) with phi the n x (t*d) matrix of the surjection.
+    Returns, per peak in increasing order, the images of z_1..z_d as
+    positions of M(c), None for zero.
     """
-    p = mod.params
-    a, b = p.a, p.b
-    lam = Word("x" * (a - 1) + "y" * (b - 1), p)
-    top = complement_standard_vectors(hstack([mod.A, mod.B]))
-    cover = direct_sum([string_module(lam)] * len(top))
-    cols = []
-    for v_idx in top:
-        v = {v_idx: 1}
-        xs = [v]
-        for _ in range(a - 1):
-            xs.append(_matvec(mod.A, xs[-1]))
-        # columns z_1..z_a are A^{a-1} v .. A^0 v, then z_{a+l} = B^l v
-        cols.extend(reversed(xs))
-        w = v
-        for _ in range(b - 1):
-            w = _matvec(mod.B, w)
-            cols.append(w)
-    # cols are the columns of phi, as sparse {row: entry}
-    phi = RationalMatrix.of_rows(cols, mod.n).transpose()
-    assert phi.rank() == mod.n, "cover fails to surject -- relations violated?"
-    return cover, phi
-
-
-def _matvec(mat: RationalMatrix, vec: dict) -> dict:
-    """mat @ vec for a sparse vector {index: entry}, as one."""
-    out = {}
-    for i, row in enumerate(mat.rows):
-        acc = sum(v * vec[k] for k, v in row.items() if k in vec)
-        if acc:
-            out[i] = _entry(acc)
-    return out
+    a, b = c.params
+    cover = []
+    for i in range(len(c) + 1):
+        if c[i:i + 1] == "x" or c[i - 1:i] == "y":
+            continue
+        left = i - len(c[:i].rstrip("x"))
+        right = len(c) - i - len(c[i:].lstrip("y"))
+        cover.append([i - k if k <= left else None for k in range(a - 1, 0, -1)]
+                     + [i] + [i + l if l <= right else None for l in range(1, b)])
+    assert set().union(*cover) >= set(range(len(c) + 1)), "cover fails to surject"
+    return cover
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -290,25 +270,20 @@ def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
 def _cover_compositions(c: Word, w: Word) -> RationalMatrix:
     """Maps M(w) -> M(c) spanning those that factor through the projective
     cover P -> M(c): one per graph map M(w) -> Lambda and Lambda summand
-    of P, composed with the cover and flattened row-major into one row
-    of length (|c|+1)(|w|+1)."""
+    of P, composed with the cover and flattened row-major into one 0/1
+    row of length (|c|+1)(|w|+1)."""
     p = c.params
-    cover, phi = projective_cover(string_module(c))
+    cover = projective_cover(c)
     lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
     dim_w = len(w) + 1
-    width = (len(c) + 1) * dim_w
-    cols = phi.transpose().rows
     rows = []
     for gm in hom_basis(w, lam):
         ones = gm.ones()
-        for u in range(0, cover.n, p.d):
-            # (phi on summand u) . gm: column s of gm picks column u + t
-            row = {}
-            for t, s in ones:
-                for r, v in cols[u + t].items():
-                    row[r * dim_w + s] = v
-            rows.append(row)
-    return RationalMatrix.of_rows(rows, width)
+        for images in cover:
+            # column s of gm picks z_{t+1}, which the cover sends to images[t]
+            rows.append({images[t] * dim_w + s: 1 for t, s in ones
+                         if images[t] is not None})
+    return RationalMatrix.of_rows(rows, (len(c) + 1) * dim_w)
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:

@@ -20,7 +20,7 @@ from collections import Counter
 
 # loaded on demand: functions of other modules are looked up at call
 # time, as in verify
-from . import homalg, modmatrix
+from . import homalg
 from .partitions import Partition
 from .words import AlgebraParams, Word
 
@@ -77,8 +77,6 @@ class BiserialIndexModule:
     def __repr__(self):
         return f"BiserialIndexModule({dict(self._items)!r})"
 
-    # -- realization -------------------------------------------------------
-
     def summand_words(self, params: AlgebraParams) -> list[Word]:
         """The summands as words, largest first, with multiplicity."""
         out = []
@@ -86,11 +84,6 @@ class BiserialIndexModule:
             w = Word("x" * i + "y" * j, params)
             out.extend([w] * mult)
         return out
-
-    def realize(self, params: AlgebraParams):
-        """The actual matrix pair of the direct sum."""
-        return modmatrix.direct_sum([modmatrix.string_module(w)
-                                     for w in self.summand_words(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +127,7 @@ def stratum_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> int:
     """Dimension of the stratum indexed by idx inside the n-dimensional
     variety:  n * dim Hom(L, Lambda) - dim End(L)."""
     return (n * hom_to_proj_dim(idx, n, params)
-            - homalg.end_dim(idx.realize(params)))
+            - homalg.end_dim(idx.summand_words(params)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .words import AlgebraParams, Word, band_class, parse_word
 class MatrixPairModule:
     """A pair (A, B) of n x n rational matrices together with the algebra
     parameters, optionally remembering the string/band summands it was
-    assembled from (summand-aware shortcuts in homalg key on that).
+    assembled from (the random-modules check of verify keys on that).
 
     summands is a tuple of ("string", word) and ("band", word, lambdas)
     entries in block order, or None when the origin is unknown (e.g. a

@@ -230,7 +230,7 @@ def _check_stratum_dims(level, seed):
                 if params.a not in pair[0] or params.b not in pair[1]:
                     continue
                 word, idx = indexmod.semiproj_index(*pair, params)
-                orbit = homalg.orbit_dim(modmatrix.string_module(word))
+                orbit = homalg.orbit_dim([word])
                 if orbit != indexmod.stratum_dim(idx, n, params):
                     raise CheckFailure(
                         f"open orbit vs stratum at {pair}, ({a}, {b}): "

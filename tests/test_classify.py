@@ -1,8 +1,11 @@
 """Classification tests, frozen against the component tables for
 a = b = 3 (n = 2..12) and the unconstrained case a, b >= n."""
 
+import hashlib
+
 import pytest
 
+from nilvar import homalg
 from nilvar.classify import (
     Component,
     components,
@@ -19,7 +22,9 @@ from nilvar.classify import (
     regular_dense,
     regular_pairs,
 )
+from nilvar.cli import main
 from nilvar.indexmod import index_of_regular_stratum, stratum_dim
+from nilvar.modmatrix import MatrixPairModule
 from nilvar.partitions import Partition, dominates, reduced_length
 from nilvar.words import AlgebraParams
 
@@ -217,6 +222,41 @@ def test_component_is_an_immutable_value():
         c.dim = 1
 
 
+def test_normalize_params_caps_the_bounds_at_n():
+    assert normalize_params(4, 9, 3) == (4, 3)
+    # at n = 1 a cap would fall below 2: the bounds stay as given
+    assert normalize_params(1, 7, 2) == (7, 2)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        normalize_params(0, 3, 3)
+    # the bounds are checked before the cap, and reported as given
+    with pytest.raises(ValueError, match=r"need a, b >= 2, got \(1, 9\)"):
+        normalize_params(5, 1, 9)
+
+
+# sha256 of `nilvar classify --format json` stdout while classify still
+# built matrix modules (the values of perfbench/expected_digests.json)
+CLASSIFY_JSON_SHA256 = {
+    (16, 3, 3): "ec362809dfededf7d58486b8076b5e408758bc190af4f4a5f34cd12bafd76703",
+    (16, 4, 4): "cca17f15f09e3efa4f2cf82a20e304881f1455e522b28ef9dbbfd2f9465a9064",
+    (16, 3, 5): "5d0f1cd3fab2ea6caadf6fbf66ac0e5331326095787a8560c24ce7e75b0cd602",
+    (24, 3, 3): "507aa328c12619860fed04bb5423fe04e9641c8c11cf863cf9e9956cded64a68",
+}
+
+
+@pytest.mark.parametrize("n, a, b", sorted(CLASSIFY_JSON_SHA256))
+def test_classification_builds_no_matrix_module(capsys, monkeypatch, n, a, b):
+    # orbit dimensions and Ext^1 tests come from the words alone
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the classification built a matrix module")
+
+    monkeypatch.setattr(MatrixPairModule, "__init__", refuse)
+    homalg._ext1_vanishes.cache_clear()  # so that every Ext^1 test runs
+    assert main(["classify", "--n", str(n), "--a", str(a), "--b", str(b),
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[n, a, b]
+
+
 def test_components_validates_bounds_at_n1():
     with pytest.raises(ValueError):
         components(1, 0, -5)
@@ -259,6 +299,7 @@ def test_nnn_components_frozen_n4():
 # ---------------------------------------------------------------------------
 
 def test_regular_dense_closed_form():
+    assert regular_dense(1, 3, 3) is False  # the point is no regular stratum
     assert regular_dense(2, 3, 3) and regular_dense(4, 3, 3)
     assert not regular_dense(5, 3, 3)
     assert regular_dense(6, 3, 3)

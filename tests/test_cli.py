@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nilvar import verify
 from nilvar.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -22,7 +28,39 @@ def test_classify_small_table(capsys):
 def test_classify_point(capsys):
     code, out, _ = run(capsys, "classify", "--n", "1", "--a", "3", "--b", "3")
     assert code == 0
-    assert "point:" in out and "  0  0" in out
+    assert out == "V(1, 3, 3): 1 component\npoint:\n  0  0\n"
+    # JSON reports the bounds as given: no cap >= 2 exists at n = 1
+    code, out, _ = run(capsys, "classify", "--n", "1", "--a", "7", "--b", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "a": 7, "b": 2,
+                               "components": [{"dim": 0, "kind": "zero"}]}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_classify_rejects_n0(capsys, fmt):
+    code, out, err = run(capsys, "classify", "--n", "0", "--a", "3", "--b", "3",
+                         "--format", fmt)
+    assert code == 1
+    assert out == "" and err == "nilvar: error: need n >= 1, got 0\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # `nilvar classify ... | head -1`: the reader is gone before the
+    # output is written, so the write fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nilvar", "classify", "--n", "12", "--a", "3",
+             "--b", "3"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_classify_rejects_bad_bounds_at_n1(capsys):

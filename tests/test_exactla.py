@@ -15,7 +15,6 @@ import pytest
 from nilvar.exactla import (
     RationalMatrix,
     _int_row,
-    complement_standard_vectors,
     hstack,
     pivot_columns,
     solve_consistent,
@@ -320,37 +319,6 @@ def test_solve_zero_system():
     assert solve_consistent(a, RationalMatrix([[1], [0]])) is None
 
 
-# -- basis completion ------------------------------------------------------
-
-def test_complement_standard_vectors():
-    rng = random.Random(23)
-    for _ in range(30):
-        nrows, ncols = rng.randint(1, 6), rng.randint(0, 6)
-        m = (
-            RationalMatrix([], ncols=0)
-            if ncols == 0
-            else rand_matrix(rng, nrows, ncols)
-        )
-        if ncols == 0:
-            m = RationalMatrix.zeros(nrows, 0)
-        idx = complement_standard_vectors(m)
-        assert len(idx) == nrows - m.rank()
-        assert idx == sorted(set(idx))
-        ext = hstack(
-            [m]
-            + [
-                RationalMatrix([[1 if i == k else 0] for i in range(nrows)])
-                for k in idx
-            ]
-        )
-        assert ext.rank() == nrows
-
-
-def test_complement_of_full_rank_is_empty():
-    assert complement_standard_vectors(RationalMatrix.identity(4)) == []
-    assert complement_standard_vectors(RationalMatrix.zeros(3, 2)) == [0, 1, 2]
-
-
 # -- no floats -------------------------------------------------------------
 
 def test_int_matrices_never_produce_floats():
@@ -358,7 +326,6 @@ def test_int_matrices_never_produce_floats():
     # leaves 21 - 9 * (7 / 3) != 0 behind: a second pivot
     m = RationalMatrix([[3, 7], [9, 21]])
     assert pivot_columns(m) == [0]
-    assert complement_standard_vectors(m) == [0]
     x = solve_consistent(m, RationalMatrix([[1], [3]]))
     assert x.dense() == [[Fraction(1, 3)], [0]]
     rng = random.Random(31)
@@ -377,7 +344,6 @@ def test_int_matrices_never_produce_floats():
         assert all(v.denominator != 1 for v in entries(x) if type(v) is Fraction)
         ref = gauss_jordan_pivots(a)
         assert pivot_columns(a) == ref
-        assert len(complement_standard_vectors(a)) == a.nrows - len(ref)
 
 
 def test_solve_divides_exactly():

@@ -3,9 +3,12 @@
 The two Hom routes (admissible-pair counting vs linear-algebra solution
 spaces) are swept against each other; graph maps are verified to be
 actual module homomorphisms; Hom(Lambda, M) = dim M pins the conventions
-against free-module theory; and Ext^1 vanishing is checked both through
-the rank route and the membership route, with the self-extension
-dichotomy for open strings as a frozen expectation.
+against free-module theory; the word-level End is checked against the
+oracle on explicit direct sums, and the projective cover read off the
+word against a generic cover computed by linear algebra, kept here as
+the reference; and Ext^1 vanishing is checked both through the rank
+route and the membership route, with the self-extension dichotomy for
+open strings as a frozen expectation.
 """
 
 import itertools
@@ -23,6 +26,7 @@ from nilvar.homalg import (
     orbit_dim,
     projective_cover,
 )
+from nilvar.exactla import RationalMatrix, hstack, pivot_columns
 from nilvar.modmatrix import band_module, direct_sum, string_module
 from nilvar.words import AlgebraParams, Word, enumerate_open_strings, enumerate_words, open_type
 
@@ -69,8 +73,6 @@ def test_graph_maps_are_module_maps():
 def test_graph_maps_linearly_independent():
     # the basis maps have pairwise different supports, so independence is
     # automatic -- but check the rank anyway for a few pairs
-    from nilvar.exactla import RationalMatrix
-
     for t1, t2 in (("xxy", "xyxx"), ("xy", "xxyy"), ("xxyy", "xxyy")):
         w1, w2 = Word(t1, P33), Word(t2, P33)
         basis = hom_basis(w1, w2)
@@ -157,21 +159,46 @@ def test_hom_duality():
 
 # -- End and orbit dimensions ----------------------------------------------
 
+def words_of(*texts, params=P33):
+    return [Word(t, params) for t in texts]
+
+
 def test_end_dims_strings():
-    assert end_dim(string_module("xxy", P33)) == 4
-    assert end_dim(string_module("", P33)) == 1
-    assert end_dim(string_module("xxyy", P33)) == 5  # End(Lambda) = Lambda
+    assert end_dim(words_of("xxy")) == 4
+    assert end_dim(words_of("")) == 1
+    assert end_dim(words_of("xxyy")) == 5  # End(Lambda) = Lambda
+
+
+def test_end_dim_needs_words_over_one_algebra():
+    with pytest.raises(ValueError):
+        end_dim([])
+    with pytest.raises(ValueError):
+        end_dim([Word("xy", P33), Word("xy", P23)])
+
+
+def test_end_dim_matches_oracle_on_string_sums():
+    # the graph-count End of a string sum against the linear-algebra End
+    # of its explicit block-diagonal realization
+    for params in (P33, P23):
+        words = enumerate_words(4, params)
+        for k in (1, 2):
+            for summands in itertools.combinations_with_replacement(words, k):
+                m = direct_sum([string_module(w) for w in summands])
+                assert end_dim(list(summands)) == hom_dim_oracle(m, m), summands
 
 
 def test_end_dim_band_values():
     # one-layer band on x^c y^d is cyclic, so End = Lambda/ann has
     # dimension c + d; across distinct lambdas the homs drop by one
-    assert end_dim(band_module("xxy", [2], P33)) == 3
-    assert end_dim(band_module("xxyy", [5], P33)) == 4
+    band = band_module("xxy", [2], P33)
+    assert hom_dim_oracle(band, band) == 3
+    band = band_module("xxyy", [5], P33)
+    assert hom_dim_oracle(band, band) == 4
     one, two = band_module("xxy", [1], P33), band_module("xxy", [2], P33)
     assert hom_dim_oracle(one, two) == 2
     assert hom_dim_oracle(two, one) == 2
-    assert end_dim(direct_sum([one, two])) == 3 + 3 + 2 + 2
+    both = direct_sum([one, two])
+    assert hom_dim_oracle(both, both) == 3 + 3 + 2 + 2
 
 
 def test_band_layering_vs_split_end():
@@ -180,52 +207,104 @@ def test_band_layering_vs_split_end():
     # also exercises the dense route
     layered = band_module("xxyy", [1, 2], P33)
     split = direct_sum([band_module("xxyy", [1], P33), band_module("xxyy", [2], P33)])
-    assert end_dim(layered) == end_dim(split)
+    assert hom_dim_oracle(layered, layered) == hom_dim_oracle(split, split)
 
 
 def test_orbit_dim_examples():
     # M(xy) at (2,2): End = Lambda has dim 3, so the orbit in the n = 3
     # variety has dimension 9 - 3 = 6; its reversal matches it
-    m = string_module("xy", P22)
-    assert end_dim(m) == 3
-    assert orbit_dim(m) == 6
-    assert orbit_dim(string_module("yx", P22)) == 6
+    assert end_dim(words_of("xy", params=P22)) == 3
+    assert orbit_dim(words_of("xy", params=P22)) == 6
+    assert orbit_dim(words_of("yx", params=P22)) == 6
     # the zero point (n = 1 simple) has a point orbit
-    assert orbit_dim(string_module("", P33)) == 0
+    assert orbit_dim(words_of("")) == 0
+    # n counts every summand: End {xy, xy} = 12 in dimension 6
+    assert orbit_dim(words_of("xy", "xy")) == 36 - 12
 
 
 def test_orbit_dim_figure_row():
     # frozen from the n = 5 component table: the open orbit of
     # M(xxyy) + M(xy)-family support etc. -- here just the plain string
-    assert orbit_dim(string_module("xxyy", P33)) == 20
+    assert orbit_dim(words_of("xxyy")) == 20
 
 
 # -- projective covers -----------------------------------------------------
 
+COVER_PARAMS = [AlgebraParams(a, b) for a, b in
+                ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4))]
+
+
+def _position(col):
+    """The one row of a column holding 1, or None for a zero column."""
+    support = [r for r, row in enumerate(col.rows) if row]
+    if not support:
+        return None
+    assert len(support) == 1 and col.rows[support[0]] == {0: 1}
+    return support[0]
+
+
+def generic_cover(mod):
+    """The projective cover by linear algebra alone, as the reference:
+    the top is the greedy complement of im A + im B by standard vectors
+    v (the identity columns that are pivots of [A | B | I]), and the
+    Lambda summand of v sends z_j to A^{a-j} v (j = 1..a) and z_{a+l} to
+    B^l v (l = 1..b-1).  Returns each summand's columns as positions."""
+    n, (a, b) = mod.n, mod.params
+    aug = hstack([mod.A, mod.B, RationalMatrix.identity(n)])
+    out = []
+    for c in pivot_columns(aug):
+        if c < 2 * n:
+            continue
+        v = RationalMatrix.of_rows([{0: 1} if r == c - 2 * n else {}
+                                    for r in range(n)], 1)
+        xs = [v]
+        for _ in range(a - 1):
+            xs.append(mod.A.mul(xs[-1]))
+        ys = [v]
+        for _ in range(b - 1):
+            ys.append(mod.B.mul(ys[-1]))
+        out.append([_position(col) for col in xs[::-1] + ys[1:]])
+    return out
+
+
+def cover_matrix(c):
+    """The n x (t*d) 0/1 matrix of projective_cover(c)."""
+    cover = projective_cover(c)
+    d = c.params.d
+    rows = [{} for _ in range(len(c) + 1)]
+    for u, images in enumerate(cover):
+        for t, r in enumerate(images):
+            if r is not None:
+                rows[r][u * d + t] = 1
+    return RationalMatrix.of_rows(rows, len(cover) * d)
+
+
+def test_projective_cover_matches_generic_cover():
+    for params in COVER_PARAMS:
+        for c in enumerate_words(8, params):
+            assert projective_cover(c) == generic_cover(string_module(c)), str(c)
+
+
 def test_projective_cover_properties():
-    cases = [
-        string_module("", P33),
-        string_module("xxyy", P33),
-        string_module("xyx", P33),
-        direct_sum([string_module("xxy", P33), string_module("y", P33)]),
-        band_module("xxy", [2], P33),
-        string_module("xy", P22),
-    ]
-    for m in cases:
-        cover, phi = projective_cover(m)
-        t = m.stats()["top_dim"]
-        assert cover.n == t * m.params.d
-        assert phi.nrows == m.n and phi.ncols == cover.n
-        # phi is a surjective module map
-        assert phi.rank() == m.n
-        assert is_module_map(phi, cover, m)
+    # a surjective module map Lambda^t -> M(c), t = dim top
+    for params in COVER_PARAMS:
+        lam = string_module(Word("x" * (params.a - 1) + "y" * (params.b - 1), params))
+        for c in enumerate_words(8, params):
+            m = string_module(c)
+            t = m.stats()["top_dim"]
+            assert len(projective_cover(c)) == t
+            phi = cover_matrix(c)
+            assert phi.rank() == m.n
+            assert is_module_map(phi, direct_sum([lam] * t), m), str(c)
 
 
 def test_projective_cover_of_projective_is_identity_like():
-    lam = string_module("xxyy", P33)
-    cover, phi = projective_cover(lam)
-    assert cover.n == 5
-    assert phi.rank() == 5  # an isomorphism
+    assert projective_cover(Word("xxyy", P33)) == [[0, 1, 2, 3, 4]]
+    assert projective_cover(Word("xy", P22)) == [[0, 1, 2]]
+    # peaks 1 and 3 of xyx: each reaches one x to its left, and the
+    # first one y to its right
+    assert projective_cover(Word("xyx", P33)) == [[None, 0, 1, 2, None],
+                                                  [None, 2, 3, None, None]]
 
 
 # -- Ext^1 -----------------------------------------------------------------

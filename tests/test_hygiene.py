@@ -1,10 +1,13 @@
 """Source hygiene: every name a module imports is used in that module,
-and every command imports only the modules it runs.
+every top-level function and class is named somewhere, and every
+command imports only the modules it runs.
 
 No linter ships with the package, so this test is the check.  It reads
 each source file with `ast`, collects the names its import statements
-bind and fails on those the module never loads.  A fresh interpreter
-per command shows which modules that command loads.
+bind and fails on those the module never loads.  It also fails on a
+top-level definition that no source file names, unless perfbench
+patches or calls it or a test backs it (TEST_BACKED, with the reason).
+A fresh interpreter per command shows which modules that command loads.
 """
 
 import ast
@@ -47,6 +50,75 @@ def test_checker_flags_an_unused_name():
               "from .words import Word, parse_word\n"
               "def f():\n    return Word(os.sep)\n")
     assert unused_imports(source) == ["line 2: osp", "line 3: parse_word"]
+
+
+# top-level names that nothing in src/nilvar names but that stay: each
+# backs a test that holds the code to an independent computation
+TEST_BACKED = {
+    "dominates": "the dominance order that tests hold ip_maximal and the "
+                 "V(n, n, n) components to",
+    "ext1_vanishes_membership": "the second Ext^1 route, by exact solving, "
+                                "that audits the rank route",
+    "is_index_module": "the paper's index-module inequalities, checked "
+                       "against a brute-force enumeration",
+    "open_type": "the open-string type that the self-extension dichotomy "
+                 "(type 1 iff Ext^1(M, M) = 0) is checked by",
+}
+
+PERFBENCH = ("tracing.py", "workloads.py")
+
+
+def unreferenced_definitions(sources: dict, exempt=frozenset()) -> list[str]:
+    """The top-level functions and classes of `sources` (file name ->
+    text) that no file of them names, as a variable or an attribute,
+    leaving out the names in `exempt`."""
+    defined, named = [], set()
+    for fname, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        defined += [(fname, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        named |= identifiers(tree)
+    return [f"{fname}: {name}" for fname, name in defined
+            if name not in named and name not in exempt]
+
+
+def identifiers(tree) -> set[str]:
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def perfbench_names() -> set[str]:
+    """Every identifier, imported name and string constant of the
+    perfbench files that patch or call nilvar, read as text: the tracer
+    names what it wraps in strings."""
+    out = set()
+    for fname in PERFBENCH:
+        tree = ast.parse((SRC.parent / "perfbench" / fname).read_text())
+        out |= identifiers(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                out.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def test_every_definition_is_named():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_definitions(
+        sources, perfbench_names() | set(TEST_BACKED)) == []
+    # and the list holds no name that the code uses or no longer has
+    assert sorted(entry.split(": ")[1] for entry in unreferenced_definitions(
+        sources, perfbench_names())) == sorted(TEST_BACKED)
+
+
+def test_checker_flags_an_unnamed_definition():
+    sources = {"a.py": "def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                       "class Unused:\n    pass\n",
+               "b.py": "from . import a\n\ndef h():\n    return a.f()\n"}
+    assert unreferenced_definitions(sources) == ["a.py: Unused", "b.py: h"]
+    assert unreferenced_definitions(sources, {"Unused", "h"}) == []
 
 
 # modules a command that does not run them must not load: dataclasses

@@ -18,7 +18,6 @@ from nilvar.indexmod import (
     semiproj_index,
     stratum_dim,
 )
-from nilvar.modmatrix import string_module
 from nilvar.words import AlgebraParams, Word, enumerate_words
 
 P33 = AlgebraParams(3, 3)
@@ -52,11 +51,10 @@ def test_zero_multiplicities_are_dropped_and_equality_is_by_content():
 
 def test_realize_matches_summand_dims():
     idx = idx_of({(2, 2): 1, (1, 1): 1})
-    mod = idx.realize(P33)
-    assert mod.n == idx.dim() == 8
-    assert mod.verify_relations()
     words = idx.summand_words(P33)
     assert [str(w) for w in words] == ["xxyy", "xy"]
+    # a summand word w stands for M(w), of dimension |w| + 1
+    assert sum(len(w) + 1 for w in words) == idx.dim() == 8
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +235,7 @@ def test_semiproj_stratum_dims_match_orbit_dims():
     ]
     for a_part, b_part, n, expected in cases:
         word, idx = semiproj_index(a_part, b_part, P33)
-        mod = string_module(word)
-        assert n * n - end_dim(mod) == expected
+        assert n * n - end_dim([word]) == expected
         assert stratum_dim(idx, n, P33) == expected
 
 
@@ -292,12 +289,8 @@ def test_box_move_hom_order():
 
 def test_end_dim_drops_along_moves():
     # flip: End {x^2y^2, xy} = 15 > 14 = End {x^2y, xy^2}
-    def end_of(words):
-        from nilvar.modmatrix import direct_sum
-        return end_dim(direct_sum([string_module(w) for w in words]))
-
-    assert end_of([Word("xxyy", P33), Word("xy", P33)]) == 15
-    assert end_of([Word("xxy", P33), Word("xyy", P33)]) == 14
+    assert end_dim([Word("xxyy", P33), Word("xy", P33)]) == 15
+    assert end_dim([Word("xxy", P33), Word("xyy", P33)]) == 14
     # box move: End {xy, xy} = 12 > 10 = End {x^2y, y}
-    assert end_of([Word("xy", P33)] * 2) == 12
-    assert end_of([Word("xxy", P33), Word("y", P33)]) == 10
+    assert end_dim([Word("xy", P33)] * 2) == 12
+    assert end_dim([Word("xxy", P33), Word("y", P33)]) == 10
