@@ -6,15 +6,17 @@ audit the other:
   * hom_dim_graph counts admissible pairs of words -- a factor triple of
     the source against a substring triple of the target with equal middle
     -- and each pair carries an explicit basis homomorphism, the *graph
-    map* that matches the two windows vector by vector.
+    map* that matches the two windows vector by vector.  The count builds
+    no pair: it sums, over the source's factor triples, the multiplicity
+    of their middle word among the target's substring triples.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
     algebra.  For partial-permutation matrices (every string module, and
     any direct sum of them) each scalar equation mentions at most two
     entries of F with coefficient 1, so the system collapses to
-    union-find on the entries; otherwise a dense exact nullity is
-    computed.
+    union-find on the entries, read off the positions of the ones in
+    one pass per matrix; otherwise a dense exact nullity is computed.
 
 Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
 formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
@@ -28,11 +30,12 @@ map, via exact solving) audits the rank in the tests.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .exactla import RationalMatrix, solve_consistent
-from .words import AlgebraParams, Word, admissible_pairs, tau_inverse
+from .words import (AlgebraParams, Word, admissible_pairs, factor_triples,
+                    substring_triples, tau_inverse)
 
 # entries kept by each memo table (_hom_count, _ext1_vanishes): bounded
 # at any n, and above what a run uses (full verify makes 12 374 distinct
@@ -80,8 +83,9 @@ def hom_basis(src: Word, tgt: Word) -> list[GraphMap]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _hom_count(src_text: str, tgt_text: str, a: int, b: int) -> int:
-    p = AlgebraParams(a, b)
-    return len(admissible_pairs(Word(src_text, p), Word(tgt_text, p)))
+    # len(admissible_pairs(..)) without the pairs; a and b only key the memo
+    middles = Counter(m for _, m, _ in substring_triples(tgt_text))
+    return sum(middles[m] for _, m, _ in factor_triples(src_text))
 
 
 def hom_dim_graph(src: Word, tgt: Word) -> int:
@@ -96,63 +100,65 @@ def hom_dim_graph(src: Word, tgt: Word) -> int:
 # the linear-algebra oracle
 # ---------------------------------------------------------------------------
 
-def _partial_permutation(mat: RationalMatrix) -> bool:
-    """Entries all 0/1 with at most one 1 per row and per column."""
-    col_used = set()
-    for row in mat.rows:
-        if len(row) > 1:
-            return False
-        for j, v in row.items():
+def _partial_permutation_ones(mat: RationalMatrix):
+    """The (row, col) positions of the ones of mat when its entries are
+    all 0/1 with at most one 1 per row and per column; None otherwise."""
+    ones, col_used = [], set()
+    for i, row in enumerate(mat.rows):
+        if row:
+            if len(row) > 1:
+                return None
+            (j, v), = row.items()
             if v != 1 or j in col_used:
-                return False
+                return None
             col_used.add(j)
-    return True
+            ones.append((i, j))
+    return ones
 
 
-def _hom_dim_unionfind(m1, m2) -> int:
-    """Solution dimension of F A1 = A2 F, F B1 = B2 F when every matrix is
-    a partial permutation: each equation says F_p = F_q or F_p = 0, so the
-    free entries are the union-find classes not forced to zero."""
-    n1, n2 = m1.n, m2.n
-    total = n1 * n2
-    parent = list(range(total))
-    zero = [False] * total
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-            zero[rq] = zero[rq] or zero[rp]
-
-    for x1, x2 in ((m1.A, m2.A), (m1.B, m2.B)):
+def _hom_dim_unionfind(n1, n2, ones) -> int:
+    """Solution dimension of F A1 = A2 F, F B1 = B2 F for n2 x n1 F when
+    every matrix is a partial permutation, given by the positions of its
+    ones (A1, B1, A2, B2 in this order): each equation says F_p = F_q or
+    F_p = 0, so the free entries are the union-find classes that no entry
+    forced to zero lies in."""
+    parent = list(range(n1 * n2))
+    merged, zeros = 0, []
+    a1, b1, a2, b2 = ones
+    for x1, x2 in ((a1, a2), (b1, b2)):
         # column j of x1 hits row s; row i of x2 hits column t
-        colsrc = [None] * n1
-        for s, row in enumerate(x1.rows):
-            for j in row:
-                colsrc[j] = s
         rowtgt = [None] * n2
-        for i, row in enumerate(x2.rows):
-            for t in row:
-                rowtgt[i] = t
+        for i, t in x2:
+            rowtgt[i] = t
+        hit = set()
+        for s, j in x1:
+            hit.add(j)
+            for i, t in enumerate(rowtgt):
+                # (F x1)[i,j] = F[i,s],  (x2 F)[i,j] = F[t,j] (or 0)
+                p = i * n1 + s
+                if t is None:
+                    zeros.append(p)
+                    continue
+                q = t * n1 + j
+                while parent[p] != p:
+                    parent[p] = parent[parent[p]]
+                    p = parent[p]
+                while parent[q] != q:
+                    parent[q] = parent[parent[q]]
+                    q = parent[q]
+                if p != q:
+                    parent[p] = q
+                    merged += 1
+        # columns j that x1 sends to zero: (x2 F)[i,j] = F[t,j] = 0
         for j in range(n1):
-            s = colsrc[j]
-            for i in range(n2):
-                t = rowtgt[i]
-                # (F x1)[i,j] = F[i,s] (or 0),  (x2 F)[i,j] = F[t,j] (or 0)
-                if s is not None and t is not None:
-                    union(i * n1 + s, t * n1 + j)
-                elif s is not None:
-                    zero[find(i * n1 + s)] = True
-                elif t is not None:
-                    zero[find(t * n1 + j)] = True
-    roots = {find(p) for p in range(total)}
-    return sum(1 for r in roots if not zero[r])
+            if j not in hit:
+                zeros.extend(t * n1 + j for _, t in x2)
+    zero_roots = set()
+    for p in zeros:
+        while parent[p] != p:
+            p = parent[p]
+        zero_roots.add(p)
+    return n1 * n2 - merged - len(zero_roots)
 
 
 def _hom_dim_dense(m1, m2) -> int:
@@ -190,8 +196,9 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
     if method in (None, "unionfind"):
-        if all(_partial_permutation(m) for m in (m1.A, m1.B, m2.A, m2.B)):
-            return _hom_dim_unionfind(m1, m2)
+        ones = [_partial_permutation_ones(m) for m in (m1.A, m1.B, m2.A, m2.B)]
+        if None not in ones:
+            return _hom_dim_unionfind(m1.n, m2.n, ones)
         if method == "unionfind":
             raise ValueError("union-find route needs partial-permutation matrices")
     elif method != "dense":

@@ -41,7 +41,7 @@ class MatrixPairModule:
 
     summands is a tuple of ("string", word) and ("band", word, lambdas)
     entries in block order, or None when the origin is unknown (e.g. a
-    point parsed from JSON).
+    pair of matrices built directly).
     """
 
     __slots__ = ("n", "A", "B", "params", "summands")
@@ -101,18 +101,6 @@ class MatrixPairModule:
             "A": [[str(v) for v in row] for row in self.A.dense()],
             "B": [[str(v) for v in row] for row in self.B.dense()],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MatrixPairModule":
-        n, a, b = data["n"], data["a"], data["b"]
-        if not all(type(v) is int for v in (n, a, b)):
-            raise TypeError(f"n, a and b must be ints, got {n!r}, {a!r}, {b!r}")
-        params = AlgebraParams(a, b)
-        A = RationalMatrix(data["A"], n)
-        B = RationalMatrix(data["B"], n)
-        if A.nrows != n or B.nrows != n:
-            raise ValueError("matrix size does not match n")
-        return cls(n, A, B, params)
 
 
 def _power(m: RationalMatrix, k: int) -> RationalMatrix:

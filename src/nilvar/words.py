@@ -53,22 +53,27 @@ class Word(str):
     are plain string ones; the algebra parameters ride along as .params
     but do not enter equality -- when words from different algebras could
     meet, key on (word, params) explicitly.
+
+    A text is valid iff it holds only x and y and contains neither x^a nor
+    y^b as a substring; the run-length walk runs only on a rejected text,
+    to name its first offence.
     """
 
     __slots__ = ("params",)
 
     def __new__(cls, text, params: AlgebraParams):
         text = str(text)
-        bad = set(text) - {"x", "y"}
-        if bad:
-            raise ValueError(f"letters must be x or y, got {sorted(bad)!r}")
-        for letter, k in runs(text):
-            bound = params.a - 1 if letter == "x" else params.b - 1
-            if k > bound:
-                raise ValueError(
-                    f"run {letter}^{k} exceeds {bound}, not a word over "
-                    f"(a,b)=({params.a},{params.b})"
-                )
+        if text.strip("xy") or "x" * params.a in text or "y" * params.b in text:
+            bad = set(text) - {"x", "y"}
+            if bad:
+                raise ValueError(f"letters must be x or y, got {sorted(bad)!r}")
+            for letter, k in runs(text):
+                bound = params.a - 1 if letter == "x" else params.b - 1
+                if k > bound:
+                    raise ValueError(
+                        f"run {letter}^{k} exceeds {bound}, not a word over "
+                        f"(a,b)=({params.a},{params.b})"
+                    )
         w = super().__new__(cls, text)
         w.params = params
         return w

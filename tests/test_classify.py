@@ -213,6 +213,38 @@ def test_components_n1_is_a_point():
     assert comps[0].as_dict() == {"kind": "zero", "dim": 0}
 
 
+SWAP = str.maketrans("xy", "yx")
+MIRROR = {"semi-projective": "semi-injective", "semi-injective": "semi-projective"}
+
+
+def shape(comp):
+    """A component as plain data, its bands or strings sorted."""
+    if comp.kind == "regular":
+        return ("regular", comp.dim, comp.a_part, comp.b_part,
+                tuple(sorted((str(w), m) for w, m in comp.family)))
+    return ("orbit", comp.dim, comp.side, tuple(sorted(map(str, comp.strings))))
+
+
+def swapped_shape(comp):
+    """shape(comp) after x <-> y: the partitions trade places, each band
+    turns to its lex-least rotation again, and the strings change side."""
+    if comp.kind == "regular":
+        bands = []
+        for w, m in comp.family:
+            t = str(w).translate(SWAP)
+            bands.append((min(t[i:] + t[:i] for i in range(len(t))), m))
+        return ("regular", comp.dim, comp.b_part, comp.a_part, tuple(sorted(bands)))
+    return ("orbit", comp.dim, MIRROR[comp.side],
+            tuple(sorted(str(w).translate(SWAP) for w in comp.strings)))
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (2, 4), (3, 4), (3, 5), (2, 5), (4, 5)])
+def test_letter_swap_maps_components_onto_swapped_bounds(a, b):
+    for n in range(2, 21):
+        assert sorted(map(shape, components(n, b, a))) == sorted(
+            map(swapped_shape, components(n, a, b))), n
+
+
 def test_component_is_an_immutable_value():
     c = Component(kind="zero", dim=0)
     assert (c.a_part, c.b_part, c.family, c.side, c.strings) == (None,) * 5

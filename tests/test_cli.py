@@ -146,6 +146,15 @@ def test_hom_and_oracle(capsys):
     assert payload["agree"] is True
 
 
+@pytest.mark.parametrize("source, message", [
+    ("xxx", "run x^3 exceeds 2, not a word over (a,b)=(3,3)"),
+    ("xz", "letters must be x or y, got ['z']"),
+])
+def test_hom_rejects_bad_word(capsys, source, message):
+    code, out, err = run(capsys, "hom", "--source", source, "--target", "xy")
+    assert (code, out, err) == (1, "", f"nilvar: error: {message}\n")
+
+
 def test_ext_both_ways(capsys):
     code, out, _ = run(capsys, "ext", "--source", "xxyy", "--target", "xxyy")
     assert code == 0 and out == "Ext^1(M(xxyy), M(xxyy)) = 0\n"

@@ -12,9 +12,11 @@ open strings as a frozen expectation.
 """
 
 import itertools
+import random
 
 import pytest
 
+from nilvar import homalg
 from nilvar.homalg import (
     GraphMap,
     end_dim,
@@ -27,8 +29,9 @@ from nilvar.homalg import (
     projective_cover,
 )
 from nilvar.exactla import RationalMatrix, hstack, pivot_columns
-from nilvar.modmatrix import band_module, direct_sum, string_module
-from nilvar.words import AlgebraParams, Word, enumerate_open_strings, enumerate_words, open_type
+from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
+from nilvar.words import (AlgebraParams, Word, admissible_pairs, enumerate_open_strings,
+                          enumerate_words, open_type)
 
 P33 = AlgebraParams(3, 3)
 P23 = AlgebraParams(2, 3)
@@ -99,6 +102,31 @@ def test_hom_routes_agree_other_params():
             assert g == hom_dim_oracle(m1, m2, method="dense")
 
 
+def test_hom_count_matches_pair_list():
+    # the memoized count and the pair list that hom_basis (and so Ext)
+    # is built from must not drift apart
+    for params in (P33, P23, AlgebraParams(4, 3)):
+        words = enumerate_words(5, params)
+        for s, t in itertools.product(words, repeat=2):
+            assert homalg._hom_count(str(s), str(t), *params) == len(
+                admissible_pairs(s, t)), (str(s), str(t))
+
+
+def conjugate(mod, perm):
+    """P M P^-1 for the permutation matrix P sending e_i to e_perm[i]."""
+    def move(mat):
+        rows = [{} for _ in range(mod.n)]
+        for i, row in enumerate(mat.rows):
+            rows[perm[i]] = {perm[j]: v for j, v in row.items()}
+        return RationalMatrix.of_rows(rows, mod.n)
+    return MatrixPairModule(mod.n, move(mod.A), move(mod.B), mod.params)
+
+
+def random_words(rng, params):
+    words = enumerate_words(6, params)
+    return [rng.choice(words) for _ in range(rng.randint(1, 4))]
+
+
 def test_unionfind_equals_dense_on_string_sums():
     m1 = direct_sum([string_module("xxy", P33), string_module("xy", P33)])
     m2 = direct_sum([string_module("xxyy", P33), string_module("y", P33)])
@@ -112,6 +140,36 @@ def test_unionfind_equals_dense_on_string_sums():
         for v in (Word("xxyy", P33), Word("y", P33))
     )
     assert total == hom_dim_oracle(m1, m2)
+    # a seeded sample of sums, n1 != n2 included, one side conjugated by
+    # a permutation so that its ones leave the diagonal blocks
+    rng = random.Random(7)
+    sizes = set()
+    for _ in range(40):
+        params = rng.choice([P33, P23, AlgebraParams(4, 3)])
+        u, v = random_words(rng, params), random_words(rng, params)
+        m1 = direct_sum([string_module(w) for w in u])
+        m2 = direct_sum([string_module(w) for w in v])
+        m2 = conjugate(m2, rng.sample(range(m2.n), m2.n))
+        total = sum(hom_dim_graph(s, t) for s in u for t in v)
+        assert hom_dim_oracle(m1, m2, method="unionfind") == total, (u, v)
+        assert hom_dim_oracle(m2, m1, method="unionfind") == sum(
+            hom_dim_graph(t, s) for s in u for t in v), (u, v)
+        assert hom_dim_oracle(m1, m2, method="dense") == total, (u, v)
+        sizes.add(m1.n == m2.n)
+    assert sizes == {True, False}
+
+
+def test_partial_permutation_ones_edge_cases():
+    ones = homalg._partial_permutation_ones
+    assert ones(RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == [(0, 2), (2, 0)]
+    assert ones(RationalMatrix([[0, 2], [0, 0]])) is None
+    assert ones(RationalMatrix([[0, 1], [0, 1]])) is None  # a repeated column
+    assert ones(RationalMatrix([[1, 1], [0, 0]])) is None  # two ones in a row
+    assert ones(RationalMatrix.zeros(3, 3)) == []
+    # all-zero modules: every F is a homomorphism
+    m1 = direct_sum([string_module("", P33)] * 2)
+    m2 = direct_sum([string_module("", P33)] * 3)
+    assert hom_dim_oracle(m1, m2, method="unionfind") == 6
 
 
 def test_unionfind_refuses_nonpermutation():
@@ -123,11 +181,9 @@ def test_unionfind_refuses_nonpermutation():
 
 
 def test_oracle_checks_the_route_once(monkeypatch):
-    import nilvar.homalg as homalg
-
     calls = []
-    real = homalg._partial_permutation
-    monkeypatch.setattr(homalg, "_partial_permutation",
+    real = homalg._partial_permutation_ones
+    monkeypatch.setattr(homalg, "_partial_permutation_ones",
                         lambda mat: calls.append(mat) or real(mat))
     m1, m2 = string_module("xxy", P33), string_module("xyy", P33)
     assert hom_dim_oracle(m1, m2) == hom_dim_graph(Word("xxy", P33), Word("xyy", P33))
@@ -364,8 +420,6 @@ def test_hom_order_flip_example():
 
 
 def test_memo_tables_are_bounded():
-    import nilvar.homalg as homalg
-
     # finite at any n, and no verify or classify run evicts: a full verify
     # makes 12 374 distinct Hom keys, hom-agreement alone 12 075
     for memo in (homalg._hom_count, homalg._ext1_vanishes):

@@ -1,16 +1,19 @@
 """Source hygiene: every name a module imports is used in that module,
-every top-level function and class is named somewhere, and every
-command imports only the modules it runs.
+every top-level function and class and every method is named somewhere,
+and every command imports only the modules it runs.
 
 No linter ships with the package, so this test is the check.  It reads
 each source file with `ast`, collects the names its import statements
 bind and fails on those the module never loads.  It also fails on a
-top-level definition that no source file names, unless perfbench
-patches or calls it or a test backs it (TEST_BACKED, with the reason).
+top-level definition or method that no source file names, unless
+perfbench patches or calls it or a test backs it (TEST_BACKED, with the
+reason); dunders and overrides of a name a base class defines are called
+from outside and left out.
 A fresh interpreter per command shows which modules that command loads.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -52,7 +55,7 @@ def test_checker_flags_an_unused_name():
     assert unused_imports(source) == ["line 2: osp", "line 3: parse_word"]
 
 
-# top-level names that nothing in src/nilvar names but that stay: each
+# definitions that nothing in src/nilvar names but that stay: each
 # backs a test that holds the code to an independent computation
 TEST_BACKED = {
     "dominates": "the dominance order that tests hold ip_maximal and the "
@@ -63,23 +66,47 @@ TEST_BACKED = {
                        "against a brute-force enumeration",
     "open_type": "the open-string type that the self-extension dichotomy "
                  "(type 1 iff Ext^1(M, M) = 0) is checked by",
+    "GraphMap.matrix": "the graph map as a matrix, which tests hold to the "
+                       "module equations F A1 = A2 F, F B1 = B2 F",
+    "RationalMatrix.identity": "the I of [A | B | I], whose pivots give the "
+                               "generic cover that projective_cover is "
+                               "checked against",
 }
 
 PERFBENCH = ("tracing.py", "workloads.py")
 
 
-def unreferenced_definitions(sources: dict, exempt=frozenset()) -> list[str]:
+def unreferenced_definitions(sources: dict, exempt=frozenset(),
+                             inherited=lambda fname, cls, name: False) -> list[str]:
     """The top-level functions and classes of `sources` (file name ->
-    text) that no file of them names, as a variable or an attribute,
-    leaving out the names in `exempt`."""
+    text), and the methods of those classes, that no file of them names,
+    as a variable or an attribute, leaving out the names in `exempt`
+    (bare, or Class.method for a method).  Dunders are left out, and so
+    are the methods for which inherited(file name, class, method) holds:
+    overrides of a name that a base class defines."""
     defined, named = [], set()
     for fname, text in sorted(sources.items()):
         tree = ast.parse(text)
-        defined += [(fname, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((fname, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(fname, f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))
+                            and not inherited(fname, node.name, item.name)]
         named |= identifiers(tree)
-    return [f"{fname}: {name}" for fname, name in defined
-            if name not in named and name not in exempt]
+    return [f"{fname}: {qual}" for fname, qual, name in defined
+            if name not in named and name not in exempt and qual not in exempt]
+
+
+def overrides(fname, clsname, name) -> bool:
+    """Whether a base class of nilvar's class `clsname` in file `fname`
+    defines `name`."""
+    cls = getattr(importlib.import_module(f"nilvar.{Path(fname).stem}"), clsname)
+    return any(name in vars(base) for base in cls.__mro__[1:])
 
 
 def identifiers(tree) -> set[str]:
@@ -107,10 +134,10 @@ def perfbench_names() -> set[str]:
 def test_every_definition_is_named():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unreferenced_definitions(
-        sources, perfbench_names() | set(TEST_BACKED)) == []
+        sources, perfbench_names() | set(TEST_BACKED), overrides) == []
     # and the list holds no name that the code uses or no longer has
     assert sorted(entry.split(": ")[1] for entry in unreferenced_definitions(
-        sources, perfbench_names())) == sorted(TEST_BACKED)
+        sources, perfbench_names(), overrides)) == sorted(TEST_BACKED)
 
 
 def test_checker_flags_an_unnamed_definition():
@@ -119,6 +146,17 @@ def test_checker_flags_an_unnamed_definition():
                "b.py": "from . import a\n\ndef h():\n    return a.f()\n"}
     assert unreferenced_definitions(sources) == ["a.py: Unused", "b.py: h"]
     assert unreferenced_definitions(sources, {"Unused", "h"}) == []
+
+
+def test_checker_flags_an_unnamed_method():
+    sources = {"c.py": "class K(Base):\n    def __init__(self):\n        self.used()\n"
+                       "    def used(self):\n        pass\n"
+                       "    def unused(self):\n        pass\n"
+                       "    def hook(self):\n        pass\n\n"
+                       "K()\n"}
+    assert unreferenced_definitions(sources) == ["c.py: K.unused", "c.py: K.hook"]
+    assert unreferenced_definitions(
+        sources, {"K.unused"}, lambda fname, cls, name: name == "hook") == []
 
 
 # modules a command that does not run them must not load: dataclasses

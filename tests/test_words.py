@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from nilvar.verify import _PARAM_POOL
 from nilvar.words import (
     AlgebraParams,
     Word,
@@ -59,6 +60,42 @@ def test_word_validity():
     with pytest.raises(ValueError):
         Word("xz", P33)
     Word("xxx", P44)
+
+
+def run_length_error(text, params):
+    """The run-length rule Word applied before its substring test, kept as
+    the reference: None for a valid text, else the error message."""
+    bad = set(text) - {"x", "y"}
+    if bad:
+        return f"letters must be x or y, got {sorted(bad)!r}"
+    for letter, grp in itertools.groupby(text):
+        k = len(list(grp))
+        bound = params.a - 1 if letter == "x" else params.b - 1
+        if k > bound:
+            return (f"run {letter}^{k} exceeds {bound}, not a word over "
+                    f"(a,b)=({params.a},{params.b})")
+    return None
+
+
+def word_error(text, params):
+    try:
+        Word(text, params)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_word_validity_matches_run_length_rule():
+    texts = ["".join(t) for k in range(9) for t in itertools.product("xy", repeat=k)]
+    # and a stray letter anywhere, alone or beside an over-long run
+    texts += ["".join(t) for k in range(1, 5) for t in itertools.product("xyz", repeat=k)]
+    texts += ["X", " x", "x\ny", "xxxz", "yyyyw", "xy·"]
+    for a, b in _PARAM_POOL:
+        params = AlgebraParams(a, b)
+        for text in texts:
+            assert word_error(text, params) == run_length_error(text, params), text
+    assert word_error("xxx", P33) == "run x^3 exceeds 2, not a word over (a,b)=(3,3)"
+    assert word_error("xz", P33) == "letters must be x or y, got ['z']"
 
 
 def test_word_is_str():
