@@ -13,9 +13,10 @@ Layout:
     words       strings and bands in the letters x, y
     exactla     exact matrices stored as sparse rows (int entries, Fraction
                 only when needed), one sparse fraction-free elimination
-                for rank and solving
+                for rank and pivot columns
     modmatrix   matrix-pair modules: string/band constructions, stats
-    homalg      Hom/End/Ext dimensions, graph maps, orbit dimensions
+    homalg      Hom/End dimensions, Ext^1 vanishing, graph maps, orbit
+                dimensions
     indexmod    biserial index modules and stratum dimensions
     classify    the component classification itself
     verify      randomized/batch verification suites

@@ -10,12 +10,12 @@ The module matrices downstream are mostly zeros and mostly 0/1, so a
 matrix stores each row as a sparse {col: entry} dict of its nonzero
 entries, from construction through products to elimination; dense lists
 of rows are accepted on input and given back by `dense()` only.  Every
-elimination -- rank, pivot columns and solving -- goes through one
-routine, `echelon`.  It takes the rows as they are (a row
-holding a Fraction is first scaled by the lcm of its denominators) and
-reduces each against an incremental echelon keyed by leading column,
-with the fraction-free step row * piv - f * pivot_row followed by
-division by the row's content gcd (Bareiss 1968).  The work stays
+elimination -- rank and pivot columns -- goes through one routine,
+`echelon`.  It takes the rows as they are (a row holding a Fraction
+is first scaled by the lcm of its denominators) and reduces each
+against an incremental echelon keyed by leading column, with the
+fraction-free step row * piv - f * pivot_row followed by division by
+the row's content gcd (Bareiss 1968).  The work stays
 proportional to the nonzeros and the integers stay small.
 """
 
@@ -81,10 +81,6 @@ class RationalMatrix:
     @classmethod
     def zeros(cls, nrows, ncols):
         return cls.of_rows([{} for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls.of_rows([{i: 1} for i in range(n)], n)
 
     def dense(self) -> list:
         """The entries as a list of row lists, zeros included."""
@@ -223,25 +219,3 @@ def pivot_columns(mat: RationalMatrix) -> list[int]:
     leading columns of any echelon form of the rows."""
     return sorted(echelon(map(_int_row, mat.rows)))
 
-
-def solve_consistent(a: RationalMatrix, b: RationalMatrix):
-    """Solves a X = b exactly.  Returns X with free variables set to 0,
-    or None when the system is inconsistent."""
-    if a.nrows != b.nrows:
-        raise ValueError(f"row counts differ: {a.nrows} vs {b.nrows}")
-    na = a.ncols
-    pivots = echelon(map(_int_row, hstack([a, b]).rows))
-    if any(c >= na for c in pivots):
-        return None
-    x = RationalMatrix.zeros(na, b.ncols)
-    # back-substitute from the last pivot up; free variables stay 0
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for k in range(b.ncols):
-            acc = row.get(na + k, 0)
-            for j, v in row.items():
-                if c < j < na:
-                    acc -= v * x.rows[j].get(k, 0)
-            if acc:
-                x.rows[c][k] = _entry(Fraction(acc, row[c]))
-    return x

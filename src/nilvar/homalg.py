@@ -24,16 +24,17 @@ to M(C) are computed by graph maps, the ones factoring through a
 projective are exactly those factoring through the projective cover of
 M(C), and Ext^1 vanishes iff the cover compositions have rank dim Hom.
 The cover is read off the word C, one Lambda per peak, so that rank is
-the only linear algebra.  A second route (span membership per basis
-map, via exact solving) audits the rank in the tests.
+the only linear algebra.  This is the one Ext route; the tests audit it
+from outside by the cocycle dimension dim Z^1 - (n_M n_N - dim Hom),
+which needs only the module matrices.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import lru_cache
 
-from .exactla import RationalMatrix, solve_consistent
+from .exactla import RationalMatrix
 from .words import (AlgebraParams, Word, admissible_pairs, factor_triples,
                     substring_triples, tau_inverse)
 
@@ -47,38 +48,14 @@ MEMO_SIZE = 2 ** 16
 # graph maps
 # ---------------------------------------------------------------------------
 
-class GraphMap(namedtuple("GraphMap", "source target triple_src triple_tgt")):
-    """The basis homomorphism M(source) -> M(target) attached to one
-    admissible pair: it sends the window vectors over the common middle E
-    identically onto each other and everything else to zero.  The triples
-    are (D1, E, F1) with D1 E F1 = source and (D2, E, F2) with
-    D2 E F2 = target.
-    """
-
-    __slots__ = ()
-
-    def matrix(self) -> RationalMatrix:
-        """The (|target|+1) x (|source|+1) matrix: entry [|D2|+i, |D1|+i]
-        is 1 for i = 0..|E|."""
-        m = RationalMatrix.zeros(len(self.target) + 1, len(self.source) + 1)
-        for t, s in self.ones():
-            m.rows[t][s] = 1
-        return m
-
-    def ones(self) -> list:
-        """The (row, column) positions of the ones of matrix():
-        (|D2|+i, |D1|+i) for i = 0..|E|."""
-        d1 = len(self.triple_src[0])
-        d2 = len(self.triple_tgt[0])
-        return [(d2 + i, d1 + i) for i in range(len(self.triple_src[1]) + 1)]
-
-
-def hom_basis(src: Word, tgt: Word) -> list[GraphMap]:
-    """The graph-map basis of Hom(M(src), M(tgt))."""
-    return [
-        GraphMap(str(src), str(tgt), t1, t2)
-        for t1, t2 in admissible_pairs(src, tgt)
-    ]
+def hom_basis(src: Word, tgt: Word) -> list[list]:
+    """The graph-map basis of Hom(M(src), M(tgt)), one map per admissible
+    pair (D1, E, F1), (D2, E, F2): it sends the window vectors over E
+    identically onto each other and everything else to zero.  Each map is
+    given by the (row, col) positions of the ones of its
+    (|tgt|+1) x (|src|+1) matrix, (|D2|+i, |D1|+i) for i = 0..|E|."""
+    return [[(len(d2) + i, len(d1) + i) for i in range(len(e) + 1)]
+            for (d1, e, _), (d2, _, _) in admissible_pairs(src, tgt)]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -284,10 +261,9 @@ def _cover_compositions(c: Word, w: Word) -> RationalMatrix:
     lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
     dim_w = len(w) + 1
     rows = []
-    for gm in hom_basis(w, lam):
-        ones = gm.ones()
+    for ones in hom_basis(w, lam):
         for images in cover:
-            # column s of gm picks z_{t+1}, which the cover sends to images[t]
+            # a map's column s picks z_{t+1}; the cover sends it to images[t]
             rows.append({images[t] * dim_w + s: 1 for t, s in ones
                          if images[t] is not None})
     return RationalMatrix.of_rows(rows, (len(c) + 1) * dim_w)
@@ -307,28 +283,3 @@ def ext1_vanishes(c: Word, d: Word) -> bool:
         raise ValueError("ext1_vanishes needs words over the same algebra")
     return _ext1_vanishes(str(c), str(d), c.params.a, c.params.b)
 
-
-def ext1_vanishes_membership(c: Word, d: Word) -> bool:
-    """Same predicate by a different computation: each basis graph map of
-    Hom(M(tau^{-1}d), M(c)) is tested for membership in the span of the
-    cover compositions by exact solving.  Unmemoized; exists to audit
-    ext1_vanishes."""
-    if c.params != d.params:
-        raise ValueError("ext1_vanishes_membership needs words over the same algebra")
-    w = tau_inverse(d)
-    basis = hom_basis(w, c)
-    if not basis:
-        return True
-    comps = _cover_compositions(c, w)
-    if not comps.nrows:
-        return False
-    span = comps.transpose()
-    dim_w = len(w) + 1
-    for gm in basis:
-        # gm flattened row-major into one column, like the compositions
-        flat = {t * dim_w + s for t, s in gm.ones()}
-        target = RationalMatrix.of_rows(
-            [{0: 1} if r in flat else {} for r in range(span.nrows)], 1)
-        if solve_consistent(span, target) is None:
-            return False
-    return True

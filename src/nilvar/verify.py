@@ -75,23 +75,13 @@ _PARAM_POOL = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)]
 
 
 def _random_string_word(rng, params, max_len):
-    text = []
-    run_letter, run_len = None, 0
+    caps = (("x", params.a - 1), ("y", params.b - 1))
+    text = ""
     for _ in range(rng.randint(0, max_len)):
-        choices = []
-        for letter, cap in (("x", params.a - 1), ("y", params.b - 1)):
-            if letter == run_letter:
-                if run_len < cap:
-                    choices.append(letter)
-            else:
-                choices.append(letter)
-        if not choices:
-            break
-        letter = rng.choice(choices)
-        run_len = run_len + 1 if letter == run_letter else 1
-        run_letter = letter
-        text.append(letter)
-    return Word("".join(text), params)
+        # a letter is capped when the text ends in a full run of it, and
+        # both letters never are
+        text += rng.choice([l for l, cap in caps if not text.endswith(l * cap)])
+    return Word(text, params)
 
 
 def _random_band_word(rng, params):

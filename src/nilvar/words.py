@@ -285,21 +285,21 @@ def enumerate_open_strings(dim: int, params: AlgebraParams) -> list[Word]:
 # admissible pairs
 # ---------------------------------------------------------------------------
 
+def _triples(w, before, after):
+    """All splittings w = D E F, in order of |D| then |E|, where D is
+    empty or ends in `before` and F is empty or starts with `after`."""
+    n = len(w)
+    return [(w[:i], w[i:j], w[j:])
+            for i in range(n + 1) if i == 0 or w[i - 1] == before
+            for j in range(i, n + 1) if j == n or w[j] == after]
+
+
 def factor_triples(w):
     """All splittings w = D E F where D is empty or ends in x and F is
     empty or starts with y.  The window vectors of E then span a quotient
     of the string module of w.
     """
-    out = []
-    n = len(w)
-    for i in range(n + 1):
-        if i > 0 and w[i - 1] != "x":
-            continue
-        for j in range(i, n + 1):
-            if j < n and w[j] != "y":
-                continue
-            out.append((w[:i], w[i:j], w[j:]))
-    return out
+    return _triples(w, "x", "y")
 
 
 def substring_triples(w):
@@ -307,16 +307,7 @@ def substring_triples(w):
     empty or starts with x.  The window vectors of E then span a submodule
     of the string module of w.
     """
-    out = []
-    n = len(w)
-    for i in range(n + 1):
-        if i > 0 and w[i - 1] != "y":
-            continue
-        for j in range(i, n + 1):
-            if j < n and w[j] != "x":
-                continue
-            out.append((w[:i], w[i:j], w[j:]))
-    return out
+    return _triples(w, "y", "x")
 
 
 def admissible_pairs(w1, w2):
@@ -346,8 +337,7 @@ def enumerate_words(max_len: int, params: AlgebraParams) -> list[Word]:
         for text in layer:
             for letter, bound in (("x", a - 1), ("y", b - 1)):
                 cand = text + letter
-                tail = runs(cand)[-1]
-                if tail[1] <= bound:
+                if not cand.endswith(letter * (bound + 1)):
                     nxt.append(cand)
         layer = sorted(nxt)
         out.extend(Word(t, params) for t in layer)

@@ -60,17 +60,10 @@ def test_checker_flags_an_unused_name():
 TEST_BACKED = {
     "dominates": "the dominance order that tests hold ip_maximal and the "
                  "V(n, n, n) components to",
-    "ext1_vanishes_membership": "the second Ext^1 route, by exact solving, "
-                                "that audits the rank route",
     "is_index_module": "the paper's index-module inequalities, checked "
                        "against a brute-force enumeration",
     "open_type": "the open-string type that the self-extension dichotomy "
                  "(type 1 iff Ext^1(M, M) = 0) is checked by",
-    "GraphMap.matrix": "the graph map as a matrix, which tests hold to the "
-                       "module equations F A1 = A2 F, F B1 = B2 F",
-    "RationalMatrix.identity": "the I of [A | B | I], whose pivots give the "
-                               "generic cover that projective_cover is "
-                               "checked against",
 }
 
 PERFBENCH = ("tracing.py", "workloads.py")
