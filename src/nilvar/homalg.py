@@ -7,16 +7,19 @@ audit the other:
     the source against a substring triple of the target with equal middle
     -- and each pair carries an explicit basis homomorphism, the *graph
     map* that matches the two windows vector by vector.  The count builds
-    no pair: it sums, over the source's factor triples, the multiplicity
-    of their middle word among the target's substring triples.
+    no pair: it is summed per pair from per-word middle multisets -- the
+    middle words of each word's factor triples and of its substring
+    triples, counted once per word -- by multiplying the multiplicities
+    of each middle word on the two sides.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
     algebra.  For partial-permutation matrices (every string module, and
     any direct sum of them) each scalar equation mentions at most two
     entries of F with coefficient 1, so the system collapses to
-    union-find on the entries, read off the positions of the ones in
-    one pass per matrix; otherwise a dense exact nullity is computed.
+    union-find on the entries; the oracle reads each module's ones once
+    (MatrixPairModule.permutation_maps) and reuses them for every pair.
+    Otherwise a dense exact nullity is computed.
 
 Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
 formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
@@ -38,9 +41,10 @@ from .exactla import RationalMatrix
 from .words import (AlgebraParams, Word, admissible_pairs, factor_triples,
                     substring_triples, tau_inverse)
 
-# entries kept by each memo table (_hom_count, _ext1_vanishes): bounded
-# at any n, and above what a run uses (full verify makes 12 374 distinct
-# Hom keys, classify at n = 24 under 200)
+# entries kept by each memo table (_middles, _hom_count, _ext1_vanishes):
+# bounded at any n, and above what a run uses (full verify makes 12 374
+# distinct Hom keys from 179 words, so 358 middle multisets; classify at
+# n = 24 under 200 Hom keys)
 MEMO_SIZE = 2 ** 16
 
 
@@ -59,10 +63,18 @@ def hom_basis(src: Word, tgt: Word) -> list[list]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _middles(text: str, triples) -> Counter:
+    """The multiset of middle words of triples(text), for triples one of
+    factor_triples and substring_triples; shared, so never modified."""
+    return Counter(m for _, m, _ in triples(text))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _hom_count(src_text: str, tgt_text: str, a: int, b: int) -> int:
     # len(admissible_pairs(..)) without the pairs; a and b only key the memo
-    middles = Counter(m for _, m, _ in substring_triples(tgt_text))
-    return sum(middles[m] for _, m, _ in factor_triples(src_text))
+    fac = _middles(src_text, factor_triples)
+    sub = _middles(tgt_text, substring_triples)
+    return sum(sub[m] * k for m, k in fac.items())
 
 
 def hom_dim_graph(src: Word, tgt: Word) -> int:
@@ -77,41 +89,23 @@ def hom_dim_graph(src: Word, tgt: Word) -> int:
 # the linear-algebra oracle
 # ---------------------------------------------------------------------------
 
-def _partial_permutation_ones(mat: RationalMatrix):
-    """The (row, col) positions of the ones of mat when its entries are
-    all 0/1 with at most one 1 per row and per column; None otherwise."""
-    ones, col_used = [], set()
-    for i, row in enumerate(mat.rows):
-        if row:
-            if len(row) > 1:
-                return None
-            (j, v), = row.items()
-            if v != 1 or j in col_used:
-                return None
-            col_used.add(j)
-            ones.append((i, j))
-    return ones
-
-
-def _hom_dim_unionfind(n1, n2, ones) -> int:
+def _hom_dim_unionfind(maps1, maps2) -> int:
     """Solution dimension of F A1 = A2 F, F B1 = B2 F for n2 x n1 F when
-    every matrix is a partial permutation, given by the positions of its
-    ones (A1, B1, A2, B2 in this order): each equation says F_p = F_q or
-    F_p = 0, so the free entries are the union-find classes that no entry
-    forced to zero lies in."""
+    every matrix is a partial permutation, given by the two modules'
+    permutation_maps: each equation says F_p = F_q or F_p = 0, so the
+    free entries are the union-find classes that no entry forced to zero
+    lies in."""
+    n1, n2 = len(maps1[0][0]), len(maps2[0][0])
     parent = list(range(n1 * n2))
     merged, zeros = 0, []
-    a1, b1, a2, b2 = ones
-    for x1, x2 in ((a1, a2), (b1, b2)):
-        # column j of x1 hits row s; row i of x2 hits column t
-        rowtgt = [None] * n2
-        for i, t in x2:
-            rowtgt[i] = t
-        hit = set()
-        for s, j in x1:
-            hit.add(j)
-            for i, t in enumerate(rowtgt):
-                # (F x1)[i,j] = F[i,s],  (x2 F)[i,j] = F[t,j] (or 0)
+    for (col_row, _), (_, row_col) in zip(maps1, maps2):
+        # (F x1)[i,j] = F[i,s] for the row s of column j's one (or 0),
+        # (x2 F)[i,j] = F[t,j] for the column t of row i's one (or 0)
+        for j, s in enumerate(col_row):
+            if s is None:
+                zeros.extend(t * n1 + j for t in row_col if t is not None)
+                continue
+            for i, t in enumerate(row_col):
                 p = i * n1 + s
                 if t is None:
                     zeros.append(p)
@@ -126,10 +120,6 @@ def _hom_dim_unionfind(n1, n2, ones) -> int:
                 if p != q:
                     parent[p] = q
                     merged += 1
-        # columns j that x1 sends to zero: (x2 F)[i,j] = F[t,j] = 0
-        for j in range(n1):
-            if j not in hit:
-                zeros.extend(t * n1 + j for _, t in x2)
     zero_roots = set()
     for p in zeros:
         while parent[p] != p:
@@ -168,14 +158,17 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
 
     method: None picks union-find when all four matrices are partial
     permutations (exact, linear-time) and exact elimination otherwise; pass
-    "unionfind" or "dense" to force a route.
+    "unionfind" or "dense" to force a route.  Each module's ones are read
+    once, on its first call, and kept on the module (permutation_maps), so
+    a module met again -- or found not to be a partial permutation --
+    costs no further scan.
     """
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
     if method in (None, "unionfind"):
-        ones = [_partial_permutation_ones(m) for m in (m1.A, m1.B, m2.A, m2.B)]
-        if None not in ones:
-            return _hom_dim_unionfind(m1.n, m2.n, ones)
+        maps1, maps2 = m1.permutation_maps(), m2.permutation_maps()
+        if maps1 is not None and maps2 is not None:
+            return _hom_dim_unionfind(maps1, maps2)
         if method == "unionfind":
             raise ValueError("union-find route needs partial-permutation matrices")
     elif method != "dense":

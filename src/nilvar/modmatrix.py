@@ -42,9 +42,12 @@ class MatrixPairModule:
     summands is a tuple of ("string", word) and ("band", word, lambdas)
     entries in block order, or None when the origin is unknown (e.g. a
     pair of matrices built directly).
+
+    A and B are not modified after the module is built: the maps that
+    permutation_maps keeps are read off them once.
     """
 
-    __slots__ = ("n", "A", "B", "params", "summands")
+    __slots__ = ("n", "A", "B", "params", "summands", "_maps")
 
     def __init__(self, n, A, B, params, summands=None):
         if A.nrows != n or A.ncols != n or B.nrows != n or B.ncols != n:
@@ -68,6 +71,22 @@ class MatrixPairModule:
         if not self.B.mul(self.A).is_zero():
             return False
         return _power(self.A, a).is_zero() and _power(self.B, b).is_zero()
+
+    # -- the ones of A and B, for the union-find Hom oracle ----------------
+
+    def permutation_maps(self):
+        """The ones of A and of B as ((col_row, row_col) of A, same of B)
+        when both are partial permutations (see _partial_permutation_maps),
+        None otherwise; read off the matrices on the first call and kept,
+        so that building a module costs no scan."""
+        try:
+            return self._maps
+        except AttributeError:
+            pass
+        a = _partial_permutation_maps(self.A)
+        b = a and _partial_permutation_maps(self.B)
+        self._maps = (a, b) if b else None
+        return self._maps
 
     # -- invariants --------------------------------------------------------
 
@@ -101,6 +120,24 @@ class MatrixPairModule:
             "A": [[str(v) for v in row] for row in self.A.dense()],
             "B": [[str(v) for v in row] for row in self.B.dense()],
         }
+
+
+def _partial_permutation_maps(mat: RationalMatrix):
+    """(col_row, row_col) when the entries of mat are all 0/1 with at most
+    one 1 per row and per column: col_row[j] is the row of the one in
+    column j and row_col[i] the column of the one in row i, None where
+    there is none.  None when mat is not such a matrix."""
+    col_row, row_col = [None] * mat.ncols, [None] * mat.nrows
+    for i, row in enumerate(mat.rows):
+        if row:
+            if len(row) > 1:
+                return None
+            (j, v), = row.items()
+            if v != 1 or col_row[j] is not None:
+                return None
+            col_row[j] = i
+            row_col[i] = j
+    return col_row, row_col
 
 
 def _power(m: RationalMatrix, k: int) -> RationalMatrix:

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from nilvar import homalg
+from nilvar import homalg, modmatrix
 from nilvar.homalg import (
     end_dim,
     ext1_vanishes,
@@ -114,10 +114,12 @@ def test_hom_routes_agree_other_params():
 
 
 def test_hom_count_matches_pair_list():
-    # the memoized count and the pair list that hom_basis (and so Ext)
-    # is built from must not drift apart
-    for params in (P33, P23, AlgebraParams(4, 3)):
-        words = enumerate_words(5, params)
+    # the memoized count, summed from per-word middle multisets, and the
+    # pair list that hom_basis (and so Ext) is built from must not drift
+    # apart: every ordered pair of the full hom-agreement range, so each
+    # pair in both argument orders
+    for params in (P33, P23, P43):
+        words = enumerate_words(6, params)
         for s, t in itertools.product(words, repeat=2):
             assert homalg._hom_count(str(s), str(t), *params) == len(
                 admissible_pairs(s, t)), (str(s), str(t))
@@ -171,12 +173,16 @@ def test_unionfind_equals_dense_on_string_sums():
 
 
 def test_partial_permutation_ones_edge_cases():
-    ones = homalg._partial_permutation_ones
-    assert ones(RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == [(0, 2), (2, 0)]
-    assert ones(RationalMatrix([[0, 2], [0, 0]])) is None
-    assert ones(RationalMatrix([[0, 1], [0, 1]])) is None  # a repeated column
-    assert ones(RationalMatrix([[1, 1], [0, 0]])) is None  # two ones in a row
-    assert ones(RationalMatrix.zeros(3, 3)) == []
+    maps = modmatrix._partial_permutation_maps
+    # (column -> row, row -> column) of the ones
+    assert maps(RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == (
+        [2, None, 0], [2, None, 0])
+    assert maps(RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (
+        [None, 0, 1], [1, 2, None])
+    assert maps(RationalMatrix([[0, 2], [0, 0]])) is None
+    assert maps(RationalMatrix([[0, 1], [0, 1]])) is None  # a repeated column
+    assert maps(RationalMatrix([[1, 1], [0, 0]])) is None  # two ones in a row
+    assert maps(RationalMatrix.zeros(3, 3)) == ([None] * 3, [None] * 3)
     # all-zero modules: every F is a homomorphism
     m1 = direct_sum([string_module("", P33)] * 2)
     m2 = direct_sum([string_module("", P33)] * 3)
@@ -193,18 +199,34 @@ def test_unionfind_refuses_nonpermutation():
 
 def test_oracle_checks_the_route_once(monkeypatch):
     calls = []
-    real = homalg._partial_permutation_ones
-    monkeypatch.setattr(homalg, "_partial_permutation_ones",
+    real = modmatrix._partial_permutation_maps
+    monkeypatch.setattr(modmatrix, "_partial_permutation_maps",
                         lambda mat: calls.append(mat) or real(mat))
     m1, m2 = string_module("xxy", P33), string_module("xyy", P33)
-    assert hom_dim_oracle(m1, m2) == hom_dim_graph(Word("xxy", P33), Word("xyy", P33))
+    assert calls == []  # building a module scans nothing
+    for _ in range(3):
+        assert hom_dim_oracle(m1, m2) == hom_dim_graph(
+            Word("xxy", P33), Word("xyy", P33))
+        assert hom_dim_oracle(m2, m1) == hom_dim_graph(
+            Word("xyy", P33), Word("xxy", P33))
+        assert hom_dim_oracle(m1, m1, method="unionfind") == end_dim(
+            [Word("xxy", P33)])
+    # each module's A and B read once in all, not four scans per call
     assert len(calls) == 4
-    # a band is no partial permutation: the automatic choice falls back
-    # to elimination after the same single check
+    assert {id(mat) for mat in calls} == {id(m1.A), id(m1.B), id(m2.A), id(m2.B)}
+    # a band is no partial permutation: the cached None sends every later
+    # automatic call to elimination and every forced union-find call to
+    # the error, with no further scan
     calls.clear()
     band = band_module("xxy", [2], P33)
-    assert hom_dim_oracle(band, band) == hom_dim_oracle(band, band, method="dense")
-    assert len(calls) <= 4
+    dense = hom_dim_oracle(band, band, method="dense")
+    assert calls == []
+    for _ in range(2):
+        assert hom_dim_oracle(band, band) == dense
+        with pytest.raises(ValueError):
+            hom_dim_oracle(band, band, method="unionfind")
+    assert 1 <= len(calls) <= 2
+    assert band.permutation_maps() is None
 
 
 def test_hom_from_free_module_is_dimension():
@@ -501,7 +523,8 @@ def test_hom_order_flip_example():
 
 def test_memo_tables_are_bounded():
     # finite at any n, and no verify or classify run evicts: a full verify
-    # makes 12 374 distinct Hom keys, hom-agreement alone 12 075
-    for memo in (homalg._hom_count, homalg._ext1_vanishes):
+    # makes 12 374 distinct Hom keys, hom-agreement alone 12 075, and the
+    # per-word middle multisets number two per word, far fewer
+    for memo in (homalg._middles, homalg._hom_count, homalg._ext1_vanishes):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= 12_374
