@@ -13,7 +13,8 @@ Layout:
     words       strings and bands in the letters x, y
     exactla     exact matrices stored as sparse rows (int entries, Fraction
                 only when needed), one sparse fraction-free elimination
-                for rank and pivot columns
+                for rank and pivot columns; serves modmatrix and the
+                dense Hom oracle, never the classification
     modmatrix   matrix-pair modules: string/band constructions, stats
     homalg      Hom/End dimensions, Ext^1 vanishing, graph maps, orbit
                 dimensions

@@ -16,7 +16,9 @@ kinds:
 
 Everything here is arithmetic on partitions and words: the orbit
 dimensions come from graph-map counts of the summand words and the Ext^1
-tests from the words' projective covers, so no matrix module is built.
+tests from counting the distinct graph maps that factor through the
+words' projective covers, so no matrix module is built and no
+elimination runs.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def cmd_module(args) -> int:
         except ZeroDivisionError:
             raise ValueError(f"--lambdas needs nonzero denominators, "
                              f"got {args.lambdas}") from None
-        mod = band_module(word, lambdas, params)
+        mod = band_module(word, lambdas)
         label = f"band {word.caret()} with parameters {args.lambdas}"
     else:
         mod = string_module(word)

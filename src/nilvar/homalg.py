@@ -25,11 +25,15 @@ Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
 formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
 to M(C) are computed by graph maps, the ones factoring through a
 projective are exactly those factoring through the projective cover of
-M(C), and Ext^1 vanishes iff the cover compositions have rank dim Hom.
-The cover is read off the word C, one Lambda per peak, so that rank is
-the only linear algebra.  This is the one Ext route; the tests audit it
-from outside by the cocycle dimension dim Z^1 - (n_M n_N - dim Hom),
-which needs only the module matrices.
+M(C), and Ext^1 vanishes iff the cover compositions span Hom.  The cover
+is read off the word C, one Lambda per peak, and each composition of a
+graph map into Lambda with a cover summand is the identity on the
+overlap of two windows: zero or itself a graph map M(tau^{-1} D) -> M(C).
+Graph maps are a basis of Hom (Crawley-Boevey 1989), so the span has
+dimension the number of distinct nonzero compositions, and the Ext route
+is a count with no linear algebra.  This is the one Ext route; the tests
+audit it from outside by the cocycle dimension dim Z^1 - (n_M n_N - dim
+Hom), which needs only the module matrices.
 """
 
 from __future__ import annotations
@@ -238,28 +242,30 @@ def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
     p = AlgebraParams(a, b)
     c = Word(c_text, p)
     w = tau_inverse(Word(d_text, p))
-    h = hom_dim_graph(w, c)
-    if h == 0:
-        return True
-    return _cover_compositions(c, w).rank() == h
+    return len(_cover_compositions(c, w)) == hom_dim_graph(w, c)
 
 
-def _cover_compositions(c: Word, w: Word) -> RationalMatrix:
-    """Maps M(w) -> M(c) spanning those that factor through the projective
-    cover P -> M(c): one per graph map M(w) -> Lambda and Lambda summand
-    of P, composed with the cover and flattened row-major into one 0/1
-    row of length (|c|+1)(|w|+1)."""
+def _cover_compositions(c: Word, w: Word) -> set:
+    """The distinct nonzero maps M(w) -> M(c) that factor through the
+    projective cover P -> M(c) via one graph map M(w) -> Lambda and one
+    Lambda summand of P, each as the frozenset of the flattened row-major
+    positions of its ones in the (|c|+1) x (|w|+1) matrix.  A composition
+    is the identity on the overlap of two windows, so each is a graph map
+    M(w) -> M(c); graph maps are a basis of Hom, so the maps returned are
+    linearly independent and their number is the rank of the span."""
     p = c.params
     cover = projective_cover(c)
     lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
     dim_w = len(w) + 1
-    rows = []
+    maps = set()
     for ones in hom_basis(w, lam):
         for images in cover:
             # a map's column s picks z_{t+1}; the cover sends it to images[t]
-            rows.append({images[t] * dim_w + s: 1 for t, s in ones
-                         if images[t] is not None})
-    return RationalMatrix.of_rows(rows, (len(c) + 1) * dim_w)
+            composed = frozenset(images[t] * dim_w + s for t, s in ones
+                                 if images[t] is not None)
+            if composed:
+                maps.add(composed)
+    return maps
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:
@@ -269,8 +275,8 @@ def ext1_vanishes(c: Word, d: Word) -> bool:
     Auslander-Reiten route: Hom(M(tau^{-1}d), M(c)) modulo maps through
     projectives is dual to Ext^1(M(c), M(d)), and a map factors through a
     projective iff it factors through the projective cover of M(c); so
-    Ext^1 = 0 iff composing with the cover surjection already has rank
-    dim Hom(M(tau^{-1}d), M(c)).
+    Ext^1 = 0 iff the distinct nonzero compositions with the cover
+    surjection number dim Hom(M(tau^{-1}d), M(c)).
     """
     if c.params != d.params:
         raise ValueError("ext1_vanishes needs words over the same algebra")

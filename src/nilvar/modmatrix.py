@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .exactla import RationalMatrix, _entry, hstack, vstack
 from .partitions import Partition
-from .words import AlgebraParams, Word, band_class, parse_word
+from .words import Word, band_class
 
 
 class MatrixPairModule:
@@ -169,16 +169,8 @@ def _jordan_type(m: RationalMatrix) -> Partition:
 # constructions
 # ---------------------------------------------------------------------------
 
-def string_module(word, params: AlgebraParams | None = None) -> MatrixPairModule:
-    """The string module M(word) of dimension |word| + 1.
-
-    word may be a Word or a plain/caret string (then params is required).
-    """
-    if not isinstance(word, Word):
-        if params is None:
-            raise ValueError("params required when word is a plain string")
-        word = parse_word(word, params)
-    params = word.params
+def string_module(word: Word) -> MatrixPairModule:
+    """The string module M(word) of dimension |word| + 1."""
     n = len(word) + 1
     A = RationalMatrix.zeros(n, n)
     B = RationalMatrix.zeros(n, n)
@@ -187,26 +179,18 @@ def string_module(word, params: AlgebraParams | None = None) -> MatrixPairModule
             A.rows[i][i + 1] = 1
         else:
             B.rows[i + 1][i] = 1
-    return MatrixPairModule(n, A, B, params, [("string", word)])
+    return MatrixPairModule(n, A, B, word.params, [("string", word)])
 
 
-def band_module(word, lambdas, params: AlgebraParams | None = None) -> MatrixPairModule:
+def band_module(word: Word, lambdas) -> MatrixPairModule:
     """The band module M(word; lambda_1, .., lambda_k), dimension |word|*k.
 
     word must be a primitive band (any rotation; the canonical one is
-    used).  lambdas is a sequence of nonzero scalars, or an int k for the
-    default lambdas 1, 2, .., k.
+    used).  lambdas is a sequence of nonzero scalars.
     """
-    if not isinstance(word, Word):
-        if params is None:
-            raise ValueError("params required when word is a plain string")
-        word = parse_word(word, params)
-    params = word.params
     kind, canonical = band_class(word)
     if kind != "primitive":
         raise ValueError(f"band_module needs a primitive band, got {kind} for {str(word)!r}")
-    if isinstance(lambdas, int):
-        lambdas = range(1, lambdas + 1)
     lambdas = tuple(_entry(v) for v in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda layer")
@@ -230,7 +214,7 @@ def band_module(word, lambdas, params: AlgebraParams | None = None) -> MatrixPai
         B.rows[idx(0, j)][idx(m - 1, j)] = lambdas[j]
         if j > 0:
             B.rows[idx(0, j - 1)][idx(m - 1, j)] = 1
-    return MatrixPairModule(n, A, B, params, [("band", canonical, lambdas)])
+    return MatrixPairModule(n, A, B, word.params, [("band", canonical, lambdas)])
 
 
 def direct_sum(modules) -> MatrixPairModule:

@@ -110,7 +110,7 @@ def random_module(rng, params=None, max_summands=3, max_len=5):
             word = _random_band_word(rng, params)
             mult = rng.randint(1, 2)
             lambdas = [rng.randint(1, 5) for _ in range(mult)]
-            parts.append(modmatrix.band_module(word, lambdas, params))
+            parts.append(modmatrix.band_module(word, lambdas))
         else:
             word = _random_string_word(rng, params, max_len)
             parts.append(modmatrix.string_module(word))

@@ -19,7 +19,6 @@ Conventions, fixed once and for all:
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from itertools import groupby
 
@@ -88,24 +87,6 @@ class Word(str):
 
     def __repr__(self):
         return f"Word({str(self)!r}, a={self.params.a}, b={self.params.b})"
-
-
-_TOKEN = re.compile(r"([xy])(?:\^(\d+))?")
-
-
-def parse_word(text: str, params: AlgebraParams) -> Word:
-    """Parses a word, accepting caret shorthand ("x^2y" and "xxy" both give
-    the same word).  Whitespace is ignored; "" gives the empty word.
-    """
-    compact = "".join(text.split())
-    pos, parts = 0, []
-    while pos < len(compact):
-        m = _TOKEN.match(compact, pos)
-        if m is None:
-            raise ValueError(f"cannot parse word at {compact[pos:]!r}")
-        parts.append(m.group(1) * int(m.group(2) or 1))
-        pos = m.end()
-    return Word("".join(parts), params)
 
 
 # ---------------------------------------------------------------------------

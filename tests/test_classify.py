@@ -23,6 +23,7 @@ from nilvar.classify import (
     regular_pairs,
 )
 from nilvar.cli import main
+from nilvar.exactla import RationalMatrix
 from nilvar.indexmod import index_of_regular_stratum, stratum_dim
 from nilvar.modmatrix import MatrixPairModule
 from nilvar.partitions import Partition, dominates, reduced_length
@@ -272,16 +273,21 @@ CLASSIFY_JSON_SHA256 = {
     (16, 4, 4): "cca17f15f09e3efa4f2cf82a20e304881f1455e522b28ef9dbbfd2f9465a9064",
     (16, 3, 5): "5d0f1cd3fab2ea6caadf6fbf66ac0e5331326095787a8560c24ce7e75b0cd602",
     (24, 3, 3): "507aa328c12619860fed04bb5423fe04e9641c8c11cf863cf9e9956cded64a68",
+    (40, 3, 3): "d28dfb084cdacf1a77272734f0aed5314b02086f86815b10e56fdba33f137f4d",
 }
 
 
 @pytest.mark.parametrize("n, a, b", sorted(CLASSIFY_JSON_SHA256))
 def test_classification_builds_no_matrix_module(capsys, monkeypatch, n, a, b):
-    # orbit dimensions and Ext^1 tests come from the words alone
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the classification built a matrix module")
+    # orbit dimensions and Ext^1 tests come from counting words alone:
+    # no matrix module is built and no elimination runs
+    def refuse(what):
+        def refused(self, *args, **kwargs):
+            raise AssertionError(f"the classification {what}")
+        return refused
 
-    monkeypatch.setattr(MatrixPairModule, "__init__", refuse)
+    monkeypatch.setattr(MatrixPairModule, "__init__", refuse("built a matrix module"))
+    monkeypatch.setattr(RationalMatrix, "rank", refuse("computed a rank"))
     homalg._ext1_vanishes.cache_clear()  # so that every Ext^1 test runs
     assert main(["classify", "--n", str(n), "--a", str(a), "--b", str(b),
                  "--format", "json"]) == 0

@@ -30,7 +30,7 @@ from nilvar.homalg import (
 from nilvar.exactla import RationalMatrix, hstack, pivot_columns
 from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
 from nilvar.words import (AlgebraParams, Word, admissible_pairs, enumerate_open_strings,
-                          enumerate_words, open_type, semi_kind)
+                          enumerate_words, open_type, semi_kind, tau_inverse)
 
 P33 = AlgebraParams(3, 3)
 P23 = AlgebraParams(2, 3)
@@ -141,8 +141,8 @@ def random_words(rng, params):
 
 
 def test_unionfind_equals_dense_on_string_sums():
-    m1 = direct_sum([string_module("xxy", P33), string_module("xy", P33)])
-    m2 = direct_sum([string_module("xxyy", P33), string_module("y", P33)])
+    m1 = direct_sum([string_module(Word("xxy", P33)), string_module(Word("xy", P33))])
+    m2 = direct_sum([string_module(Word("xxyy", P33)), string_module(Word("y", P33))])
     assert hom_dim_oracle(m1, m2, method="unionfind") == hom_dim_oracle(
         m1, m2, method="dense"
     )
@@ -184,13 +184,13 @@ def test_partial_permutation_ones_edge_cases():
     assert maps(RationalMatrix([[1, 1], [0, 0]])) is None  # two ones in a row
     assert maps(RationalMatrix.zeros(3, 3)) == ([None] * 3, [None] * 3)
     # all-zero modules: every F is a homomorphism
-    m1 = direct_sum([string_module("", P33)] * 2)
-    m2 = direct_sum([string_module("", P33)] * 3)
+    m1 = direct_sum([string_module(Word("", P33))] * 2)
+    m2 = direct_sum([string_module(Word("", P33))] * 3)
     assert hom_dim_oracle(m1, m2, method="unionfind") == 6
 
 
 def test_unionfind_refuses_nonpermutation():
-    band = band_module("xxy", [2], P33)
+    band = band_module(Word("xxy", P33), [2])
     with pytest.raises(ValueError):
         hom_dim_oracle(band, band, method="unionfind")
     with pytest.raises(ValueError):
@@ -202,7 +202,7 @@ def test_oracle_checks_the_route_once(monkeypatch):
     real = modmatrix._partial_permutation_maps
     monkeypatch.setattr(modmatrix, "_partial_permutation_maps",
                         lambda mat: calls.append(mat) or real(mat))
-    m1, m2 = string_module("xxy", P33), string_module("xyy", P33)
+    m1, m2 = string_module(Word("xxy", P33)), string_module(Word("xyy", P33))
     assert calls == []  # building a module scans nothing
     for _ in range(3):
         assert hom_dim_oracle(m1, m2) == hom_dim_graph(
@@ -218,7 +218,7 @@ def test_oracle_checks_the_route_once(monkeypatch):
     # automatic call to elimination and every forced union-find call to
     # the error, with no further scan
     calls.clear()
-    band = band_module("xxy", [2], P33)
+    band = band_module(Word("xxy", P33), [2])
     dense = hom_dim_oracle(band, band, method="dense")
     assert calls == []
     for _ in range(2):
@@ -279,11 +279,11 @@ def test_end_dim_matches_oracle_on_string_sums():
 def test_end_dim_band_values():
     # one-layer band on x^c y^d is cyclic, so End = Lambda/ann has
     # dimension c + d; across distinct lambdas the homs drop by one
-    band = band_module("xxy", [2], P33)
+    band = band_module(Word("xxy", P33), [2])
     assert hom_dim_oracle(band, band) == 3
-    band = band_module("xxyy", [5], P33)
+    band = band_module(Word("xxyy", P33), [5])
     assert hom_dim_oracle(band, band) == 4
-    one, two = band_module("xxy", [1], P33), band_module("xxy", [2], P33)
+    one, two = band_module(Word("xxy", P33), [1]), band_module(Word("xxy", P33), [2])
     assert hom_dim_oracle(one, two) == 2
     assert hom_dim_oracle(two, one) == 2
     both = direct_sum([one, two])
@@ -294,8 +294,8 @@ def test_band_layering_vs_split_end():
     # M(w; l, l') with distinct lambdas is isomorphic to the direct sum,
     # so End agrees; the layered realization is not block diagonal, which
     # also exercises the dense route
-    layered = band_module("xxyy", [1, 2], P33)
-    split = direct_sum([band_module("xxyy", [1], P33), band_module("xxyy", [2], P33)])
+    layered = band_module(Word("xxyy", P33), [1, 2])
+    split = direct_sum([band_module(Word("xxyy", P33), [1]), band_module(Word("xxyy", P33), [2])])
     assert hom_dim_oracle(layered, layered) == hom_dim_oracle(split, split)
 
 
@@ -497,6 +497,15 @@ def test_ext1_matches_cocycle_dimension():
         dim = ext1_dim_cocycle(string_module(c), string_module(d))
         assert dim >= 0
         assert ext1_vanishes(c, d) == (dim == 0), (str(c), str(d), c.params)
+        # the premise of the count: every cover composition is a graph map
+        # tau^{-1} d -> c, so the distinct ones are independent and Hom
+        # minus their number is dim Ext^1, not only its vanishing
+        w = tau_inverse(d)
+        graph_maps = {frozenset(r * (len(w) + 1) + s for r, s in ones)
+                      for ones in hom_basis(w, c)}
+        compositions = homalg._cover_compositions(c, w)
+        assert compositions <= graph_maps, (str(c), str(d), c.params)
+        assert hom_dim_graph(w, c) - len(compositions) == dim, (str(c), str(d), c.params)
         vanishing += dim == 0
     assert vanishing >= 34
 

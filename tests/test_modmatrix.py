@@ -61,21 +61,21 @@ def band_jordan_oracle(canonical, k):
 
 def test_orientation_convention():
     # these two entries pin the action convention for everything else
-    mx = string_module("x", P33)
+    mx = string_module(Word("x", P33))
     assert mx.A.dense()[0][1] == 1 and mx.A.rank() == 1 and mx.B.rank() == 0
-    my = string_module("y", P33)
+    my = string_module(Word("y", P33))
     assert my.B.dense()[1][0] == 1 and my.B.rank() == 1 and my.A.rank() == 0
 
 
 def test_simple_module():
-    s = string_module("", P33)
+    s = string_module(Word("", P33))
     assert s.n == 1
     assert s.verify_relations()
     assert s.stats() == {"rkA": 0, "rkB": 0, "top_dim": 1, "soc_dim": 1, "regular": False}
 
 
 def test_regular_representation():
-    lam = string_module("x^2y^2", P33)
+    lam = string_module(Word("xxyy", P33))
     assert lam.n == 5
     st = lam.stats()
     # simple top; the socle is 2-dimensional, spanned by x^{a-1} and y^{b-1}
@@ -106,16 +106,10 @@ def test_string_relations_and_jordan_all_short_words():
             )
 
 
-def test_string_caret_input():
-    assert string_module("x^2y", P33).A == string_module("xxy", P33).A
-    with pytest.raises(ValueError):
-        string_module("xxy")  # plain text needs params
-
-
 # -- band modules ----------------------------------------------------------
 
 def test_band_xxy_single_layer():
-    m = band_module("xxy", [2], P33)
+    m = band_module(Word("xxy", P33), [2])
     assert m.n == 3
     assert m.verify_relations()
     assert m.jordan_pair() == ((3,), (2, 1))
@@ -125,7 +119,7 @@ def test_band_xxy_single_layer():
 
 
 def test_band_xxyy_single_layer():
-    m = band_module("xxyy", [1], P33)
+    m = band_module(Word("xxyy", P33), [1])
     assert m.n == 4
     assert m.verify_relations()
     assert m.jordan_pair() == ((3, 1), (3, 1))
@@ -133,7 +127,7 @@ def test_band_xxyy_single_layer():
 
 
 def test_band_layers_and_defaults():
-    m = band_module("xxy", 3, P33)  # int k: lambdas default to 1, 2, 3
+    m = band_module(Word("xxy", P33), [1, 2, 3])
     assert m.n == 9
     assert m.verify_relations()
     assert m.summands == (("band", "xxy", (1, 2, 3)),)
@@ -165,28 +159,28 @@ def test_band_jordan_oracle_sweep():
 
 
 def test_band_canonicalizes_rotation():
-    assert band_module("yxx", [1], P33).A == band_module("xxy", [1], P33).A
-    assert band_module("yxx", [1], P33).B == band_module("xxy", [1], P33).B
+    assert band_module(Word("yxx", P33), [1]).A == band_module(Word("xxy", P33), [1]).A
+    assert band_module(Word("yxx", P33), [1]).B == band_module(Word("xxy", P33), [1]).B
 
 
 def test_band_rejections():
     with pytest.raises(ValueError):
-        band_module("xyxy", [1], P33)  # periodic
+        band_module(Word("xyxy", P33), [1])  # periodic
     with pytest.raises(ValueError):
-        band_module("xx", [1], P33)  # single letter
+        band_module(Word("xx", P33), [1])  # single letter
     with pytest.raises(ValueError):
-        band_module("xxy", [0], P33)  # lambda must be nonzero
+        band_module(Word("xxy", P33), [0])  # lambda must be nonzero
     with pytest.raises(ValueError):
-        band_module("xxy", [], P33)
+        band_module(Word("xxy", P33), [])
     with pytest.raises(ValueError):
-        band_module("xxyxx", [1], P33)  # square not valid
+        band_module(Word("xxyxx", P33), [1])  # square not valid
 
 
 def test_distinct_lambdas_split_after_base_change():
     # M(w; l1, l2) with l1 != l2 has the same Jordan pair and stats as
     # M(w; l1) + M(w; l2) -- the layered matrix is conjugate to the sum
-    two = band_module("xxyy", [1, 2], P33)
-    split = direct_sum([band_module("xxyy", [1], P33), band_module("xxyy", [2], P33)])
+    two = band_module(Word("xxyy", P33), [1, 2])
+    split = direct_sum([band_module(Word("xxyy", P33), [1]), band_module(Word("xxyy", P33), [2])])
     assert two.jordan_pair() == split.jordan_pair()
     assert two.stats() == split.stats()
 
@@ -194,7 +188,7 @@ def test_distinct_lambdas_split_after_base_change():
 # -- direct sums -----------------------------------------------------------
 
 def test_direct_sum_blocks_and_metadata():
-    m = direct_sum([string_module("xxy", P33), string_module("xy", P33)])
+    m = direct_sum([string_module(Word("xxy", P33)), string_module(Word("xy", P33))])
     assert m.n == 7
     assert m.verify_relations()
     assert m.summands == (("string", "xxy"), ("string", "xy"))
@@ -209,7 +203,7 @@ def test_direct_sum_stats_additive():
     for _ in range(20):
         parts = [string_module(rng.choice(words)) for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.5:
-            parts.append(band_module("xxy", [rng.randint(1, 5)], P33))
+            parts.append(band_module(Word("xxy", P33), [rng.randint(1, 5)]))
         total = direct_sum(parts)
         assert total.verify_relations()
         st = total.stats()
@@ -222,7 +216,7 @@ def test_direct_sum_stats_additive():
 
 def test_direct_sum_param_mismatch():
     with pytest.raises(ValueError):
-        direct_sum([string_module("x", P33), string_module("x", P43)])
+        direct_sum([string_module(Word("x", P33)), string_module(Word("x", P43))])
     with pytest.raises(ValueError):
         direct_sum([])
 
@@ -252,9 +246,9 @@ def test_dual_point_is_reversed_string():
 
 def test_json_round_trip_bit_exact():
     mods = [
-        string_module("xxyy", P33),
-        band_module("xxy", [Fraction(1, 2), 3], P33),
-        direct_sum([string_module("xy", P22)] * 2),
+        string_module(Word("xxyy", P33)),
+        band_module(Word("xxy", P33), [Fraction(1, 2), 3]),
+        direct_sum([string_module(Word("xy", P22))] * 2),
     ]
     for m in mods:
         back = json.loads(json.dumps(m.to_json(), sort_keys=True))
@@ -265,7 +259,7 @@ def test_json_round_trip_bit_exact():
 
 
 def test_fraction_entries_serialize_as_ratios():
-    m = band_module("xxy", [Fraction(1, 2)], P33)
+    m = band_module(Word("xxy", P33), [Fraction(1, 2)])
     assert m.to_json()["B"][0][2] == "1/2"
 
 
@@ -276,28 +270,28 @@ def test_constructions_store_ints():
     # is not an integer
     half = Fraction(1, 2)
     mods = [
-        string_module("xxyxyy", P33),
-        band_module("xxy", 2, P33),
-        band_module("xxy", [Fraction(6, 3), half, "-4/2"], P33),
-        direct_sum([string_module("xy", P33), band_module("xyy", [half, 3], P33)]),
+        string_module(Word("xxyxyy", P33)),
+        band_module(Word("xxy", P33), [1, 2]),
+        band_module(Word("xxy", P33), [Fraction(6, 3), half, "-4/2"]),
+        direct_sum([string_module(Word("xy", P33)), band_module(Word("xyy", P33), [half, 3])]),
     ]
     for mod in mods:
         for v in [v for m in (mod.A, mod.B) for row in m.dense() for v in row]:
             assert type(v) is int or (type(v) is Fraction and v == half)
-    assert band_module("xxy", [Fraction(6, 3)], P33).summands[0][2] == (2,)
-    assert type(band_module("xxy", [Fraction(6, 3)], P33).summands[0][2][0]) is int
+    assert band_module(Word("xxy", P33), [Fraction(6, 3)]).summands[0][2] == (2,)
+    assert type(band_module(Word("xxy", P33), [Fraction(6, 3)]).summands[0][2][0]) is int
 
 
 # -- sparse storage ----------------------------------------------------------
 
 def test_constructions_store_no_zeros():
     mods = [
-        string_module("", P33),
-        string_module("xxyxyy", P33),
-        band_module("xxy", [1, "1/2", -3], P33),
-        band_module("xyxyy", 2, P33),
-        direct_sum([string_module("xy", P33), band_module("xyy", ["1/2", 3], P33),
-                    string_module("xxy", P33)]),
+        string_module(Word("", P33)),
+        string_module(Word("xxyxyy", P33)),
+        band_module(Word("xxy", P33), [1, "1/2", -3]),
+        band_module(Word("xyxyy", P33), [1, 2]),
+        direct_sum([string_module(Word("xy", P33)), band_module(Word("xyy", P33), ["1/2", 3]),
+                    string_module(Word("xxy", P33))]),
     ]
     for mod in mods:
         for mat in (mod.A, mod.B):
