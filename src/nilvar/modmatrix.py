@@ -64,13 +64,12 @@ class MatrixPairModule:
     # -- the defining relations -------------------------------------------
 
     def verify_relations(self) -> bool:
-        """True iff AB = BA = A^a = B^b = 0."""
-        a, b = self.params.a, self.params.b
-        if not self.A.mul(self.B).is_zero():
-            return False
-        if not self.B.mul(self.A).is_zero():
-            return False
-        return _power(self.A, a).is_zero() and _power(self.B, b).is_zero()
+        """True iff AB = BA = A^a = B^b = 0.  The four products are
+        tested row by row (see _kills), never built; A^a is tested as
+        A^{a-1} A and B^b as B^{b-1} B."""
+        A, B, a, b = self.A, self.B, self.params.a, self.params.b
+        return (_kills(A, B) and _kills(B, A)
+                and _kills(_power(A, a - 1), A) and _kills(_power(B, b - 1), B))
 
     # -- the ones of A and B, for the union-find Hom oracle ----------------
 
@@ -95,8 +94,9 @@ class MatrixPairModule:
         return (_jordan_type(self.A), _jordan_type(self.B))
 
     def stats(self) -> dict:
-        """Basic module invariants: ranks, top and socle dimension, and
-        regularity (rk A + rk B = n, i.e. exactly n independent arrows).
+        """Basic module invariants for `nilvar module`: ranks, top and
+        socle dimension, and regularity (rk A + rk B = n, i.e. exactly n
+        independent arrows).
         """
         rka, rkb = self.A.rank(), self.B.rank()
         top = self.n - hstack([self.A, self.B]).rank()
@@ -138,6 +138,21 @@ def _partial_permutation_maps(mat: RationalMatrix):
             col_row[j] = i
             row_col[i] = j
     return col_row, row_col
+
+
+def _kills(left: RationalMatrix, right: RationalMatrix) -> bool:
+    """True iff left @ right = 0.  Each row of the product is summed
+    exactly as in RationalMatrix.mul, so terms that cancel count as
+    zero, and the walk stops at the first row with a nonzero entry."""
+    rows = right.rows
+    for row in left.rows:
+        acc = {}
+        for k, v in row.items():
+            for j, w in rows[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _power(m: RationalMatrix, k: int) -> RationalMatrix:

@@ -277,22 +277,21 @@ def _check_random_modules(level, seed):
         if not mod.verify_relations():
             raise CheckFailure(f"relations fail at sample {k}: "
                                f"{mod.to_json()}")
-        stats = mod.stats()
+        rka, rkb = mod.A.rank(), mod.B.rank()
         strings = sum(1 for s in mod.summands if s[0] == "string")
-        if stats["rkA"] + stats["rkB"] != mod.n - strings:
+        if rka + rkb != mod.n - strings:
             raise CheckFailure(
                 f"rank bookkeeping fails at sample {k}: rkA + rkB = "
-                f"{stats['rkA'] + stats['rkB']}, n - #strings = "
-                f"{mod.n - strings}")
+                f"{rka + rkb}, n - #strings = {mod.n - strings}")
         xs = ys = 0
         for s in mod.summands:
             mult = 1 if s[0] == "string" else len(s[2])
             xs += mult * str(s[1]).count("x")
             ys += mult * str(s[1]).count("y")
-        if stats["rkA"] != xs or stats["rkB"] != ys:
+        if rka != xs or rkb != ys:
             raise CheckFailure(
                 f"letter-count ranks fail at sample {k}: "
-                f"({stats['rkA']}, {stats['rkB']}) != ({xs}, {ys})")
+                f"({rka}, {rkb}) != ({xs}, {ys})")
     return f"{count} random modules, seed {seed}"
 
 

@@ -221,6 +221,69 @@ def test_direct_sum_param_mismatch():
         direct_sum([])
 
 
+# -- the relations, failing ------------------------------------------------
+
+def pair(n, a_ones, b_ones, params=P33):
+    """The module whose A and B hold the given {(row, col): entry}."""
+    mats = []
+    for entries in (a_ones, b_ones):
+        mat = RationalMatrix.zeros(n, n)
+        for (i, j), v in entries.items():
+            mat.rows[i][j] = v
+        mats.append(mat)
+    return MatrixPairModule(n, *mats, params)
+
+
+SHIFT4 = {(0, 1): 1, (1, 2): 1, (2, 3): 1}  # one Jordan block of size 4
+
+BROKEN = {
+    "AB": pair(3, {(0, 1): 1}, {(1, 2): 1}),
+    "BA": pair(3, {(1, 2): 1}, {(0, 1): 1}),
+    "A^a": pair(4, SHIFT4, {}),
+    "B^b": pair(4, {}, SHIFT4),
+}
+
+
+@pytest.mark.parametrize("relation", list(BROKEN))
+def test_each_relation_can_fail_alone(relation):
+    m = BROKEN[relation]
+    assert not m.verify_relations()
+    A, B = m.A, m.B
+    products = {"AB": A.mul(B), "BA": B.mul(A),
+                "A^a": A.mul(A).mul(A), "B^b": B.mul(B).mul(B)}
+    assert [k for k, p in products.items() if not p.is_zero()] == [relation]
+
+
+def test_power_relations_read_the_exponent():
+    # the 4-block has A^2 != 0 and A^3 != 0: it breaks a = 3, meets a = 4
+    assert not BROKEN["A^a"].A.mul(BROKEN["A^a"].A).is_zero()
+    assert pair(4, SHIFT4, {}, AlgebraParams(4, 3)).verify_relations()
+    assert pair(4, {}, SHIFT4, AlgebraParams(3, 4)).verify_relations()
+
+
+def test_cancelling_terms_count_as_zero():
+    # (AB)[0][3] = 1 * 1 + 1 * (-1), and with Fractions 1/2 * 2/3 - 1/3
+    assert pair(4, {(0, 1): 1, (0, 2): 1}, {(1, 3): 1, (2, 3): -1}).verify_relations()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert pair(4, {(0, 1): half, (0, 2): third},
+                {(1, 3): Fraction(2, 3), (2, 3): -1}).verify_relations()
+    assert not pair(4, {(0, 1): 1, (0, 2): 1}, {(1, 3): 1, (2, 3): 1}).verify_relations()
+    assert not pair(4, {(0, 1): half, (0, 2): third},
+                    {(1, 3): 1, (2, 3): -1}).verify_relations()
+
+
+def test_band_with_fraction_lambdas():
+    m = band_module(Word("xxyxy", P33), [Fraction(1, 2), Fraction(-3, 4), 5])
+    assert m.verify_relations()
+    # an x arrow out of the end of the first layer: B carries it back to
+    # the start with lambda_1 = 1/2, so BA holds 1/2 and nothing else fails
+    A = RationalMatrix.of_rows([dict(row) for row in m.A.rows], m.n)
+    A.rows[4][2] = 1
+    assert not MatrixPairModule(m.n, A, m.B, P33).verify_relations()
+    assert [row for row in m.B.mul(A).rows if row] == [{2: Fraction(1, 2)}]
+    assert A.mul(m.B).is_zero() and A.mul(A).mul(A).is_zero()
+
+
 # -- duality ---------------------------------------------------------------
 
 def test_dual_point_is_reversed_string():

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from nilvar import verify
+from nilvar import exactla, modmatrix, verify
+from nilvar.exactla import RationalMatrix
+from nilvar.modmatrix import MatrixPairModule, string_module
 from nilvar.verify import CheckResult, run_check, run_suite, random_module
-from nilvar.words import AlgebraParams, band_class
+from nilvar.words import AlgebraParams, Word, band_class
 
 
 def test_quick_suite_passes():
@@ -71,3 +73,53 @@ def test_random_band_words_are_primitive():
     for _ in range(100):
         w = verify._random_band_word(rng, params)
         assert band_class(w)[0] == "primitive"
+
+
+# -- the random-modules check ------------------------------------------------
+
+P33 = AlgebraParams(3, 3)
+
+
+def _relabelled(word, summands):
+    m = string_module(Word(word, P33))
+    return MatrixPairModule(m.n, m.A, m.B, P33, summands)
+
+
+def _not_nilpotent_enough():
+    # one Jordan block of size 4: A^3 != 0 breaks a = 3
+    m = string_module(Word("xxx", AlgebraParams(4, 3)))
+    return MatrixPairModule(m.n, m.A, m.B, P33, m.summands)
+
+
+BAD_MODULES = {
+    "relations fail at sample 0: ": _not_nilpotent_enough,
+    "rank bookkeeping fails at sample 0: rkA + rkB = 2, n - #strings = 3":
+        lambda: _relabelled("xy", [("band", Word("xy", P33), (1,))]),
+    "letter-count ranks fail at sample 0: (1, 1) != (2, 0)":
+        lambda: _relabelled("xy", [("string", Word("xx", P33))]),
+}
+
+
+@pytest.mark.parametrize("prefix", list(BAD_MODULES))
+def test_random_modules_reports_each_failure(monkeypatch, prefix):
+    monkeypatch.setattr(verify, "random_module", lambda rng: BAD_MODULES[prefix]())
+    result = run_check("random-modules", "quick")
+    assert not result.passed
+    assert result.detail.startswith(prefix)
+
+
+def test_random_modules_reads_two_ranks_per_module(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("random-modules needs only rk A and rk B")
+
+    calls = []
+    rank = RationalMatrix.rank
+    monkeypatch.setattr(RationalMatrix, "rank",
+                        lambda self: calls.append(self) or rank(self))
+    monkeypatch.setattr(MatrixPairModule, "stats", refuse)
+    for module in (exactla, modmatrix):
+        monkeypatch.setattr(module, "hstack", refuse)
+        monkeypatch.setattr(module, "vstack", refuse)
+    result = run_check("random-modules", "quick", seed=0)
+    assert result.passed, result.detail
+    assert len(calls) == 2 * 500
