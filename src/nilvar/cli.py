@@ -160,6 +160,9 @@ def cmd_module(args) -> int:
         except ZeroDivisionError:
             raise ValueError(f"--lambdas needs nonzero denominators, "
                              f"got {args.lambdas}") from None
+        except ValueError:
+            raise ValueError(f"--lambdas needs rationals like 2 or -1/2, "
+                             f"got {args.lambdas}") from None
         mod = band_module(word, lambdas)
         label = f"band {word.caret()} with parameters {args.lambdas}"
     else:

@@ -120,12 +120,9 @@ class RationalMatrix:
                         for j, v in acc.items() if v})
         return RationalMatrix.of_rows(out, other.ncols)
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     def rank(self) -> int:
-        """Rank as the number of pivots of `echelon`."""
-        return len(echelon(map(_int_row, self.rows), self.ncols))
+        """Rank as the number of pivots of `echelon` on the nonempty rows."""
+        return len(echelon(map(_int_row, filter(None, self.rows)), self.ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -217,5 +214,5 @@ def pivot_columns(mat: RationalMatrix) -> list[int]:
     """Indices of a left-to-right greedy maximal independent set of
     columns: the pivot columns of the reduced echelon form, which are the
     leading columns of any echelon form of the rows."""
-    return sorted(echelon(map(_int_row, mat.rows)))
+    return sorted(echelon(map(_int_row, filter(None, mat.rows))))
 

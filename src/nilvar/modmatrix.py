@@ -43,8 +43,8 @@ class MatrixPairModule:
     entries in block order, or None when the origin is unknown (e.g. a
     pair of matrices built directly).
 
-    A and B are not modified after the module is built: the maps that
-    permutation_maps keeps are read off them once.
+    A and B are never modified once the module is built: permutation_maps
+    reads its maps off them once, and direct_sum shares their rows.
     """
 
     __slots__ = ("n", "A", "B", "params", "summands", "_maps")
@@ -64,12 +64,11 @@ class MatrixPairModule:
     # -- the defining relations -------------------------------------------
 
     def verify_relations(self) -> bool:
-        """True iff AB = BA = A^a = B^b = 0.  The four products are
-        tested row by row (see _kills), never built; A^a is tested as
-        A^{a-1} A and B^b as B^{b-1} B."""
+        """True iff AB = BA = A^a = B^b = 0, tested by _kills without
+        building any product or power: A^a as A A^{a-1}, B^b as B B^{b-1}."""
         A, B, a, b = self.A, self.B, self.params.a, self.params.b
         return (_kills(A, B) and _kills(B, A)
-                and _kills(_power(A, a - 1), A) and _kills(_power(B, b - 1), B))
+                and _kills(A, A, a - 1) and _kills(B, B, b - 1))
 
     # -- the ones of A and B, for the union-find Hom oracle ----------------
 
@@ -140,28 +139,26 @@ def _partial_permutation_maps(mat: RationalMatrix):
     return col_row, row_col
 
 
-def _kills(left: RationalMatrix, right: RationalMatrix) -> bool:
-    """True iff left @ right = 0.  Each row of the product is summed
-    exactly as in RationalMatrix.mul, so terms that cancel count as
-    zero, and the walk stops at the first row with a nonzero entry."""
+def _kills(left: RationalMatrix, right: RationalMatrix, times=1) -> bool:
+    """True iff left @ right^times = 0: at once when no column of left
+    meets a nonempty row of right, else by pushing each row of left
+    through `times` products with right, summed as in RationalMatrix.mul
+    (cancelled terms count as zero), up to the first row that survives."""
     rows = right.rows
-    for row in left.rows:
-        acc = {}
-        for k, v in row.items():
-            for j, w in rows[k].items():
-                acc[j] = acc.get(j, 0) + v * w
-        if any(acc.values()):
+    if not any(rows[k] for row in left.rows for k in row):
+        return True
+    for row in filter(None, left.rows):
+        for _ in range(times):
+            acc = {}
+            for k, v in row.items():
+                for j, w in rows[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            row = {j: v for j, v in acc.items() if v}
+            if not row:
+                break
+        else:
             return False
     return True
-
-
-def _power(m: RationalMatrix, k: int) -> RationalMatrix:
-    out = m
-    for _ in range(k - 1):
-        if out.is_zero():
-            break
-        out = out.mul(m)
-    return out
 
 
 def _jordan_type(m: RationalMatrix) -> Partition:
@@ -234,7 +231,9 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
 
 def direct_sum(modules) -> MatrixPairModule:
     """Block-diagonal direct sum; all summands must share parameters.
-    Summand metadata is concatenated when every part carries it."""
+    Summand metadata is concatenated when every part carries it.  The
+    first summand's row dicts are shared (offset 0; modules are never
+    modified once built), later ones re-keyed."""
     modules = list(modules)
     if not modules:
         raise ValueError("direct_sum of nothing")
@@ -242,11 +241,12 @@ def direct_sum(modules) -> MatrixPairModule:
     if any(m.params != params for m in modules):
         raise ValueError("direct_sum needs equal algebra parameters")
     n = sum(m.n for m in modules)
-    a_rows, b_rows = [], []
-    off = 0
-    for mod in modules:
+    a_rows, b_rows = list(modules[0].A.rows), list(modules[0].B.rows)
+    off = modules[0].n
+    for mod in modules[1:]:
         for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
-            rows.extend({off + j: v for j, v in row.items()} for row in part.rows)
+            rows.extend({off + j: v for j, v in row.items()} if row else {}
+                        for row in part.rows)
         off += mod.n
     A = RationalMatrix.of_rows(a_rows, n)
     B = RationalMatrix.of_rows(b_rows, n)

@@ -221,6 +221,13 @@ def test_zero_denominator_is_a_usage_error(capsys):
     assert err == "nilvar: error: --lambdas needs nonzero denominators, got 1/0\n"
 
 
+@pytest.mark.parametrize("lambdas", ["abc", "1,,", "1,x/2"])
+def test_bad_lambda_literal_is_a_usage_error(capsys, lambdas):
+    code, out, err = run(capsys, "module", "--word", "xy", "--lambdas", lambdas)
+    assert code == 1 and out == ""
+    assert err == f"nilvar: error: --lambdas needs rationals like 2 or -1/2, got {lambdas}\n"
+
+
 # sha256 of `nilvar [command] --help` stdout at 80 columns, recorded while
 # cli still imported nilvar.verify on load: the help must not change now
 # that the check names are looked up only when the verify help is shown

@@ -16,10 +16,12 @@ import pytest
 from nilvar.exactla import RationalMatrix
 from nilvar.modmatrix import (
     MatrixPairModule,
+    _kills,
     band_module,
     direct_sum,
     string_module,
 )
+from nilvar.verify import random_module
 from nilvar.words import AlgebraParams, Word, band_class, enumerate_words, runs
 
 P33 = AlgebraParams(3, 3)
@@ -214,6 +216,32 @@ def test_direct_sum_stats_additive():
         assert total.n - s == st["rkA"] + st["rkB"]
 
 
+def test_direct_sum_shares_rows_but_never_changes_them():
+    m1 = band_module(Word("xxyxy", P33), [Fraction(1, 2), 3])
+    m2 = string_module(Word("xyy", P33))
+    before = [(m.A.dense(), m.B.dense()) for m in (m1, m2)]
+    parts = [m1, m2, m1]
+    total = direct_sum(parts)
+    # the first summand sits at offset 0: its row dicts are taken as they are
+    assert all(r is s for r, s in zip(total.A.rows, m1.A.rows))
+    assert all(r is s for r, s in zip(total.B.rows, m1.B.rows))
+    assert total.verify_relations()
+    # reading the sum must not write through to the rows it shares
+    total.stats(), total.jordan_pair(), total.to_json()
+    assert [(m.A.dense(), m.B.dense()) for m in (m1, m2)] == before
+    cuts = [0, m1.n, m1.n + m2.n, total.n]
+    blocks = list(zip(cuts, cuts[1:]))
+    for name in ("A", "B"):
+        dense = getattr(total, name).dense()
+        for p, (top, bottom) in enumerate(blocks):
+            for q, (left, right) in enumerate(blocks):
+                block = [row[left:right] for row in dense[top:bottom]]
+                if p == q:
+                    assert block == getattr(parts[p], name).dense()
+                else:
+                    assert not any(map(any, block))
+
+
 def test_direct_sum_param_mismatch():
     with pytest.raises(ValueError):
         direct_sum([string_module(Word("x", P33)), string_module(Word("x", P43))])
@@ -251,12 +279,12 @@ def test_each_relation_can_fail_alone(relation):
     A, B = m.A, m.B
     products = {"AB": A.mul(B), "BA": B.mul(A),
                 "A^a": A.mul(A).mul(A), "B^b": B.mul(B).mul(B)}
-    assert [k for k, p in products.items() if not p.is_zero()] == [relation]
+    assert [k for k, p in products.items() if any(p.rows)] == [relation]
 
 
 def test_power_relations_read_the_exponent():
     # the 4-block has A^2 != 0 and A^3 != 0: it breaks a = 3, meets a = 4
-    assert not BROKEN["A^a"].A.mul(BROKEN["A^a"].A).is_zero()
+    assert any(BROKEN["A^a"].A.mul(BROKEN["A^a"].A).rows)
     assert pair(4, SHIFT4, {}, AlgebraParams(4, 3)).verify_relations()
     assert pair(4, {}, SHIFT4, AlgebraParams(3, 4)).verify_relations()
 
@@ -272,6 +300,63 @@ def test_cancelling_terms_count_as_zero():
                     {(1, 3): 1, (2, 3): -1}).verify_relations()
 
 
+def test_kills_cancelling_terms_and_powers():
+    # the supports meet (column 1 of left, row 1 of right) but 1 - 1 = 0
+    assert _kills(RationalMatrix([[1, 1]]), RationalMatrix([[1], [-1]]))
+    assert not _kills(RationalMatrix([[1, 1]]), RationalMatrix([[1], [1]]))
+    # the 4-block N: N^k != 0 below its nilpotency index 4, N^4 = 0
+    shift, e0 = pair(4, SHIFT4, {}).A, RationalMatrix([[1, 0, 0, 0]])
+    for times in range(1, 6):
+        assert _kills(shift, shift, times) == (times + 1 >= 4)
+        assert _kills(e0, shift, times) == (times >= 4)
+
+
+def test_kills_ignores_stored_zeros():
+    # rows are public data: a stored {j: 0} must not change the answer
+    shift = pair(4, SHIFT4, {}).A
+    zeroed = RationalMatrix.of_rows([{0: 0, **row} for row in shift.rows], 4)
+    for times in range(1, 6):
+        assert (_kills(zeroed, shift, times) == _kills(shift, zeroed, times)
+                == _kills(zeroed, zeroed, times) == _kills(shift, shift, times))
+    # supports that meet only through a stored zero
+    right = RationalMatrix.of_rows([{1: 5}, {}], 2)
+    assert _kills(RationalMatrix.of_rows([{0: 0}], 2), right)
+    assert _kills(RationalMatrix([[1, 0]]), RationalMatrix.of_rows([{1: 0}, {}], 2))
+    assert not _kills(RationalMatrix.of_rows([{0: 0, 1: 1}], 2),
+                      RationalMatrix([[0, 0], [0, 3]]))
+
+
+def relations_by_products(mod):
+    """AB = BA = A^a = B^b = 0 read off the built products and powers."""
+    A, B, (a, b) = mod.A, mod.B, mod.params
+    powers = []
+    for mat, k in ((A, a), (B, b)):
+        power = mat
+        for _ in range(k - 1):
+            power = power.mul(mat)
+        powers.append(power)
+    return not any(row for p in (A.mul(B), B.mul(A), *powers) for row in p.rows)
+
+
+def perturbed(mod, rng):
+    """mod with one entry of A or B set to 1, -1, 2 or 1/2."""
+    mats = [[dict(row) for row in mat.rows] for mat in (mod.A, mod.B)]
+    row = rng.choice(rng.choice(mats))
+    row[rng.randrange(mod.n)] = rng.choice((1, -1, 2, Fraction(1, 2)))
+    return MatrixPairModule(mod.n, *(RationalMatrix.of_rows(r, mod.n) for r in mats),
+                            mod.params)
+
+
+def test_relations_match_built_products():
+    rng, outcomes = random.Random(12), []
+    for _ in range(2000):
+        mod = random_module(rng)
+        for m in (mod, perturbed(mod, rng)):
+            outcomes.append(relations_by_products(m))
+            assert m.verify_relations() == outcomes[-1]
+    assert outcomes.count(True) > 2000 and outcomes.count(False) > 0
+
+
 def test_band_with_fraction_lambdas():
     m = band_module(Word("xxyxy", P33), [Fraction(1, 2), Fraction(-3, 4), 5])
     assert m.verify_relations()
@@ -281,7 +366,7 @@ def test_band_with_fraction_lambdas():
     A.rows[4][2] = 1
     assert not MatrixPairModule(m.n, A, m.B, P33).verify_relations()
     assert [row for row in m.B.mul(A).rows if row] == [{2: Fraction(1, 2)}]
-    assert A.mul(m.B).is_zero() and A.mul(A).mul(A).is_zero()
+    assert not any(A.mul(m.B).rows) and not any(A.mul(A).mul(A).rows)
 
 
 # -- duality ---------------------------------------------------------------

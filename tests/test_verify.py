@@ -123,3 +123,14 @@ def test_random_modules_reads_two_ranks_per_module(monkeypatch):
     result = run_check("random-modules", "quick", seed=0)
     assert result.passed, result.detail
     assert len(calls) == 2 * 500
+
+
+def test_random_modules_builds_no_product(monkeypatch):
+    # the relations are tested by _kills, and A^a and B^b with them:
+    # no product or power of A and B is built
+    def refuse(*args):
+        raise AssertionError("random-modules builds no matrix product")
+
+    monkeypatch.setattr(RationalMatrix, "mul", refuse)
+    result = run_check("random-modules", "quick", seed=0)
+    assert result.passed, result.detail
