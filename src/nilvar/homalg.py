@@ -10,7 +10,10 @@ audit the other:
     no pair: it is summed per pair from per-word middle multisets -- the
     middle words of each word's factor triples and of its substring
     triples, counted once per word -- by multiplying the multiplicities
-    of each middle word on the two sides.
+    of each middle word on the two sides.  A graph map is the triple
+    (s, q, L): it sends e_{s+i} to e_{q+i} for i = 0..L and every other
+    basis vector to zero, and this is the one form in which graph maps,
+    the projective cover and the compositions below are handled.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
@@ -26,9 +29,10 @@ formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
 to M(C) are computed by graph maps, the ones factoring through a
 projective are exactly those factoring through the projective cover of
 M(C), and Ext^1 vanishes iff the cover compositions span Hom.  The cover
-is read off the word C, one Lambda per peak, and each composition of a
-graph map into Lambda with a cover summand is the identity on the
-overlap of two windows: zero or itself a graph map M(tau^{-1} D) -> M(C).
+is read off the word C, one Lambda per peak, each summand itself a graph
+map Lambda -> M(C), and each composition of a graph map into Lambda with
+a cover summand is the identity on the overlap of two windows: zero or
+itself a graph map M(tau^{-1} D) -> M(C), found in O(1) by _compose.
 Graph maps are a basis of Hom (Crawley-Boevey 1989), so the span has
 dimension the number of distinct nonzero compositions, and the Ext route
 is a count with no linear algebra.  This is the one Ext route; the tests
@@ -56,13 +60,12 @@ MEMO_SIZE = 2 ** 16
 # graph maps
 # ---------------------------------------------------------------------------
 
-def hom_basis(src: Word, tgt: Word) -> list[list]:
+def hom_basis(src: Word, tgt: Word) -> list[tuple]:
     """The graph-map basis of Hom(M(src), M(tgt)), one map per admissible
     pair (D1, E, F1), (D2, E, F2): it sends the window vectors over E
     identically onto each other and everything else to zero.  Each map is
-    given by the (row, col) positions of the ones of its
-    (|tgt|+1) x (|src|+1) matrix, (|D2|+i, |D1|+i) for i = 0..|E|."""
-    return [[(len(d2) + i, len(d1) + i) for i in range(len(e) + 1)]
+    the triple (|D1|, |D2|, |E|): e_{|D1|+i} |-> e_{|D2|+i}, i = 0..|E|."""
+    return [(len(d1), len(d2), len(e))
             for (d1, e, _), (d2, _, _) in admissible_pairs(src, tgt)]
 
 
@@ -209,7 +212,7 @@ def orbit_dim(words) -> int:
 # projective covers and Ext^1
 # ---------------------------------------------------------------------------
 
-def projective_cover(c: Word) -> list:
+def projective_cover(c: Word) -> list[tuple]:
     """The projective cover P -> M(c), read off the word.
 
     The peaks of c -- positions i with no x at c[i] and no y at c[i-1],
@@ -221,19 +224,24 @@ def projective_cover(c: Word) -> list:
         z_j      |-> A^{a-j} e_i = e_{i-(a-j)}   (j = 1..a)
         z_{a+l}  |-> B^l e_i     = e_{i+l}       (l = 1..b-1)
 
-    Returns, per peak in increasing order, the images of z_1..z_d as
-    positions of M(c), None for zero.
+    Returns, per peak in increasing order, that summand as the graph map
+    Lambda -> M(c) (a-1-l, i-l, l+r), with l the length of the x-run just
+    left of the peak and r that of the y-run just right of it.
     """
-    a, b = c.params
+    a, _ = c.params
     cover = []
     for i in range(len(c) + 1):
         if c[i:i + 1] == "x" or c[i - 1:i] == "y":
             continue
         left = i - len(c[:i].rstrip("x"))
         right = len(c) - i - len(c[i:].lstrip("y"))
-        cover.append([i - k if k <= left else None for k in range(a - 1, 0, -1)]
-                     + [i] + [i + l if l <= right else None for l in range(1, b)])
-    assert set().union(*cover) >= set(range(len(c) + 1)), "cover fails to surject"
+        cover.append((a - 1 - left, i - left, left + right))
+    # the target windows [q, q+L] cover 0..|c|
+    reach = 0
+    for _, q, length in cover:
+        assert q <= reach, "cover fails to surject"
+        reach = max(reach, q + length + 1)
+    assert reach == len(c) + 1, "cover fails to surject"
     return cover
 
 
@@ -245,27 +253,26 @@ def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
     return len(_cover_compositions(c, w)) == hom_dim_graph(w, c)
 
 
+def _compose(f: tuple, g: tuple):
+    """The graph map g after f, or None when it is zero: the identity on
+    the overlap of f's target window and g's source window."""
+    (s1, q1, l1), (s2, q2, l2) = f, g
+    lo, hi = max(q1, s2), min(q1 + l1, s2 + l2)
+    if lo > hi:
+        return None
+    return (lo - q1 + s1, lo - s2 + q2, hi - lo)
+
+
 def _cover_compositions(c: Word, w: Word) -> set:
     """The distinct nonzero maps M(w) -> M(c) that factor through the
     projective cover P -> M(c) via one graph map M(w) -> Lambda and one
-    Lambda summand of P, each as the frozenset of the flattened row-major
-    positions of its ones in the (|c|+1) x (|w|+1) matrix.  A composition
-    is the identity on the overlap of two windows, so each is a graph map
-    M(w) -> M(c); graph maps are a basis of Hom, so the maps returned are
-    linearly independent and their number is the rank of the span."""
+    Lambda summand of P.  Each is a graph map M(w) -> M(c); graph maps are
+    a basis of Hom, so the maps returned are linearly independent and
+    their number is the rank of the span."""
     p = c.params
     cover = projective_cover(c)
     lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
-    dim_w = len(w) + 1
-    maps = set()
-    for ones in hom_basis(w, lam):
-        for images in cover:
-            # a map's column s picks z_{t+1}; the cover sends it to images[t]
-            composed = frozenset(images[t] * dim_w + s for t, s in ones
-                                 if images[t] is not None)
-            if composed:
-                maps.add(composed)
-    return maps
+    return {_compose(f, g) for f in hom_basis(w, lam) for g in cover} - {None}
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:

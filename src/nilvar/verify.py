@@ -86,16 +86,16 @@ def _random_string_word(rng, params, max_len):
 
 def _random_band_word(rng, params):
     # alternating x/y runs always make a valid band; a single run pair is
-    # automatically primitive, two pairs may be periodic and get resampled
+    # automatically primitive, and x^i y^j x^k y^l is periodic, so
+    # resampled, iff (i, j) = (k, l)
     for _ in range(8):
         t = rng.randint(1, 2)
         chunks = []
         for _ in range(t):
             chunks.append("x" * rng.randint(1, params.a - 1))
             chunks.append("y" * rng.randint(1, params.b - 1))
-        word = Word("".join(chunks), params)
-        if t == 1 or words.band_class(word)[0] == "primitive":
-            return word
+        if chunks[:2] != chunks[2:]:
+            return Word("".join(chunks), params)
     return Word("xy", params)
 
 

@@ -1,15 +1,16 @@
 """Tests for the homological layer.
 
 The two Hom routes (admissible-pair counting vs linear-algebra solution
-spaces) are swept against each other; graph maps, built here as
-matrices from the positions of their ones, are verified to be module
-homomorphisms spanning Hom; Hom(Lambda, M) = dim M pins the conventions
-against free-module theory; the word-level End is checked against the
-oracle on explicit direct sums, and the projective cover read off the
-word against a generic cover computed by linear algebra, kept here as
-the reference; and Ext^1 vanishing is checked against the cocycle
-dimension, also kept here as the reference, with the self-extension
-dichotomy for open strings as a frozen expectation.
+spaces) are swept against each other; graph maps, triples (s, q, L)
+expanded here into matrices, are verified to be module homomorphisms
+spanning Hom; Hom(Lambda, M) = dim M pins the conventions against
+free-module theory; the word-level End is checked against the oracle on
+explicit direct sums, and the projective cover read off the word against
+a generic cover computed by linear algebra, kept here as the reference;
+Ext^1 vanishing is checked against the cocycle dimension, also kept here
+as the reference, with the self-extension dichotomy for open strings as
+a frozen expectation; and the cover compositions are checked against the
+former position-based encoding of graph maps, kept here too.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import random
 import pytest
 
 from nilvar import homalg, modmatrix
+from nilvar.classify import components
 from nilvar.homalg import (
     end_dim,
     ext1_vanishes,
@@ -44,12 +46,19 @@ def is_module_map(f, m1, m2):
 
 # -- graph maps ------------------------------------------------------------
 
-def graph_map_matrix(ones, src, tgt):
-    """The (|tgt|+1) x (|src|+1) 0/1 matrix with ones at `ones`."""
+def graph_map_matrix(f, src, tgt):
+    """The (|tgt|+1) x (|src|+1) 0/1 matrix of the graph map f = (s, q, L):
+    ones at (q+i, s+i) for i = 0..L."""
+    s, q, length = f
     rows = [{} for _ in range(len(tgt) + 1)]
-    for t, s in ones:
-        rows[t][s] = 1
+    for i in range(length + 1):
+        rows[q + i][s + i] = 1
     return RationalMatrix.of_rows(rows, len(src) + 1)
+
+
+def flat_ones(m):
+    """The flattened row-major positions of the nonzero entries of m."""
+    return frozenset(t * m.ncols + s for t, row in enumerate(m.rows) for s in row)
 
 
 def test_graph_map_matrix_shape():
@@ -57,10 +66,10 @@ def test_graph_map_matrix_shape():
     basis = hom_basis(src, tgt)
     assert len(basis) == len(admissible_pairs(src, tgt))
     # the pair (x, x, y), (xy, x, x): |D1| = 1, |D2| = 2, |E| = 1
-    assert [(2, 1), (3, 2)] in basis
+    assert (1, 2, 1) in basis
     # the pair (xx, "", y), ("", "", xyxx): the top of M(xxy) onto e_0
-    assert [(0, 2)] in basis
-    m = graph_map_matrix([(2, 1), (3, 2)], src, tgt)
+    assert (2, 0, 0) in basis
+    m = graph_map_matrix((1, 2, 1), src, tgt)
     assert (m.nrows, m.ncols) == (5, 4)
     assert m.dense()[2][1] == 1 and m.dense()[3][2] == 1
     assert sum(1 for row in m.dense() for v in row if v) == 2
@@ -69,8 +78,8 @@ def test_graph_map_matrix_shape():
 def test_graph_map_matrices_store_ints():
     for src in enumerate_words(4, P33):
         for tgt in enumerate_words(4, P33):
-            for ones in hom_basis(src, tgt):
-                m = graph_map_matrix(ones, src, tgt)
+            for f in hom_basis(src, tgt):
+                m = graph_map_matrix(f, src, tgt)
                 assert all(type(v) is int for row in m.dense() for v in row)
 
 
@@ -78,8 +87,8 @@ def test_graph_maps_are_module_maps():
     words = enumerate_words(4, P33)
     for w1, w2 in itertools.product(words, repeat=2):
         m1, m2 = string_module(w1), string_module(w2)
-        for ones in hom_basis(w1, w2):
-            assert is_module_map(graph_map_matrix(ones, w1, w2), m1, m2)
+        for f in hom_basis(w1, w2):
+            assert is_module_map(graph_map_matrix(f, w1, w2), m1, m2)
 
 
 def test_graph_maps_linearly_independent():
@@ -89,7 +98,8 @@ def test_graph_maps_linearly_independent():
         words = enumerate_words(4, params)
         for w1, w2 in itertools.product(words, repeat=2):
             dim_w1 = len(w1) + 1
-            flat = [{t * dim_w1 + s: 1 for t, s in ones} for ones in hom_basis(w1, w2)]
+            flat = [dict.fromkeys(flat_ones(graph_map_matrix(f, w1, w2)), 1)
+                    for f in hom_basis(w1, w2)]
             rank = RationalMatrix.of_rows(flat, (len(w2) + 1) * dim_w1).rank()
             assert rank == hom_dim_oracle(string_module(w1), string_module(w2)), (w1, w2)
 
@@ -357,44 +367,62 @@ def generic_cover(mod):
     return out
 
 
+def lambda_word(params):
+    return Word("x" * (params.a - 1) + "y" * (params.b - 1), params)
+
+
+def cover_matrices(c):
+    """Each summand of projective_cover(c) as its (|c|+1) x d matrix."""
+    lam = lambda_word(c.params)
+    return [graph_map_matrix(g, lam, c) for g in projective_cover(c)]
+
+
+def cover_images(c):
+    """projective_cover(c) in generic_cover's form: per summand, the
+    images of z_1..z_d as positions of M(c), None for zero."""
+    return [[next((r for r, row in enumerate(m.rows) if t in row), None)
+             for t in range(m.ncols)] for m in cover_matrices(c)]
+
+
 def cover_matrix(c):
     """The n x (t*d) 0/1 matrix of projective_cover(c)."""
-    cover = projective_cover(c)
-    d = c.params.d
-    rows = [{} for _ in range(len(c) + 1)]
-    for u, images in enumerate(cover):
-        for t, r in enumerate(images):
-            if r is not None:
-                rows[r][u * d + t] = 1
-    return RationalMatrix.of_rows(rows, len(cover) * d)
+    return hstack(cover_matrices(c))
 
 
 def test_projective_cover_matches_generic_cover():
     for params in COVER_PARAMS:
         for c in enumerate_words(8, params):
-            assert projective_cover(c) == generic_cover(string_module(c)), str(c)
+            generic = generic_cover(string_module(c))
+            assert cover_images(c) == generic, str(c)
+            assert positional_cover(c) == generic, str(c)
 
 
 def test_projective_cover_properties():
     # a surjective module map Lambda^t -> M(c), t = dim top
     for params in COVER_PARAMS:
-        lam = string_module(Word("x" * (params.a - 1) + "y" * (params.b - 1), params))
+        lam = string_module(lambda_word(params))
         for c in enumerate_words(8, params):
             m = string_module(c)
             t = m.stats()["top_dim"]
             assert len(projective_cover(c)) == t
+            # each summand is a graph map Lambda -> M(c)
+            assert set(projective_cover(c)) <= set(
+                hom_basis(lambda_word(params), c)), str(c)
             phi = cover_matrix(c)
             assert phi.rank() == m.n
             assert is_module_map(phi, direct_sum([lam] * t), m), str(c)
 
 
 def test_projective_cover_of_projective_is_identity_like():
-    assert projective_cover(Word("xxyy", P33)) == [[0, 1, 2, 3, 4]]
-    assert projective_cover(Word("xy", P22)) == [[0, 1, 2]]
+    assert projective_cover(Word("xxyy", P33)) == [(0, 0, 4)]
+    assert cover_images(Word("xxyy", P33)) == [[0, 1, 2, 3, 4]]
+    assert projective_cover(Word("xy", P22)) == [(0, 0, 2)]
+    assert cover_images(Word("xy", P22)) == [[0, 1, 2]]
     # peaks 1 and 3 of xyx: each reaches one x to its left, and the
     # first one y to its right
-    assert projective_cover(Word("xyx", P33)) == [[None, 0, 1, 2, None],
-                                                  [None, 2, 3, None, None]]
+    assert projective_cover(Word("xyx", P33)) == [(1, 0, 2), (1, 2, 1)]
+    assert cover_images(Word("xyx", P33)) == [[None, 0, 1, 2, None],
+                                              [None, 2, 3, None, None]]
 
 
 # -- Ext^1 -----------------------------------------------------------------
@@ -501,13 +529,110 @@ def test_ext1_matches_cocycle_dimension():
         # tau^{-1} d -> c, so the distinct ones are independent and Hom
         # minus their number is dim Ext^1, not only its vanishing
         w = tau_inverse(d)
-        graph_maps = {frozenset(r * (len(w) + 1) + s for r, s in ones)
-                      for ones in hom_basis(w, c)}
         compositions = homalg._cover_compositions(c, w)
-        assert compositions <= graph_maps, (str(c), str(d), c.params)
+        assert compositions <= set(hom_basis(w, c)), (str(c), str(d), c.params)
         assert hom_dim_graph(w, c) - len(compositions) == dim, (str(c), str(d), c.params)
+        assert_compositions_match_positions(c, w)
         vanishing += dim == 0
     assert vanishing >= 34
+
+
+# -- graph-map compositions -----------------------------------------------
+
+def test_compose_cases():
+    compose = homalg._compose
+    # f's target window [0, 1] misses g's source window [3, 4]
+    assert compose((0, 0, 1), (3, 0, 1)) is None
+    # windows [0, 2] and [2, 3] touch at 2: one vector survives
+    assert compose((0, 0, 2), (2, 5, 1)) == (2, 5, 0)
+    # g's window [2, 3] inside f's [1, 4], and f's [2, 3] inside g's [0, 4]
+    assert compose((1, 1, 3), (2, 0, 1)) == (2, 0, 1)
+    assert compose((0, 2, 1), (0, 1, 4)) == (0, 3, 1)
+
+
+def test_compose_with_the_identity_of_lambda():
+    for params in COVER_PARAMS:
+        lam = lambda_word(params)
+        identity = (0, 0, params.d - 1)
+        assert identity in hom_basis(lam, lam)
+        for w in enumerate_words(5, params):
+            for f in hom_basis(w, lam):
+                assert homalg._compose(f, identity) == f
+            for g in projective_cover(w):
+                assert homalg._compose(identity, g) == g
+
+
+def test_compose_is_the_matrix_product():
+    for params in (P33, P23, P43):
+        lam = lambda_word(params)
+        for w, c in itertools.product(enumerate_words(4, params), repeat=2):
+            for f, g in itertools.product(hom_basis(w, lam), projective_cover(c)):
+                product = graph_map_matrix(g, lam, c).mul(graph_map_matrix(f, w, lam))
+                h = homalg._compose(f, g)
+                if h is None:
+                    assert not any(product.rows), (f, g)
+                else:
+                    assert product == graph_map_matrix(h, w, c), (f, g)
+
+
+# the former encoding, kept as the reference for the cover compositions:
+# a graph map as the (row, col) positions of its ones, a cover summand as
+# the images of z_1..z_d with None for zero, a composition as the
+# frozenset of its flattened row-major positions
+
+def positional_hom_basis(src, tgt):
+    return [[(len(d2) + i, len(d1) + i) for i in range(len(e) + 1)]
+            for (d1, e, _), (d2, _, _) in admissible_pairs(src, tgt)]
+
+
+def positional_cover(c):
+    a, b = c.params
+    cover = []
+    for i in range(len(c) + 1):
+        if c[i:i + 1] == "x" or c[i - 1:i] == "y":
+            continue
+        left = i - len(c[:i].rstrip("x"))
+        right = len(c) - i - len(c[i:].lstrip("y"))
+        cover.append([i - k if k <= left else None for k in range(a - 1, 0, -1)]
+                     + [i] + [i + l if l <= right else None for l in range(1, b)])
+    return cover
+
+
+def positional_compositions(c, w):
+    dim_w = len(w) + 1
+    cover = positional_cover(c)
+    maps = set()
+    for ones in positional_hom_basis(w, lambda_word(c.params)):
+        for images in cover:
+            # a map's column s picks z_{t+1}; the cover sends it to images[t]
+            composed = frozenset(images[t] * dim_w + s for t, s in ones
+                                 if images[t] is not None)
+            if composed:
+                maps.add(composed)
+    return maps
+
+
+def assert_compositions_match_positions(c, w):
+    expanded = {flat_ones(graph_map_matrix(h, w, c))
+                for h in homalg._cover_compositions(c, w)}
+    assert expanded == positional_compositions(c, w), (str(c), str(w), c.params)
+
+
+@pytest.mark.parametrize("n, a, b", [(24, 3, 3), (24, 4, 4), (24, 3, 5)])
+def test_compositions_match_positions_on_classify_keys(monkeypatch, n, a, b):
+    # every Ext key the classification reaches, with the memo cleared so
+    # that each one is composed
+    keys = []
+    real = homalg._cover_compositions
+    monkeypatch.setattr(homalg, "_cover_compositions",
+                        lambda c, w: keys.append((c, w)) or real(c, w))
+    homalg._ext1_vanishes.cache_clear()
+    components(n, a, b)
+    monkeypatch.undo()
+    homalg._ext1_vanishes.cache_clear()
+    assert keys
+    for c, w in keys:
+        assert_compositions_match_positions(c, w)
 
 
 def test_ext1_requires_semi_projective_second_argument():

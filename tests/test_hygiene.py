@@ -3,12 +3,12 @@ every top-level function and class and every method is named somewhere,
 and every command imports only the modules it runs.
 
 No linter ships with the package, so this test is the check.  It reads
-each source file with `ast`, collects the names its import statements
-bind and fails on those the module never loads.  It also fails on a
-top-level definition or method that no source file names, unless
-perfbench patches or calls it or a test backs it (TEST_BACKED, with the
-reason); dunders and overrides of a name a base class defines are called
-from outside and left out.
+each source file and each test file with `ast`, collects the names its
+import statements bind and fails on those the file never loads.  It
+also fails on a top-level definition or method that no source file
+names, unless perfbench patches or calls it or a test backs it
+(TEST_BACKED, with the reason); dunders and overrides of a name a base
+class defines are called from outside and left out.
 A fresh interpreter per command shows which modules that command loads.
 """
 
@@ -24,6 +24,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "nilvar").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,7 +44,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

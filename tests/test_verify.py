@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -73,6 +74,12 @@ def test_random_band_words_are_primitive():
     for _ in range(100):
         w = verify._random_band_word(rng, params)
         assert band_class(w)[0] == "primitive"
+    # the sampler's test: x^i y^j x^k y^l is periodic iff (i, j) = (k, l),
+    # on every run pair of every parameter set it draws from
+    for a, b in verify._PARAM_POOL:
+        for i, j, k, l in itertools.product(range(1, a), range(1, b), repeat=2):
+            w = Word("x" * i + "y" * j + "x" * k + "y" * l, AlgebraParams(a, b))
+            assert (band_class(w)[0] == "primitive") == ((i, j) != (k, l)), str(w)
 
 
 # -- the random-modules check ------------------------------------------------
