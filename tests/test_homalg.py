@@ -384,11 +384,6 @@ def cover_images(c):
              for t in range(m.ncols)] for m in cover_matrices(c)]
 
 
-def cover_matrix(c):
-    """The n x (t*d) 0/1 matrix of projective_cover(c)."""
-    return hstack(cover_matrices(c))
-
-
 def test_projective_cover_matches_generic_cover():
     for params in COVER_PARAMS:
         for c in enumerate_words(8, params):
@@ -408,7 +403,7 @@ def test_projective_cover_properties():
             # each summand is a graph map Lambda -> M(c)
             assert set(projective_cover(c)) <= set(
                 hom_basis(lambda_word(params), c)), str(c)
-            phi = cover_matrix(c)
+            phi = hstack(cover_matrices(c))
             assert phi.rank() == m.n
             assert is_module_map(phi, direct_sum([lam] * t), m), str(c)
 
