@@ -17,11 +17,15 @@ audit the other:
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
-    algebra.  For partial-permutation matrices (every string module, and
-    any direct sum of them) each scalar equation mentions at most two
-    entries of F with coefficient 1, so the system collapses to
-    union-find on the entries; the oracle reads each module's ones once
-    (MatrixPairModule.permutation_maps) and reuses them for every pair.
+    algebra.  For partial-permutation matrices (every string module, a
+    band module with one layer and lambda = 1, and any direct sum or
+    permutation conjugate of them) each scalar equation mentions at most
+    two entries of F with coefficient 1, so the system collapses to
+    union-find on the entries.  The oracle reads each module's ones and
+    a 4-bit letter mask per basis vertex once
+    (MatrixPairModule.permutation_maps) and reuses them for every pair:
+    it merges entries only over pairs of ones of the same letter, and
+    reads the entries forced to zero off a 16 x 16 table of mask pairs.
     Otherwise a dense exact nullity is computed.
 
 Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
@@ -50,9 +54,9 @@ from .words import (AlgebraParams, Word, admissible_pairs, factor_triples,
                     substring_triples, tau_inverse)
 
 # entries kept by each memo table (_middles, _hom_count, _ext1_vanishes):
-# bounded at any n, and above what a run uses (full verify makes 12 374
-# distinct Hom keys from 179 words, so 358 middle multisets; classify at
-# n = 24 under 200 Hom keys)
+# bounded at any n, and above what a run uses (`verify --level full --seed
+# 0` leaves 342 middle multisets, 12 374 Hom keys and 37 Ext keys; classify
+# at n = 24 under 200 Hom keys)
 MEMO_SIZE = 2 ** 16
 
 
@@ -96,43 +100,49 @@ def hom_dim_graph(src: Word, tgt: Word) -> int:
 # the linear-algebra oracle
 # ---------------------------------------------------------------------------
 
+# _FORCED[m2][m1]: 1 iff the entry F[i, s] of a map M1 -> M2 is forced to
+# zero when vertex s of M1 has letter mask m1 and vertex i of M2 has mask
+# m2 (bits 1, 2: an x-, y-arrow into the vertex; 4, 8: out of it).  F
+# commutes with a letter, so an arrow into s must meet one into i, and an
+# arrow out of i one out of s.  Each row is padded to 256 bytes so that
+# bytes.translate reads a whole row of F off M1's masks at once.
+_FORCED = [bytes(m1 < 16 and bool(m1 & ~m2 & 3 | m2 & ~m1 & 12)
+                 for m1 in range(256)) for m2 in range(16)]
+
+
 def _hom_dim_unionfind(maps1, maps2) -> int:
     """Solution dimension of F A1 = A2 F, F B1 = B2 F for n2 x n1 F when
     every matrix is a partial permutation, given by the two modules'
     permutation_maps: each equation says F_p = F_q or F_p = 0, so the
     free entries are the union-find classes that no entry forced to zero
-    lies in."""
-    n1, n2 = len(maps1[0][0]), len(maps2[0][0])
-    parent = list(range(n1 * n2))
-    merged, zeros = 0, []
-    for (col_row, _), (_, row_col) in zip(maps1, maps2):
-        # (F x1)[i,j] = F[i,s] for the row s of column j's one (or 0),
-        # (x2 F)[i,j] = F[t,j] for the column t of row i's one (or 0)
-        for j, s in enumerate(col_row):
-            if s is None:
-                zeros.extend(t * n1 + j for t in row_col if t is not None)
-                continue
-            for i, t in enumerate(row_col):
-                p = i * n1 + s
-                if t is None:
-                    zeros.append(p)
-                    continue
-                q = t * n1 + j
+    lies in.  For each letter, a one (s, j) of x1 and a one (i, t) of x2
+    give (F x1)[i, j] = F[i, s] = F[t, j] = (x2 F)[i, j], the only
+    merges; every other equation reads 0 = 0 or zeroes one entry, and
+    those entries are the ones _FORCED marks.  The free classes are
+    counted as the merges go: a merge loses one unless both classes
+    were forced to zero already."""
+    (ones1, masks1), (ones2, masks2) = maps1, maps2
+    n1 = len(masks1)
+    zero = bytearray(b"".join([masks1.translate(_FORCED[m]) for m in masks2]))
+    free = len(zero) - zero.count(1)
+    parent = list(range(len(zero)))
+    for letter1, letter2 in zip(ones1, ones2):
+        for i, t in letter2:
+            row_p, row_q = i * n1, t * n1
+            for s, j in letter1:
+                p, q = row_p + s, row_q + j
                 while parent[p] != p:
-                    parent[p] = parent[parent[p]]
-                    p = parent[p]
+                    parent[p] = p = parent[parent[p]]
                 while parent[q] != q:
-                    parent[q] = parent[parent[q]]
-                    q = parent[q]
+                    parent[q] = q = parent[parent[q]]
                 if p != q:
                     parent[p] = q
-                    merged += 1
-    zero_roots = set()
-    for p in zeros:
-        while parent[p] != p:
-            p = parent[p]
-        zero_roots.add(p)
-    return n1 * n2 - merged - len(zero_roots)
+                    if zero[p]:
+                        if zero[q]:
+                            continue
+                        zero[q] = 1
+                    free -= 1
+    return free
 
 
 def _hom_dim_dense(m1, m2) -> int:
@@ -164,11 +174,12 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
     modules, by linear algebra, independent of any word combinatorics.
 
     method: None picks union-find when all four matrices are partial
-    permutations (exact, linear-time) and exact elimination otherwise; pass
-    "unionfind" or "dense" to force a route.  Each module's ones are read
-    once, on its first call, and kept on the module (permutation_maps), so
-    a module met again -- or found not to be a partial permutation --
-    costs no further scan.
+    permutations (exact; one merge per pair of ones of a letter, one table
+    lookup per entry of F) and exact elimination otherwise; pass
+    "unionfind" or "dense" to force a route.  Each module's ones and
+    letter masks are read once, on its first call, and kept on the module
+    (permutation_maps), so a module met again -- or found not to be a
+    partial permutation -- costs no further scan.
     """
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")

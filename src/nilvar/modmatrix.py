@@ -44,7 +44,8 @@ class MatrixPairModule:
     pair of matrices built directly).
 
     A and B are never modified once the module is built: permutation_maps
-    reads its maps off them once, and direct_sum shares their rows.
+    reads its ones and letter masks off them once, and direct_sum shares
+    their rows.
     """
 
     __slots__ = ("n", "A", "B", "params", "summands", "_maps")
@@ -73,17 +74,28 @@ class MatrixPairModule:
     # -- the ones of A and B, for the union-find Hom oracle ----------------
 
     def permutation_maps(self):
-        """The ones of A and of B as ((col_row, row_col) of A, same of B)
-        when both are partial permutations (see _partial_permutation_maps),
-        None otherwise; read off the matrices on the first call and kept,
-        so that building a module costs no scan."""
+        """((ones of A, ones of B), masks) when A and B are partial
+        permutations, None otherwise.  The ones of a letter are its (row,
+        col) positions (see _partial_permutation_ones); masks holds one
+        byte per basis vertex v, with bit 1 (x) or 2 (y) set when row v of
+        that letter's matrix has a one, an arrow into e_v, and bit 4 (x)
+        or 8 (y) when column v has one, an arrow out of e_v.  Read off the
+        matrices on the first call and kept, so that building a module
+        costs no scan."""
         try:
             return self._maps
         except AttributeError:
             pass
-        a = _partial_permutation_maps(self.A)
-        b = a and _partial_permutation_maps(self.B)
-        self._maps = (a, b) if b else None
+        a = _partial_permutation_ones(self.A)
+        b = None if a is None else _partial_permutation_ones(self.B)
+        self._maps = None
+        if b is not None:
+            masks = bytearray(self.n)
+            for k, ones in enumerate((a, b)):
+                for r, c in ones:
+                    masks[r] |= 1 << k
+                    masks[c] |= 4 << k
+            self._maps = ((a, b), bytes(masks))
         return self._maps
 
     # -- invariants --------------------------------------------------------
@@ -121,22 +133,21 @@ class MatrixPairModule:
         }
 
 
-def _partial_permutation_maps(mat: RationalMatrix):
-    """(col_row, row_col) when the entries of mat are all 0/1 with at most
-    one 1 per row and per column: col_row[j] is the row of the one in
-    column j and row_col[i] the column of the one in row i, None where
-    there is none.  None when mat is not such a matrix."""
-    col_row, row_col = [None] * mat.ncols, [None] * mat.nrows
+def _partial_permutation_ones(mat: RationalMatrix):
+    """The (row, col) positions of the ones of mat, by row, when its
+    entries are all 0/1 with at most one 1 per row and per column; None
+    when mat is not such a matrix."""
+    ones, cols = [], set()
     for i, row in enumerate(mat.rows):
         if row:
             if len(row) > 1:
                 return None
             (j, v), = row.items()
-            if v != 1 or col_row[j] is not None:
+            if v != 1 or j in cols:
                 return None
-            col_row[j] = i
-            row_col[i] = j
-    return col_row, row_col
+            cols.add(j)
+            ones.append((i, j))
+    return ones
 
 
 def _kills(left: RationalMatrix, right: RationalMatrix, times=1) -> bool:

@@ -46,7 +46,7 @@ def test_criterion_3_nnn_components():
 def test_criterion_4_hom_agreement():
     _criterion(4, "graph count vs linear algebra, strings of length <= 6",
                "hom-agreement",
-               "12075 string pairs across 3 parameter sets", budget=120)
+               "12075 string pairs across 3 parameter sets", budget=10)
 
 
 def test_criterion_5_stratum_dimensions():

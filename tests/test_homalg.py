@@ -31,8 +31,9 @@ from nilvar.homalg import (
 )
 from nilvar.exactla import RationalMatrix, hstack, pivot_columns
 from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
-from nilvar.words import (AlgebraParams, Word, admissible_pairs, enumerate_open_strings,
-                          enumerate_words, open_type, semi_kind, tau_inverse)
+from nilvar.words import (AlgebraParams, Word, admissible_pairs, band_class,
+                          enumerate_open_strings, enumerate_words, open_type, semi_kind,
+                          tau_inverse)
 
 P33 = AlgebraParams(3, 3)
 P23 = AlgebraParams(2, 3)
@@ -182,17 +183,91 @@ def test_unionfind_equals_dense_on_string_sums():
     assert sizes == {True, False}
 
 
+def band_words(params, max_len):
+    """The primitive bands of length <= max_len in canonical rotation."""
+    return sorted({band_class(w)[1] for w in enumerate_words(max_len, params)
+                   if band_class(w)[0] == "primitive"})
+
+
+def test_unionfind_equals_dense_with_bands():
+    # a one-layer band with lambda = 1 is a partial permutation whose
+    # entry graph has cycles: seeded sums mixing such bands with strings,
+    # n1 != n2 included, one side conjugated by a permutation, both
+    # argument orders, union-find against elimination on every pair
+    rng = random.Random(11)
+    sizes = set()
+    for _ in range(40):
+        params = rng.choice([P33, P23, P43])
+        bands = band_words(params, 5)
+        sides = []
+        for _ in range(2):
+            parts = [band_module(rng.choice(bands), [1])
+                     for _ in range(rng.randint(1, 2))]
+            parts += [string_module(w) for w in random_words(rng, params)[:2]]
+            rng.shuffle(parts)
+            sides.append(direct_sum(parts))
+        m1, m2 = sides
+        m2 = conjugate(m2, rng.sample(range(m2.n), m2.n))
+        for u, v in ((m1, m2), (m2, m1), (m1, m1), (m2, m2)):
+            assert hom_dim_oracle(u, v, method="unionfind") == hom_dim_oracle(
+                u, v, method="dense"), (u.summands, v.summands)
+        sizes.add(m1.n == m2.n)
+    assert sizes == {True, False}
+
+
+def test_unionfind_forced_zeros_and_merges():
+    # each rule of the route changes one of these: Hom(S, M(x)) is the
+    # socle, a map into e_1 would leave it by x (an arrow out of the
+    # target vertex, none out of the source); Hom(M(x), S) is the top,
+    # e_0 is reached by x in M(x) and not in S (an arrow into the source
+    # vertex, none into the target); End M(x) = K[x]/x^2 needs the merge
+    # F[0, 0] = F[1, 1] from the two x-arrows
+    simple, mx = string_module(Word("", P33)), string_module(Word("x", P33))
+    my = string_module(Word("y", P33))
+    assert hom_dim_oracle(simple, mx, method="unionfind") == 1
+    assert hom_dim_oracle(mx, simple, method="unionfind") == 1
+    assert hom_dim_oracle(mx, mx, method="unionfind") == 2
+    assert hom_dim_oracle(my, my, method="unionfind") == 2
+    # letters stay apart: M(x) -> M(y) only through the top onto the socle
+    assert hom_dim_oracle(mx, my, method="unionfind") == 1
+    # the one-layer band on xy with lambda = 1: x and y both send e_1 to
+    # e_0, a cycle in the entry graph; End is spanned by the identity and
+    # e_1 -> e_0
+    band = band_module(Word("xy", P33), [1])
+    assert band.permutation_maps()[1] == bytes([1 | 2, 4 | 8])
+    assert hom_dim_oracle(band, band, method="unionfind") == 2
+
+
 def test_partial_permutation_ones_edge_cases():
-    maps = modmatrix._partial_permutation_maps
-    # (column -> row, row -> column) of the ones
-    assert maps(RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])) == (
-        [2, None, 0], [2, None, 0])
-    assert maps(RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])) == (
-        [None, 0, 1], [1, 2, None])
-    assert maps(RationalMatrix([[0, 2], [0, 0]])) is None
-    assert maps(RationalMatrix([[0, 1], [0, 1]])) is None  # a repeated column
-    assert maps(RationalMatrix([[1, 1], [0, 0]])) is None  # two ones in a row
-    assert maps(RationalMatrix.zeros(3, 3)) == ([None] * 3, [None] * 3)
+    ones = modmatrix._partial_permutation_ones
+
+    def as_letters(mat):
+        # permutation_maps of the module with mat as x, then as y, the
+        # other letter zero
+        zero = RationalMatrix.zeros(mat.nrows, mat.ncols)
+        return tuple(MatrixPairModule(mat.nrows, a, b, P33).permutation_maps()
+                     for a, b in ((mat, zero), (zero, mat)))
+
+    # (row, col) of the ones, by row; masks: 1/2 an x/y-arrow into the
+    # vertex (its row has a one), 4/8 one out of it (its column has one)
+    swap = RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    assert ones(swap) == [(0, 2), (2, 0)]
+    assert as_letters(swap) == ((([(0, 2), (2, 0)], []), bytes([5, 0, 5])),
+                           (([], [(0, 2), (2, 0)]), bytes([10, 0, 10])))
+    shift = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert ones(shift) == [(0, 1), (1, 2)]
+    assert as_letters(shift) == ((([(0, 1), (1, 2)], []), bytes([1, 5, 4])),
+                            (([], [(0, 1), (1, 2)]), bytes([2, 10, 8])))
+    for bad in ([[0, 2], [0, 0]],    # an entry 2
+                [[0, 1], [0, 1]],    # a repeated column
+                [[1, 1], [0, 0]]):   # two ones in a row
+        assert ones(RationalMatrix(bad)) is None
+        assert as_letters(RationalMatrix(bad)) == (None, None)
+    assert ones(RationalMatrix.zeros(3, 3)) == []
+    assert as_letters(RationalMatrix.zeros(3, 3)) == ((([], []), bytes(3)),) * 2
+    # a string module: M(xxy) has A e_1 = e_0, A e_2 = e_1, B e_2 = e_3
+    assert string_module(Word("xxy", P33)).permutation_maps() == (
+        ([(0, 1), (1, 2)], [(3, 2)]), bytes([1, 5, 4 | 8, 2]))
     # all-zero modules: every F is a homomorphism
     m1 = direct_sum([string_module(Word("", P33))] * 2)
     m2 = direct_sum([string_module(Word("", P33))] * 3)
@@ -209,8 +284,8 @@ def test_unionfind_refuses_nonpermutation():
 
 def test_oracle_checks_the_route_once(monkeypatch):
     calls = []
-    real = modmatrix._partial_permutation_maps
-    monkeypatch.setattr(modmatrix, "_partial_permutation_maps",
+    real = modmatrix._partial_permutation_ones
+    monkeypatch.setattr(modmatrix, "_partial_permutation_ones",
                         lambda mat: calls.append(mat) or real(mat))
     m1, m2 = string_module(Word("xxy", P33)), string_module(Word("xyy", P33))
     assert calls == []  # building a module scans nothing

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nilvar import exactla, modmatrix, verify
+from nilvar import exactla, homalg, modmatrix, verify
 from nilvar.exactla import RationalMatrix
 from nilvar.modmatrix import MatrixPairModule, string_module
 from nilvar.verify import CheckResult, run_check, run_suite, random_module
@@ -140,4 +140,16 @@ def test_random_modules_builds_no_product(monkeypatch):
 
     monkeypatch.setattr(RationalMatrix, "mul", refuse)
     result = run_check("random-modules", "quick", seed=0)
+    assert result.passed, result.detail
+
+
+def test_hom_agreement_runs_no_elimination(monkeypatch):
+    # every string module is a partial permutation, so the oracle side of
+    # the check is union-find throughout: no dense route, no rank
+    def refuse(*args):
+        raise AssertionError("hom-agreement runs no elimination")
+
+    monkeypatch.setattr(homalg, "_hom_dim_dense", refuse)
+    monkeypatch.setattr(RationalMatrix, "rank", refuse)
+    result = run_check("hom-agreement", "quick", seed=0)
     assert result.passed, result.detail
