@@ -233,7 +233,6 @@ def nonregular_components(n: int, params: AlgebraParams) -> list:
     opens = []
     for k in range(2, n + 1):
         opens.extend(enumerate_open_strings(k, params))
-    opens.sort(key=lambda w: (len(w), str(w)))
 
     found = []
 
@@ -252,10 +251,12 @@ def nonregular_components(n: int, params: AlgebraParams) -> list:
 
     extend(0, n, [])
 
+    def key(w):
+        return (len(w), str(w))
+
     out = []
     for words in found:
         dim = orbit_dim(words)
-        key = lambda w: (len(w), str(w))
         out.append(Component(kind="orbit", dim=dim, side="semi-projective",
                              strings=tuple(sorted(words, key=key))))
         mirrored = [w.reverse() for w in words]

@@ -74,10 +74,10 @@ CheckResult = namedtuple("CheckResult", "name passed detail seconds")
 _PARAM_POOL = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)]
 
 
-def _random_string_word(rng, params, max_len):
+def _random_string_word(rng, params):
     caps = (("x", params.a - 1), ("y", params.b - 1))
     text = ""
-    for _ in range(rng.randint(0, max_len)):
+    for _ in range(rng.randint(0, 5)):
         # a letter is capped when the text ends in a full run of it, and
         # both letters never are
         text += rng.choice([l for l, cap in caps if not text.endswith(l * cap)])
@@ -99,20 +99,20 @@ def _random_band_word(rng, params):
     return Word("xy", params)
 
 
-def random_module(rng, params=None, max_summands=3, max_len=5):
-    """A seeded random direct sum of string and band modules, with the
-    summand metadata kept for downstream bookkeeping checks."""
-    if params is None:
-        params = AlgebraParams(*rng.choice(_PARAM_POOL))
+def random_module(rng):
+    """A seeded random direct sum of one to three string and band modules
+    over a pool algebra (strings of length <= 5), with the summand
+    metadata kept for downstream bookkeeping checks."""
+    params = AlgebraParams(*rng.choice(_PARAM_POOL))
     parts = []
-    for _ in range(rng.randint(1, max_summands)):
+    for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.3:
             word = _random_band_word(rng, params)
             mult = rng.randint(1, 2)
             lambdas = [rng.randint(1, 5) for _ in range(mult)]
             parts.append(modmatrix.band_module(word, lambdas))
         else:
-            word = _random_string_word(rng, params, max_len)
+            word = _random_string_word(rng, params)
             parts.append(modmatrix.string_module(word))
     return modmatrix.direct_sum(parts)
 

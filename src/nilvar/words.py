@@ -159,79 +159,43 @@ def tau_inverse(w: Word) -> Word:
     return Word("x" * (p.a - 1) + "y" + w + "x" + "y" * (p.b - 1), p)
 
 
-# The three shapes of open strings, projective side.  Each is a block
-# concatenation; since every block boundary glues a y to an x, runs never
-# merge and each instantiation below is automatically a valid word.
+# Open strings, projective side.  Every one is a block word
 #
-#   type 1:  (x^{a-1}y)^r (x^{a-1}y^{b-1})^s (xy^{b-1})^t
-#              r+s >= 1, s+t >= 1
-#   type 2:  (x^{a-1}y)^r [x^{a-1}y^i] (x^{a-1}y^{b-1})^s [x^j y^{b-1}] (xy^{b-1})^t
-#              optional bracketed blocks, at least one present,
-#              2 <= i <= b-2, 2 <= j <= a-2,
-#              r + [x^{a-1}y^i] + s >= 1,  s + [x^j y^{b-1}] + t >= 1
-#   type 3:  (x^{a-1}y)^r x^i y^j (xy^{b-1})^t
-#              r, t >= 1, 1 <= i <= a-2, 1 <= j <= b-2
+#     (x^{a-1}y)^r  core  (xy^{b-1})^t
 #
+# and the paper's three types differ only in the core:
+#
+#   type 1:  (x^{a-1}y^{b-1})^s
+#   type 2:  [x^{a-1}y^i] (x^{a-1}y^{b-1})^s [x^j y^{b-1}]
+#              a head, a tail or both, 2 <= i <= b-2, 2 <= j <= a-2
+#   type 3:  x^i y^j
+#              1 <= i <= a-2, 1 <= j <= b-2, no (x^{a-1}y^{b-1})^s run
+#
+# under the side conditions r + [head] + s >= 1 and s + [tail] + t >= 1,
+# which for type 3 read r >= 1 and t >= 1.  Every block boundary glues a
+# y to an x, so runs never merge and each instance is a valid word.  When
+# a = 2 or b = 2 two blocks coincide and a text can arise more than once.
 # Injective-side open strings are the reversals of these.
 
-def _blocks(params):
+def _open_strings(params, L):
+    """Yields (type, text) for the projective-side open strings of length
+    L, types in order; a text may come more than once."""
     a, b = params.a, params.b
-    return "x" * (a - 1) + "y", "x" * (a - 1) + "y" * (b - 1), "x" + "y" * (b - 1)
-
-
-def _type1(params, L):
-    a, b = params.a, params.b
-    A, M, B = _blocks(params)
-    out = []
-    for r in range(L // a + 1):
-        for s in range((L - r * a) // (a + b - 2) + 1):
-            rem = L - r * a - s * (a + b - 2)
-            if rem % b:
-                continue
-            t = rem // b
-            if r + s >= 1 and s + t >= 1:
-                out.append(A * r + M * s + B * t)
-    return out
-
-
-def _type2(params, L):
-    a, b = params.a, params.b
-    A, M, B = _blocks(params)
-    out = []
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            if alpha + beta < 1:
-                continue
-            for i in range(2, b - 1) if alpha else (None,):
-                for j in range(2, a - 1) if beta else (None,):
-                    mid_a = "x" * (a - 1) + "y" * i if alpha else ""
-                    mid_b = "x" * j + "y" * (b - 1) if beta else ""
-                    fixed = len(mid_a) + len(mid_b)
-                    for r in range((L - fixed) // a + 1 if L >= fixed else 0):
-                        for s in range((L - fixed - r * a) // (a + b - 2) + 1):
-                            rem = L - fixed - r * a - s * (a + b - 2)
-                            if rem < 0 or rem % b:
-                                continue
-                            t = rem // b
-                            if r + alpha + s >= 1 and s + beta + t >= 1:
-                                out.append(A * r + mid_a + M * s + mid_b + B * t)
-    return out
-
-
-def _type3(params, L):
-    a, b = params.a, params.b
-    A, _, B = _blocks(params)
-    out = []
-    for r in range(1, L // a + 1):
-        for t in range(1, (L - r * a) // b + 1):
-            for i in range(1, a - 1):
-                j = L - r * a - t * b - i
-                if 1 <= j <= b - 2:
-                    out.append(A * r + "x" * i + "y" * j + B * t)
-    return out
-
-
-_GENERATORS = ((1, _type1), (2, _type2), (3, _type3))
+    A, M, B = "x" * (a - 1) + "y", "x" * (a - 1) + "y" * (b - 1), "x" + "y" * (b - 1)
+    heads = [""] + ["x" * (a - 1) + "y" * i for i in range(2, b - 1)]
+    tails = [""] + ["x" * j + "y" * (b - 1) for j in range(2, a - 1)]
+    # (type, head, fixed middle, tail); only types 1 and 2 run M^s
+    cores = [(1, "", "", "")]
+    cores += [(2, h, "", t) for h in heads for t in tails if h or t]
+    cores += [(3, "", "x" * i + "y" * j, "")
+              for i in range(1, a - 1) for j in range(1, b - 1)]
+    for kind, head, mid, tail in cores:
+        fixed = L - len(head) - len(mid) - len(tail)
+        for r in range(fixed // a + 1):
+            for s in range((fixed - r * a) // len(M) + 1 if kind < 3 else 1):
+                t, rest = divmod(fixed - r * a - s * len(M), b)
+                if not rest and r + bool(head) + s and s + bool(tail) + t:
+                    yield kind, A * r + head + mid + M * s + tail + B * t
 
 
 def open_type(w: Word):
@@ -243,8 +207,8 @@ def open_type(w: Word):
     and within a side the types in order; None if w matches no pattern.
     """
     for side, text in (("semi-projective", str(w)), ("semi-injective", str(w)[::-1])):
-        for t, gen in _GENERATORS:
-            if text in gen(w.params, len(w)):
+        for t, s in _open_strings(w.params, len(w)):
+            if s == text:
                 return (side, t)
     return None
 
@@ -254,12 +218,8 @@ def enumerate_open_strings(dim: int, params: AlgebraParams) -> list[Word]:
     dim (word length dim - 1), deduplicated and lexicographically sorted.
     Injective-side open strings are the reversals of these.
     """
-    if dim < 1:
-        return []
-    seen = set()
-    for _, gen in _GENERATORS:
-        seen.update(gen(params, dim - 1))
-    return [Word(s, params) for s in sorted(seen)]
+    texts = {s for _, s in _open_strings(params, dim - 1)}
+    return [Word(s, params) for s in sorted(texts)]
 
 
 # ---------------------------------------------------------------------------

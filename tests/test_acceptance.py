@@ -34,13 +34,13 @@ def test_criterion_1_regular_table():
 def test_criterion_2_orbit_table():
     _criterion(2, "open-orbit components and their mirrors",
                "orbit-table",
-               "34 orbit components (both sides) over n = 2..12", budget=30)
+               "34 orbit components (both sides) over n = 2..12", budget=5)
 
 
 def test_criterion_3_nnn_components():
     _criterion(3, "V(n, n, n) for n = 2..7", "nnn-components",
                "n = 2..7: n - 1 components of dimension n^2 - n + 1",
-               budget=10)
+               budget=5)
 
 
 def test_criterion_4_hom_agreement():
@@ -52,12 +52,13 @@ def test_criterion_4_hom_agreement():
 def test_criterion_5_stratum_dimensions():
     _criterion(5, "dimension formulas vs index modules", "stratum-dims",
                "291 regular and 56 semi-projective strata, "
-               "56 closed-form values")
+               "56 closed-form values", budget=5)
 
 
 def test_criterion_6_published_remarks():
     _criterion(6, "self-extension exemption and V(3, 2, 2)", "remarks",
-               "self-extension exemption and V(3, 2, 2) both as published")
+               "self-extension exemption and V(3, 2, 2) both as published",
+               budget=5)
 
 
 def test_criterion_7_random_modules():
@@ -67,4 +68,4 @@ def test_criterion_7_random_modules():
 
 def test_criterion_8_regular_density():
     _criterion(8, "density criterion vs enumeration", "regular-density",
-               "99 (n, a, b) cases", budget=300)
+               "99 (n, a, b) cases", budget=5)
