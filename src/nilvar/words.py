@@ -186,7 +186,7 @@ def _open_strings(params, L):
     tails = [""] + ["x" * j + "y" * (b - 1) for j in range(2, a - 1)]
     # (type, head, fixed middle, tail); only types 1 and 2 run M^s
     cores = [(1, "", "", "")]
-    cores += [(2, h, "", t) for h in heads for t in tails if h or t]
+    cores += [(2, head, "", tail) for head in heads for tail in tails if head or tail]
     cores += [(3, "", "x" * i + "y" * j, "")
               for i in range(1, a - 1) for j in range(1, b - 1)]
     for kind, head, mid, tail in cores:
