@@ -14,7 +14,7 @@ Layout:
     exactla     exact matrices stored as sparse rows (int entries, Fraction
                 only when needed), one sparse fraction-free elimination
                 for rank and pivot columns; serves modmatrix and the
-                dense Hom oracle, never the classification
+                dense Hom oracle; `nilvar classify` does not load it
     modmatrix   matrix-pair modules: string/band constructions, stats
     homalg      Hom/End dimensions, Ext^1 vanishing, graph maps, orbit
                 dimensions

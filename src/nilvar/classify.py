@@ -270,6 +270,8 @@ def normalize_params(n: int, a: int, b: int) -> AlgebraParams:
     """x^a = 0 on an n-dimensional nilpotent pair is no condition once
     a > n, so the bounds cap at n.  At n = 1 a cap would fall below 2 and
     the bounds stay as given."""
+    if not isinstance(n, int):
+        raise ValueError(f"need an integer n, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     params = AlgebraParams(a, b)

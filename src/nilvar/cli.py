@@ -16,14 +16,13 @@ or JSON (--format) and is byte-identical across runs for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
+# json, fractions and the matrix stack (modmatrix, exactla) are imported
+# by the commands that use them, so `classify` loads none of them
 from .classify import components, normalize_params
 from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
-from .modmatrix import band_module, string_module
 from .words import AlgebraParams, Word
 
 
@@ -46,6 +45,7 @@ class _VerifyHelp(argparse.HelpFormatter):
 
 
 def _dump(obj) -> str:
+    import json
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -120,6 +120,7 @@ def cmd_hom(args) -> int:
     tgt = Word(args.target, params)
     graph = hom_dim_graph(src, tgt)
     if args.oracle:
+        from .modmatrix import string_module
         oracle = hom_dim_oracle(string_module(src), string_module(tgt))
         if args.format == "json":
             print(_dump({"source": str(src), "target": str(tgt),
@@ -152,6 +153,9 @@ def cmd_ext(args) -> int:
 
 
 def cmd_module(args) -> int:
+    from fractions import Fraction
+
+    from .modmatrix import band_module, string_module
     params = AlgebraParams(args.a, args.b)
     word = Word(args.word, params)
     if args.lambdas is not None:

@@ -49,7 +49,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .exactla import RationalMatrix
 from .words import (AlgebraParams, Word, admissible_pairs, factor_triples,
                     substring_triples, tau_inverse)
 
@@ -146,6 +145,7 @@ def _hom_dim_unionfind(maps1, maps2) -> int:
 
 
 def _hom_dim_dense(m1, m2) -> int:
+    from .exactla import RationalMatrix  # here only: classify never loads it
     n1, n2 = m1.n, m2.n
     total = n1 * n2
     rows = []

@@ -18,7 +18,8 @@ from collections import namedtuple
 # Functions of the other modules are looked up in them at call time: this
 # module is loaded on demand, possibly after a profiler has wrapped some
 # of them there, and a from-import would keep what was bound at load.
-from . import classify, homalg, indexmod, modmatrix, words
+# indexmod is imported by _check_stratum_dims, its one user.
+from . import classify, homalg, modmatrix, words
 from .words import AlgebraParams, Word
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,7 @@ def _check_hom_agreement(level, seed):
 
 
 def _check_stratum_dims(level, seed):
+    from . import indexmod
     if level == "full":
         top, bounds = 10, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
     else:

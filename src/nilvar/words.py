@@ -33,6 +33,8 @@ class AlgebraParams(namedtuple("AlgebraParams", "a b")):
     __slots__ = ()
 
     def __new__(cls, a, b):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError(f"need integer a, b, got ({a!r}, {b!r})")
         if a < 2 or b < 2:
             raise ValueError(f"need a, b >= 2, got ({a}, {b})")
         return super().__new__(cls, a, b)

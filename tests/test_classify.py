@@ -266,6 +266,19 @@ def test_normalize_params_caps_the_bounds_at_n():
         normalize_params(5, 1, 9)
 
 
+def test_components_rejects_non_integer_parameters():
+    # each fails with a message naming the value, not as a TypeError
+    # from range or a complaint about partition parts
+    with pytest.raises(ValueError, match=r"need an integer n, got 4\.0"):
+        components(4.0, 3, 3)
+    with pytest.raises(ValueError, match=r"need an integer n, got '4'"):
+        normalize_params("4", 3, 3)
+    with pytest.raises(ValueError, match=r"need integer a, b, got \(3\.0, 3\)"):
+        components(4, 3.0, 3)
+    with pytest.raises(ValueError, match=r"need integer a, b, got \(3, 2\.5\)"):
+        components(1, 3, 2.5)
+
+
 # sha256 of `nilvar classify --format json` stdout while classify still
 # built matrix modules (the values of perfbench/expected_digests.json)
 CLASSIFY_JSON_SHA256 = {

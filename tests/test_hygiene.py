@@ -14,7 +14,6 @@ A fresh interpreter per command shows which modules that command loads.
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -153,40 +152,56 @@ def test_checker_flags_an_unnamed_method():
         sources, {"K.unused"}, lambda fname, cls, name: name == "hook") == []
 
 
-# modules a command that does not run them must not load: dataclasses
-# pulls in inspect, ast, dis and tokenize, and nilvar.verify (with
-# nilvar.indexmod) is needed by `verify` alone
-LAZY = ("dataclasses", "inspect", "nilvar.indexmod", "nilvar.verify")
+# modules that a command must not load unless it runs them: dataclasses
+# pulls in inspect, ast, dis and tokenize; nilvar.verify is needed by
+# `verify` alone and nilvar.indexmod by its stratum-dims check; the
+# matrix stack (nilvar.modmatrix, nilvar.exactla, fractions) by
+# `module`, `hom --oracle` and the checks; json by --format json
+NEVER = ("dataclasses", "inspect", "nilvar.indexmod", "nilvar.verify")
+MATRICES = ("nilvar.modmatrix", "nilvar.exactla", "fractions")
 
+# command -> (argv, the modules it must not load)
 COMMANDS = {
-    "classify": ["classify", "--n", "4", "--a", "3", "--b", "3"],
-    "tables": ["tables", "--a", "3", "--b", "3", "--max-n", "4"],
-    "hom": ["hom", "--source", "xxy", "--target", "xy", "--oracle"],
-    "ext": ["ext", "--source", "xy", "--target", "xxyy"],
-    "module": ["module", "--word", "xy", "--lambdas", "1,1/2"],
+    "classify": (["classify", "--n", "4", "--a", "3", "--b", "3"],
+                 NEVER + MATRICES + ("json",)),
+    "classify-json": (["classify", "--n", "4", "--a", "3", "--b", "3",
+                       "--format", "json"], NEVER + MATRICES),
+    "tables": (["tables", "--a", "3", "--b", "3", "--max-n", "4"],
+               NEVER + MATRICES + ("json",)),
+    "hom": (["hom", "--source", "xxy", "--target", "xy"],
+            NEVER + MATRICES + ("json",)),
+    "hom-oracle": (["hom", "--source", "xxy", "--target", "xy", "--oracle"],
+                   NEVER + ("json",)),
+    "ext": (["ext", "--source", "xy", "--target", "xxyy"],
+            NEVER + MATRICES + ("json",)),
+    "module": (["module", "--word", "xy", "--lambdas", "1,1/2"],
+               NEVER + ("json",)),
 }
 
 
-def lazy_modules_loaded(argv) -> list[str]:
-    """The LAZY modules a fresh interpreter holds after running
+def modules_loaded(argv, candidates) -> list[str]:
+    """The `candidates` a fresh interpreter holds after running
     `nilvar <argv>` through nilvar.cli.main."""
-    code = ("import contextlib, io, json, sys\n"
+    code = ("import contextlib, io, sys\n"
             "from nilvar.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
-            f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))\n")
+            f"print(*[m for m in {candidates!r} if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    return done.stdout.split()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_loads_only_what_it_runs(command):
-    assert lazy_modules_loaded(COMMANDS[command]) == []
+    argv, never = COMMANDS[command]
+    assert modules_loaded(argv, never) == []
 
 
 def test_verify_loads_the_checks():
-    loaded = lazy_modules_loaded(["verify", "--check", "remarks"])
-    assert loaded == ["nilvar.indexmod", "nilvar.verify"]
+    assert modules_loaded(["verify", "--check", "remarks"], NEVER) == [
+        "nilvar.verify"]
+    assert modules_loaded(["verify", "--check", "stratum-dims"], NEVER) == [
+        "nilvar.indexmod", "nilvar.verify"]

@@ -50,6 +50,14 @@ def test_params():
         P33.a = 4
 
 
+@pytest.mark.parametrize("a, b", [(2.5, 3), (3.0, 3), (3, "3"), (3, None)])
+def test_params_must_be_integers(a, b):
+    # named at the edge, not as a TypeError from inside Word
+    with pytest.raises(ValueError,
+                       match=re.escape(f"need integer a, b, got ({a!r}, {b!r})")):
+        AlgebraParams(a, b)
+
+
 def test_word_validity():
     assert Word("xxy", P33) == "xxy"
     assert Word("", P33) == ""
