@@ -1,7 +1,9 @@
 """Classification tests, frozen against the component tables for
 a = b = 3 (n = 2..12) and the unconstrained case a, b >= n."""
 
+import collections
 import hashlib
+import itertools
 
 import pytest
 
@@ -24,7 +26,7 @@ from nilvar.classify import (
 )
 from nilvar.cli import main
 from nilvar.exactla import RationalMatrix
-from nilvar.indexmod import index_of_regular_stratum, stratum_dim
+from nilvar.indexmod import index_of_regular_stratum, semiproj_index, stratum_dim
 from nilvar.modmatrix import MatrixPairModule
 from nilvar.partitions import Partition, dominates, reduced_length
 from nilvar.words import AlgebraParams
@@ -109,6 +111,38 @@ def test_delta_dim_matches_stratum_dim_of_index_module():
                 idx = index_of_regular_stratum(a_part, b_part, params)
                 assert delta_dim(a_part, b_part) == stratum_dim(idx, n, params), \
                     (a_part, b_part, params)
+
+
+def test_stratum_formulas_frozen():
+    # for (a, b) in {2..5}^2 and n = 2..12, one line per regular pair
+    # (band family, delta_dim, component test, index module) and per
+    # semi-projective pair with full parts a and b (open string, index
+    # module, closed-form orbit dimension or None where the staircase
+    # shape does not match): 1,407 regular and 167 semi-projective pairs
+    digest, counts = hashlib.sha256(), collections.Counter()
+    for a, b in itertools.product(range(2, 6), repeat=2):
+        params = AlgebraParams(a, b)
+        for n in range(2, 13):
+            for pair in regular_pairs(n, params):
+                counts["regular"] += 1
+                fam = [(str(w), m) for w, m in diamond_family(*pair, params)]
+                digest.update(f"{a} {b} {pair} {fam} {delta_dim(*pair)} "
+                              f"{is_regular_component(*pair, params)} "
+                              f"{index_of_regular_stratum(*pair, params)!r}\n"
+                              .encode())
+            for pair in regular_pairs(n, params, extra=1):
+                if pair[0][0] != a or pair[1][0] != b:
+                    continue
+                counts["semi-projective"] += 1
+                word, idx = semiproj_index(*pair, params)
+                try:
+                    closed = open_orbit_dim_formula(*pair, params)
+                except ValueError:
+                    closed = None
+                digest.update(f"{a} {b} {pair} {word} {idx!r} {closed}\n".encode())
+    assert counts == {"regular": 1407, "semi-projective": 167}
+    assert digest.hexdigest() == (
+        "517b896bb1d28600e4f1c1ca127c2bb75ce4f1287e0a19d6a6e5ef6e8d269b24")
 
 
 # ---------------------------------------------------------------------------
