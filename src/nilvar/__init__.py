@@ -9,7 +9,9 @@ rationals, with no floating point anywhere — and verifies the dimension
 formulas against brute-force linear algebra.
 
 Layout:
-    partitions  partition combinatorics (duals, dominance, enumeration)
+    partitions  partition combinatorics (duals, dominance, enumeration) and
+                the reduced pair (a-1, b-1) with its diamond pairing, which
+                every stratum formula reads
     words       strings and bands in the letters x, y
     exactla     exact matrices stored as sparse rows (int entries, Fraction
                 only when needed), one sparse fraction-free elimination

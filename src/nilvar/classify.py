@@ -23,10 +23,10 @@ elimination runs.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .homalg import ext1_vanishes, orbit_dim
-from .partitions import Partition, enumerate_partitions, reduced_length
+from .partitions import Partition, enumerate_partitions, reduced_length, reduced_pair
 from .words import AlgebraParams, Word, enumerate_open_strings
 
 
@@ -38,10 +38,8 @@ def is_regular_pair(a_part, b_part) -> bool:
     """A pair of partitions of n is regular iff the lengths add up to n
     and the reduced lengths (number of parts >= 2) agree."""
     a_part, b_part = Partition(a_part), Partition(b_part)
-    n = a_part.size()
-    if b_part.size() != n:
-        return False
-    if a_part.length() + b_part.length() != n:
+    n = sum(a_part)
+    if sum(b_part) != n or len(a_part) + len(b_part) != n:
         return False
     return reduced_length(a_part) == reduced_length(b_part)
 
@@ -60,21 +58,13 @@ def regular_pairs(n, params: AlgebraParams, extra=0):
 
 def diamond_family(a_part, b_part, params: AlgebraParams):
     """The bands of the generic module on the stratum of a regular pair:
-    with c = a_part - 1 and d = b_part - 1 (both sorted descending), the
-    i-th band is x^{c_i} y^{d_{t-i+1}} -- the largest leftover x-run
-    pairs with the smallest leftover y-run.
+    one band x^i y^j for each pair (i, j) of the diamond pairing of
+    reduced_pair, i.e. x^{c_i} y^{d_{t-i+1}} with c = a_part - 1 and
+    d = b_part - 1.
 
     Returns [(band word, multiplicity)], longest bands first.
     """
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    c, d = a_part.minus_one(), b_part.minus_one()
-    t = len(c)
-    if len(d) != t:
-        raise ValueError(f"not a regular pair: l(a-1) = {t} != l(b-1) = {len(d)}")
-    mults = {}
-    for i in range(t):
-        text = "x" * c[i] + "y" * d[t - 1 - i]
-        mults[text] = mults.get(text, 0) + 1
+    mults = Counter("x" * i + "y" * j for i, j in reduced_pair(a_part, b_part)[3])
     ordered = sorted(mults, key=lambda s: (-len(s), s))
     return [(Word(s, params), mults[s]) for s in ordered]
 
@@ -85,10 +75,8 @@ def delta_dim(a_part, b_part) -> int:
         n^2 - sum_i m_i^2 - sum_i n_i^2 + t^2
 
     where (m_i), (n_i) are the duals of a_part - 1, b_part - 1 and t is
-    their common length."""
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    n = a_part.size()
-    c, d = a_part.minus_one(), b_part.minus_one()
+    their common length.  Raises unless reduced_pair accepts the pair."""
+    n, c, d, _ = reduced_pair(a_part, b_part)
     return (n * n - sum(m * m for m in c.dual()) - sum(m * m for m in d.dual())
             + len(c) ** 2)
 
@@ -270,7 +258,7 @@ def normalize_params(n: int, a: int, b: int) -> AlgebraParams:
     """x^a = 0 on an n-dimensional nilpotent pair is no condition once
     a > n, so the bounds cap at n.  At n = 1 a cap would fall below 2 and
     the bounds stay as given."""
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"need an integer n, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -343,14 +331,10 @@ def open_orbit_dim_formula(a_part, b_part, params: AlgebraParams) -> int:
 
     Raises when the shapes do not match.
     """
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    n = a_part.size()
-    if b_part.size() != n:
-        raise ValueError("partitions must have equal size")
-    c, d = a_part.minus_one(), b_part.minus_one()
+    n, c, d, _ = reduced_pair(a_part, b_part)
     p = len(c)
-    if len(d) != p or p == 0:
-        raise ValueError("need equal positive reduced lengths")
+    if p == 0:
+        raise ValueError("need a positive reduced length")
     v, r = _staircase_match(c, params.a)
     w, s = _staircase_match(d, params.b)
     a, b = params.a, params.b

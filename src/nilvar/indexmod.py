@@ -21,7 +21,7 @@ from collections import Counter
 # loaded on demand: functions of other modules are looked up at call
 # time, as in verify
 from . import homalg
-from .partitions import Partition
+from .partitions import reduced_pair
 from .words import AlgebraParams, Word
 
 
@@ -34,12 +34,15 @@ class BiserialIndexModule:
     def __init__(self, counts):
         items = []
         for (i, j), mult in sorted(Counter(dict(counts)).items(), reverse=True):
+            if not all(type(v) is int for v in (i, j, mult)):
+                raise ValueError(f"need integer exponents and multiplicity, "
+                                 f"got {(i, j)!r}: {mult!r}")
             if mult < 0:
                 raise ValueError(f"negative multiplicity for {(i, j)}")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponents {(i, j)}")
             if mult:
-                items.append(((int(i), int(j)), int(mult)))
+                items.append(((i, j), mult))
         self._items = tuple(items)
 
     # -- views -------------------------------------------------------------
@@ -134,32 +137,28 @@ def stratum_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> int:
 # the index modules of the classification
 # ---------------------------------------------------------------------------
 
+def _index_module(m, pairs, params: AlgebraParams) -> BiserialIndexModule:
+    """Lambda^m  +  sum over (i, j) in pairs of M(x^{a-1-i} y^{b-1-j})."""
+    counts = Counter({(params.a - 1, params.b - 1): m})
+    counts.update((params.a - 1 - i, params.b - 1 - j) for i, j in pairs)
+    return BiserialIndexModule(counts)
+
+
 def index_of_regular_stratum(a_part, b_part, params: AlgebraParams) -> BiserialIndexModule:
     """The index module of the regular stratum C(a_part, b_part):
 
-        L = Lambda^{n-t}  +  sum_{i=1}^t M(x^{a-c_{t-i+1}-1} y^{b-d_i-1})
+        L = Lambda^{n-t}  +  sum_{i=1}^t M(x^{a-c_i-1} y^{b-d_{t-i+1}-1})
 
-    with c = a_part - 1, d = b_part - 1 (both length t).  The biggest
-    leftover x-exponent pairs with the smallest leftover y-exponent.
+    with c = a_part - 1, d = b_part - 1 (both length t): each summand
+    takes one pair of the diamond pairing of reduced_pair.
     """
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    n = a_part.size()
-    if b_part.size() != n:
-        raise ValueError("partitions must have equal size")
-    if a_part.length() + b_part.length() != n:
+    n, _, _, pairs = reduced_pair(a_part, b_part)
+    if len(a_part) + len(b_part) != n:
         raise ValueError(f"not a regular pair: l(a) + l(b) = "
-                         f"{a_part.length() + b_part.length()} != {n}")
-    c, d = a_part.minus_one(), b_part.minus_one()
-    t = len(c)
-    if len(d) != t:
-        raise ValueError(f"not a regular pair: l(a-1) = {t} != l(b-1) = {len(d)}")
+                         f"{len(a_part) + len(b_part)} != {n}")
     if (a_part and a_part[0] > params.a) or (b_part and b_part[0] > params.b):
         raise ValueError("partition parts exceed the nilpotency bounds")
-    counts = Counter()
-    counts[(params.a - 1, params.b - 1)] += n - t
-    for i in range(1, t + 1):
-        counts[(params.a - c[t - i] - 1, params.b - d[i - 1] - 1)] += 1
-    return BiserialIndexModule(counts)
+    return _index_module(n - len(pairs), pairs, params)
 
 
 def semiproj_index(a_part, b_part, params: AlgebraParams):
@@ -172,28 +171,16 @@ def semiproj_index(a_part, b_part, params: AlgebraParams):
         P = x^{c_1} y^{d_t} x^{c_2} y^{d_{t-1}} .. x^{c_t} y^{d_1}
         L = Lambda^{n-t}  +  sum_{i=2}^t M(x^{a-c_i-1} y^{b-d_{t-i+2}-1})
 
-    Returns (P, L); the orbit of M(P) is dense in the stratum of L.
+    so P joins the pairs of reduced_pair, and L pairs each inner x-run of
+    P with the y-run just before it.  Returns (P, L); the orbit of M(P)
+    is dense in the stratum of L.
     """
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    n = a_part.size()
-    if b_part.size() != n:
-        raise ValueError("partitions must have equal size")
+    n, _, _, pairs = reduced_pair(a_part, b_part)
     if not a_part or a_part[0] != params.a or not b_part or b_part[0] != params.b:
         raise ValueError("need a full part a in a_part and b in b_part")
-    if a_part.length() + b_part.length() != n + 1:
+    if len(a_part) + len(b_part) != n + 1:
         raise ValueError(f"need l(a) + l(b) = n + 1, got "
-                         f"{a_part.length() + b_part.length()} vs {n + 1}")
-    c, d = a_part.minus_one(), b_part.minus_one()
-    t = len(c)
-    if len(d) != t:
-        raise ValueError(f"need l(a-1) = l(b-1), got {t} vs {len(d)}")
-    chunks = []
-    for i in range(t):
-        chunks.append("x" * c[i])
-        chunks.append("y" * d[t - 1 - i])
-    word = Word("".join(chunks), params)
-    counts = Counter()
-    counts[(params.a - 1, params.b - 1)] += n - t
-    for i in range(2, t + 1):
-        counts[(params.a - c[i - 1] - 1, params.b - d[t - i + 1] - 1)] += 1
-    return word, BiserialIndexModule(counts)
+                         f"{len(a_part) + len(b_part)} vs {n + 1}")
+    word = Word("".join("x" * i + "y" * j for i, j in pairs), params)
+    inner = [(i, j) for (_, j), (i, _) in zip(pairs, pairs[1:])]
+    return word, _index_module(n - len(pairs), inner, params)

@@ -20,7 +20,7 @@ class Partition(tuple):
 
     def __new__(cls, parts=()):
         parts = tuple(parts)
-        if not all(isinstance(v, int) for v in parts):
+        if not all(type(v) is int for v in parts):
             raise ValueError(f"partition parts must be integers, got {parts}")
         for v in parts:
             if v <= 0:
@@ -28,16 +28,6 @@ class Partition(tuple):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
         return super().__new__(cls, parts)
-
-    # -- basic statistics -------------------------------------------------
-
-    def size(self) -> int:
-        """Returns the sum of the parts."""
-        return sum(self)
-
-    def length(self) -> int:
-        """Returns the number of parts."""
-        return len(self)
 
     # -- the operations the classification needs --------------------------
 
@@ -67,11 +57,9 @@ def dominates(p, q) -> bool:
     raises otherwise.
     """
     p, q = Partition(p), Partition(q)
-    if p.size() != q.size():
+    if sum(p) != sum(q):
         raise ValueError(
-            f"dominance needs equal sizes, got |{p}| = {p.size()} "
-            f"and |{q}| = {q.size()}"
-        )
+            f"dominance needs equal sizes, got |{p}| = {sum(p)} and |{q}| = {sum(q)}")
     acc_p = acc_q = 0
     for k in range(max(len(p), len(q))):
         acc_p += p[k] if k < len(p) else 0
@@ -85,6 +73,23 @@ def reduced_length(p) -> int:
     """Returns the length of p minus-one, i.e. the number of parts >= 2,
     without building the partition."""
     return sum(1 for v in p if v >= 2)
+
+
+def reduced_pair(a_part, b_part):
+    """The data every stratum formula reads off a pair of partitions of n:
+    (n, c, d, pairs) with c = a_part - 1, d = b_part - 1 of common length
+    t and pairs = [(c_i, d_{t+1-i})], the diamond pairing of the largest
+    leftover x-run with the smallest leftover y-run.  Raises unless the
+    sizes and the reduced lengths agree."""
+    a_part, b_part = Partition(a_part), Partition(b_part)
+    n = sum(a_part)
+    if sum(b_part) != n:
+        raise ValueError(f"need partitions of one n, got |{a_part}| = {n} "
+                         f"and |{b_part}| = {sum(b_part)}")
+    c, d = a_part.minus_one(), b_part.minus_one()
+    if len(c) != len(d):
+        raise ValueError(f"need l(a-1) = l(b-1), got {len(c)} vs {len(d)}")
+    return n, c, d, list(zip(c, reversed(d)))
 
 
 def enumerate_partitions(n: int, amax: int | None = None):

@@ -172,6 +172,16 @@ def test_ip_maximal_dominates_its_cell():
     assert delta_dim(*other) <= delta_dim(*pair)
 
 
+def test_delta_dim_rejects_what_is_not_a_pair():
+    # sizes 4 and 2, then 3 and 6: no stratum, so no dimension
+    with pytest.raises(ValueError, match="partitions of one n"):
+        delta_dim((3, 1), (2,))
+    with pytest.raises(ValueError, match="partitions of one n"):
+        delta_dim((2, 1), (2, 2, 2))
+    with pytest.raises(ValueError, match=r"l\(a-1\) = l\(b-1\)"):
+        delta_dim((3, 1), (2, 2))
+
+
 def test_is_regular_component_criterion():
     assert is_regular_component((3, 3, 3, 3), (2, 2, 2, 2, 1, 1, 1, 1), P33)
     # reduced length 5 exceeds #full parts + 1 = 3
@@ -311,6 +321,9 @@ def test_components_rejects_non_integer_parameters():
         components(4, 3.0, 3)
     with pytest.raises(ValueError, match=r"need integer a, b, got \(3, 2\.5\)"):
         components(1, 3, 2.5)
+    # a bool is an int to isinstance, but True is no dimension
+    with pytest.raises(ValueError, match=r"need an integer n, got True"):
+        components(True, 3, 3)
 
 
 # sha256 of `nilvar classify --format json` stdout while classify still

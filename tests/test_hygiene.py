@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every top-level function and class and every method is named somewhere,
-and every command imports only the modules it runs.
+no source computes in floating point, and every command imports only
+the modules it runs.
 
 No linter ships with the package, so this test is the check.  It reads
 each source file and each test file with `ast`, collects the names its
@@ -8,7 +9,9 @@ import statements bind and fails on those the file never loads.  It
 also fails on a top-level definition or method that no source file
 names, unless perfbench patches or calls it or a test backs it
 (TEST_BACKED, with the reason); dunders and overrides of a name a base
-class defines are called from outside and left out.
+class defines are called from outside and left out.  A true division,
+a float literal or a float(...) call in a source fails too, unless
+FLOAT_ALLOWED names its line with the reason.
 A fresh interpreter per command shows which modules that command loads.
 """
 
@@ -53,6 +56,39 @@ def test_checker_flags_an_unused_name():
               "from .words import Word, parse_word\n"
               "def f():\n    return Word(os.sep)\n")
     assert unused_imports(source) == ["line 2: osp", "line 3: parse_word"]
+
+
+def float_uses(source: str) -> list[str]:
+    """The stripped source line of each true division (`/`, `/=`), float
+    literal and `float(...)` call in `source`, in line order."""
+    lines = source.splitlines()
+    hits = [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float"]
+    return [lines[line - 1].strip() for line in sorted(hits)]
+
+
+# the floating point that src/nilvar keeps, "file: line" -> reason
+FLOAT_ALLOWED = {
+    "verify.py: if rng.random() < 0.3:": "the chance that the sampler of "
+        "random modules adds a band summand; it picks test inputs and never "
+        "enters an exact computation",
+}
+
+
+def test_no_floating_point():
+    assert [f"{path.name}: {line}" for path in SOURCES
+            for line in float_uses(path.read_text())] == list(FLOAT_ALLOWED)
+
+
+def test_checker_flags_floating_point():
+    source = ("q = 7 / 2\nr = 7 // 2\nq /= 2\nr //= 2\nz = 1.5\n"
+              "w = float(3)\nu = 1e3\nv = 10 ** 3\nok = isinstance(v, float)\n")
+    assert float_uses(source) == ["q = 7 / 2", "q /= 2", "z = 1.5",
+                                  "w = float(3)", "u = 1e3"]
 
 
 # definitions that nothing in src/nilvar names but that stay: each

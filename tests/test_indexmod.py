@@ -49,6 +49,16 @@ def test_zero_multiplicities_are_dropped_and_equality_is_by_content():
     assert hash(idx_of({(1, 1): 2})) == hash(idx_of({(1, 1): 2}))
 
 
+def test_non_integer_entries_are_rejected_not_truncated():
+    # int() would read these as {(0, 0): 1} and {(0, 0): 1}
+    with pytest.raises(ValueError, match=r"got \(0, 0\): 1\.5"):
+        idx_of({(0, 0): 1.5})
+    with pytest.raises(ValueError, match=r"got \(0\.5, 0\): 1"):
+        idx_of({(0.5, 0): 1})
+    with pytest.raises(ValueError, match=r"got \(1, 0\): True"):
+        idx_of({(1, 0): True})
+
+
 def test_realize_matches_summand_dims():
     idx = idx_of({(2, 2): 1, (1, 1): 1})
     words = idx.summand_words(P33)

@@ -11,7 +11,13 @@ import json
 
 import pytest
 
-from nilvar.partitions import Partition, dominates, enumerate_partitions, reduced_length
+from nilvar.partitions import (
+    Partition,
+    dominates,
+    enumerate_partitions,
+    reduced_length,
+    reduced_pair,
+)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -71,6 +77,8 @@ def test_rejects_non_integer_parts():
         Partition([2.5, 1])
     with pytest.raises(ValueError):
         Partition(["2", 1])
+    with pytest.raises(ValueError, match="must be integers"):
+        Partition([True, 1])
 
 
 def test_tuple_interop():
@@ -84,12 +92,8 @@ def test_tuple_interop():
 
 def test_size_length_multiplicity():
     p = Partition([3, 2, 2, 1])
-    assert p.size() == 8
-    assert p.length() == 4
     assert p.count(2) == 2
     assert p.count(5) == 0
-    assert Partition().size() == 0
-    assert Partition().length() == 0
 
 
 # -- dual ------------------------------------------------------------------
@@ -126,7 +130,7 @@ def test_minus_one_size_drop():
     for n in range(1, 9):
         for p in enumerate_partitions(n):
             q = p.minus_one()
-            assert q.size() == p.size() - p.length()
+            assert sum(q) == sum(p) - len(p)
 
 
 def test_reduced_length():
@@ -135,7 +139,24 @@ def test_reduced_length():
     assert reduced_length(Partition()) == 0
     for n in range(1, 9):
         for p in enumerate_partitions(n):
-            assert reduced_length(p) == p.minus_one().length()
+            assert reduced_length(p) == len(p.minus_one())
+
+
+def test_reduced_pair_pairs_largest_x_run_with_smallest_y_run():
+    n, c, d, pairs = reduced_pair((3, 3, 3, 2), [3, 2, 2, 2, 1, 1])
+    assert (n, c, d) == (11, (2, 2, 2, 1), (2, 1, 1, 1))
+    assert isinstance(c, Partition) and isinstance(d, Partition)
+    assert pairs == [(2, 1), (2, 1), (2, 1), (1, 2)]
+    assert reduced_pair((), ()) == (0, (), (), [])
+
+
+def test_reduced_pair_rejects_what_is_not_a_pair():
+    with pytest.raises(ValueError, match=r"\|\[3,1\]\| = 4 and \|\[2\]\| = 2"):
+        reduced_pair((3, 1), (2,))
+    with pytest.raises(ValueError, match=r"got 1 vs 2"):
+        reduced_pair((3, 1), (2, 2))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        reduced_pair((1, 2), (2, 1))
 
 
 # -- dominance -------------------------------------------------------------
@@ -156,7 +177,7 @@ def test_dominance_examples():
 def test_dominance_against_oracle():
     parts = [p for n in range(8) for p in enumerate_partitions(n)]
     for p, q in itertools.product(parts, repeat=2):
-        if p.size() != q.size():
+        if sum(p) != sum(q):
             continue
         assert dominates(p, q) == brute_dominates(p, q)
 
