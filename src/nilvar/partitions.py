@@ -20,7 +20,9 @@ class Partition(tuple):
 
     def __new__(cls, parts=()):
         parts = tuple(parts)
-        if not all(type(v) is int for v in parts):
+        # type, not isinstance, to refuse bools; map keeps this check of
+        # every enumerated partition out of a per-part Python loop
+        if not set(map(type, parts)) <= {int}:
             raise ValueError(f"partition parts must be integers, got {parts}")
         for v in parts:
             if v <= 0:
