@@ -10,8 +10,9 @@ formulas against brute-force linear algebra.
 
 Layout:
     partitions  partition combinatorics (duals, dominance, enumeration) and
-                the reduced pair (a-1, b-1) with its diamond pairing, which
-                every stratum formula reads
+                the reduced pair (a-1, b-1) with its diamond pairing: the one
+                check that a pair indexes a regular or semi-projective
+                stratum, which every stratum formula calls
     words       strings and bands in the letters x, y
     exactla     exact matrices stored as sparse rows (int entries, Fraction
                 only when needed), one sparse fraction-free elimination

@@ -34,25 +34,18 @@ from .words import AlgebraParams, Word, enumerate_open_strings
 # regular pairs and their strata
 # ---------------------------------------------------------------------------
 
-def is_regular_pair(a_part, b_part) -> bool:
-    """A pair of partitions of n is regular iff the lengths add up to n
-    and the reduced lengths (number of parts >= 2) agree."""
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    n = sum(a_part)
-    if sum(b_part) != n or len(a_part) + len(b_part) != n:
-        return False
-    return reduced_length(a_part) == reduced_length(b_part)
-
-
 def regular_pairs(n, params: AlgebraParams, extra=0):
-    """All pairs of partitions of n with parts bounded by a, b, equal
-    reduced lengths and l(a_part) + l(b_part) = n + extra: the regular
-    pairs at extra = 0; at extra = 1 the length condition of the
-    semi-projective strata."""
+    """All pairs of partitions of n that reduced_pair accepts with the
+    same extra: the regular pairs at extra = 0 (parts bounded by a, b,
+    equal reduced lengths, l(a_part) + l(b_part) = n), the
+    semi-projective strata at extra = 1 (lengths adding up to n + 1 and
+    first parts a and b)."""
+    full = (params.a, params.b)
     for a_part in enumerate_partitions(n, params.a):
         for b_part in enumerate_partitions(n, params.b):
             if (len(a_part) + len(b_part) == n + extra
-                    and reduced_length(a_part) == reduced_length(b_part)):
+                    and reduced_length(a_part) == reduced_length(b_part)
+                    and (extra == 0 or (a_part[0], b_part[0]) == full)):
                 yield a_part, b_part
 
 
@@ -64,19 +57,21 @@ def diamond_family(a_part, b_part, params: AlgebraParams):
 
     Returns [(band word, multiplicity)], longest bands first.
     """
-    mults = Counter("x" * i + "y" * j for i, j in reduced_pair(a_part, b_part)[3])
+    pairs = reduced_pair(a_part, b_part, params, 0)[3]
+    mults = Counter("x" * i + "y" * j for i, j in pairs)
     ordered = sorted(mults, key=lambda s: (-len(s), s))
     return [(Word(s, params), mults[s]) for s in ordered]
 
 
-def delta_dim(a_part, b_part) -> int:
+def delta_dim(a_part, b_part, params: AlgebraParams) -> int:
     """Dimension of the regular stratum C(a_part, b_part):
 
         n^2 - sum_i m_i^2 - sum_i n_i^2 + t^2
 
     where (m_i), (n_i) are the duals of a_part - 1, b_part - 1 and t is
-    their common length.  Raises unless reduced_pair accepts the pair."""
-    n, c, d, _ = reduced_pair(a_part, b_part)
+    their common length.  Raises unless reduced_pair accepts the pair as
+    regular."""
+    n, c, d, _ = reduced_pair(a_part, b_part, params, 0)
     return (n * n - sum(m * m for m in c.dual()) - sum(m * m for m in d.dual())
             + len(c) ** 2)
 
@@ -113,19 +108,16 @@ def is_regular_component(a_part, b_part, params: AlgebraParams) -> bool:
     """Whether the closure of the regular stratum C(a_part, b_part) is an
     irreducible component: at most one part of a_part outside {1, 2, a},
     likewise for b_part with b, and the reduced length is at most
-    #(parts = a) + #(parts = b) + 1."""
-    a_part, b_part = Partition(a_part), Partition(b_part)
-    if not is_regular_pair(a_part, b_part):
-        raise ValueError(f"({a_part}, {b_part}) is not a regular pair")
-    if a_part and a_part[0] > params.a or b_part and b_part[0] > params.b:
-        raise ValueError("partition parts exceed the nilpotency bounds")
+    #(parts = a) + #(parts = b) + 1.  Raises unless reduced_pair accepts
+    the pair as regular."""
+    _, c, _, _ = reduced_pair(a_part, b_part, params, 0)
     if sum(1 for v in a_part if v not in (1, 2, params.a)) > 1:
         return False
     if sum(1 for v in b_part if v not in (1, 2, params.b)) > 1:
         return False
     full = (sum(1 for v in a_part if v == params.a)
             + sum(1 for v in b_part if v == params.b))
-    return reduced_length(a_part) <= full + 1
+    return len(c) <= full + 1
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,7 @@ class Component(namedtuple("Component",
 def _regular_component(a_part, b_part, params) -> Component:
     return Component(
         kind="regular",
-        dim=delta_dim(a_part, b_part),
+        dim=delta_dim(a_part, b_part, params),
         a_part=tuple(a_part),
         b_part=tuple(b_part),
         family=tuple(diamond_family(a_part, b_part, params)),
@@ -329,12 +321,11 @@ def open_orbit_dim_formula(a_part, b_part, params: AlgebraParams) -> int:
         n^2 - p^2 - p - 1 - (a-v-2)(p-r)^2 - (b-w-2)(p-s)^2
             - v(p-r-1)^2 - w(p-s-1)^2
 
-    Raises when the shapes do not match.
+    Raises unless reduced_pair accepts the pair as semi-projective, and
+    when the shapes do not match.
     """
-    n, c, d, _ = reduced_pair(a_part, b_part)
+    n, c, d, _ = reduced_pair(a_part, b_part, params, 1)
     p = len(c)
-    if p == 0:
-        raise ValueError("need a positive reduced length")
     v, r = _staircase_match(c, params.a)
     w, s = _staircase_match(d, params.b)
     a, b = params.a, params.b

@@ -150,23 +150,19 @@ def index_of_regular_stratum(a_part, b_part, params: AlgebraParams) -> BiserialI
         L = Lambda^{n-t}  +  sum_{i=1}^t M(x^{a-c_i-1} y^{b-d_{t-i+1}-1})
 
     with c = a_part - 1, d = b_part - 1 (both length t): each summand
-    takes one pair of the diamond pairing of reduced_pair.
+    takes one pair of the diamond pairing of reduced_pair.  Raises unless
+    reduced_pair accepts the pair as regular.
     """
-    n, _, _, pairs = reduced_pair(a_part, b_part)
-    if len(a_part) + len(b_part) != n:
-        raise ValueError(f"not a regular pair: l(a) + l(b) = "
-                         f"{len(a_part) + len(b_part)} != {n}")
-    if (a_part and a_part[0] > params.a) or (b_part and b_part[0] > params.b):
-        raise ValueError("partition parts exceed the nilpotency bounds")
+    n, _, _, pairs = reduced_pair(a_part, b_part, params, 0)
     return _index_module(n - len(pairs), pairs, params)
 
 
 def semiproj_index(a_part, b_part, params: AlgebraParams):
     """The open string P and index module L of a semi-projective stratum.
 
-    Preconditions: a_part contains a, b_part contains b, the lengths obey
-    l(a_part) + l(b_part) = n + 1, and l(a_part - 1) = l(b_part - 1) = t.
-    With c = a_part - 1, d = b_part - 1:
+    Raises unless reduced_pair accepts the pair as semi-projective: first
+    parts a and b, l(a_part) + l(b_part) = n + 1 and
+    l(a_part - 1) = l(b_part - 1) = t.  With c = a_part - 1, d = b_part - 1:
 
         P = x^{c_1} y^{d_t} x^{c_2} y^{d_{t-1}} .. x^{c_t} y^{d_1}
         L = Lambda^{n-t}  +  sum_{i=2}^t M(x^{a-c_i-1} y^{b-d_{t-i+2}-1})
@@ -175,12 +171,7 @@ def semiproj_index(a_part, b_part, params: AlgebraParams):
     P with the y-run just before it.  Returns (P, L); the orbit of M(P)
     is dense in the stratum of L.
     """
-    n, _, _, pairs = reduced_pair(a_part, b_part)
-    if not a_part or a_part[0] != params.a or not b_part or b_part[0] != params.b:
-        raise ValueError("need a full part a in a_part and b in b_part")
-    if len(a_part) + len(b_part) != n + 1:
-        raise ValueError(f"need l(a) + l(b) = n + 1, got "
-                         f"{len(a_part) + len(b_part)} vs {n + 1}")
+    n, _, _, pairs = reduced_pair(a_part, b_part, params, 1)
     word = Word("".join("x" * i + "y" * j for i, j in pairs), params)
     inner = [(i, j) for (_, j), (i, _) in zip(pairs, pairs[1:])]
     return word, _index_module(n - len(pairs), inner, params)

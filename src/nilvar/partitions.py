@@ -19,6 +19,8 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts  # immutable and already checked
         parts = tuple(parts)
         # type, not isinstance, to refuse bools; map keeps this check of
         # every enumerated partition out of a per-part Python loop
@@ -77,12 +79,20 @@ def reduced_length(p) -> int:
     return sum(1 for v in p if v >= 2)
 
 
-def reduced_pair(a_part, b_part):
-    """The data every stratum formula reads off a pair of partitions of n:
-    (n, c, d, pairs) with c = a_part - 1, d = b_part - 1 of common length
-    t and pairs = [(c_i, d_{t+1-i})], the diamond pairing of the largest
-    leftover x-run with the smallest leftover y-run.  Raises unless the
-    sizes and the reduced lengths agree."""
+def reduced_pair(a_part, b_part, params, extra):
+    """The one check that a pair of partitions of n indexes a stratum, and
+    the data every stratum formula reads off it: (n, c, d, pairs) with
+    c = a_part - 1, d = b_part - 1 of common length t and
+    pairs = [(c_i, d_{t+1-i})], the diamond pairing of the largest
+    leftover x-run with the smallest leftover y-run.
+
+    extra = 0 asks for a regular pair: l(a_part) + l(b_part) = n with
+    parts <= a in a_part and <= b in b_part.  extra = 1 asks for a
+    semi-projective stratum: l(a_part) + l(b_part) = n + 1 with first
+    parts a and b; no other extra is accepted.  Raises ValueError unless
+    the sizes, the reduced lengths, the lengths and the bounds all hold."""
+    if extra not in (0, 1):
+        raise ValueError(f"need extra 0 or 1, got {extra!r}")
     a_part, b_part = Partition(a_part), Partition(b_part)
     n = sum(a_part)
     if sum(b_part) != n:
@@ -91,6 +101,14 @@ def reduced_pair(a_part, b_part):
     c, d = a_part.minus_one(), b_part.minus_one()
     if len(c) != len(d):
         raise ValueError(f"need l(a-1) = l(b-1), got {len(c)} vs {len(d)}")
+    if len(a_part) + len(b_part) != n + extra:
+        raise ValueError(f"need l(a) + l(b) = n + {extra}, got "
+                         f"{len(a_part) + len(b_part)} vs {n + extra}")
+    if extra == 0 and (max(a_part, default=0) > params.a
+                       or max(b_part, default=0) > params.b):
+        raise ValueError("partition parts exceed the nilpotency bounds")
+    if extra == 1 and (a_part[0] != params.a or b_part[0] != params.b):
+        raise ValueError("need a full part a in a_part and b in b_part")
     return n, c, d, list(zip(c, reversed(d)))
 
 

@@ -211,7 +211,7 @@ def _check_stratum_dims(level, seed):
             params = classify.normalize_params(n, a, b)
             for pair in classify.regular_pairs(n, params):
                 idx = indexmod.index_of_regular_stratum(*pair, params)
-                delta = classify.delta_dim(*pair)
+                delta = classify.delta_dim(*pair, params)
                 stratum = indexmod.stratum_dim(idx, n, params)
                 if delta != stratum:
                     raise CheckFailure(
@@ -219,8 +219,6 @@ def _check_stratum_dims(level, seed):
                         f" {delta} != {stratum}")
                 regular += 1
             for pair in classify.regular_pairs(n, params, extra=1):
-                if params.a not in pair[0] or params.b not in pair[1]:
-                    continue
                 word, idx = indexmod.semiproj_index(*pair, params)
                 orbit = homalg.orbit_dim([word])
                 if orbit != indexmod.stratum_dim(idx, n, params):

@@ -15,7 +15,6 @@ from nilvar.classify import (
     diamond_family,
     ip_maximal,
     is_regular_component,
-    is_regular_pair,
     nnn_components,
     nonregular_components,
     normalize_params,
@@ -28,7 +27,13 @@ from nilvar.cli import main
 from nilvar.exactla import RationalMatrix
 from nilvar.indexmod import index_of_regular_stratum, semiproj_index, stratum_dim
 from nilvar.modmatrix import MatrixPairModule
-from nilvar.partitions import Partition, dominates, reduced_length
+from nilvar.partitions import (
+    Partition,
+    dominates,
+    enumerate_partitions,
+    reduced_length,
+    reduced_pair,
+)
 from nilvar.words import AlgebraParams
 
 P33 = AlgebraParams(3, 3)
@@ -79,25 +84,17 @@ def family_key(comp):
 # regular pairs
 # ---------------------------------------------------------------------------
 
-def test_is_regular_pair():
-    assert is_regular_pair((2,), (2,))
-    assert is_regular_pair((3, 1), (3, 1))
-    assert not is_regular_pair((2, 1), (2, 1))      # lengths sum to 4 != 3
-    assert not is_regular_pair((3, 1), (2, 2))      # reduced lengths differ
-    assert not is_regular_pair((2, 2), (3, 1, 1))   # sizes differ
-
-
 def test_regular_pairs_enumeration_small():
     pairs = list(regular_pairs(4, P33))
     assert (Partition((3, 1)), Partition((3, 1))) in pairs
     assert (Partition((2, 2)), Partition((2, 2))) in pairs
     for a_part, b_part in pairs:
-        assert is_regular_pair(a_part, b_part)
+        reduced_pair(a_part, b_part, P33, 0)
     assert len(pairs) == len(set(pairs))
 
 
 def test_diamond_family_pairs_large_x_with_small_y():
-    fam = diamond_family((3, 3, 3, 2), (3, 2, 2, 2, 1, 1), P33)
+    fam = diamond_family((3, 3, 3, 2, 1), (3, 2, 2, 2, 1, 1, 1), P33)
     # c = (2,2,2,1), d = (2,1,1,1): three x^2y and one xy^2
     assert [(str(w), m) for w, m in fam] == [("xxy", 3), ("xyy", 1)]
     fam = diamond_family((3, 2, 1), (3, 2, 1), P33)
@@ -109,16 +106,17 @@ def test_delta_dim_matches_stratum_dim_of_index_module():
         for params in (P33, AlgebraParams(2, 3)):
             for a_part, b_part in regular_pairs(n, params):
                 idx = index_of_regular_stratum(a_part, b_part, params)
-                assert delta_dim(a_part, b_part) == stratum_dim(idx, n, params), \
+                assert (delta_dim(a_part, b_part, params)
+                        == stratum_dim(idx, n, params)), \
                     (a_part, b_part, params)
 
 
 def test_stratum_formulas_frozen():
     # for (a, b) in {2..5}^2 and n = 2..12, one line per regular pair
     # (band family, delta_dim, component test, index module) and per
-    # semi-projective pair with full parts a and b (open string, index
-    # module, closed-form orbit dimension or None where the staircase
-    # shape does not match): 1,407 regular and 167 semi-projective pairs
+    # semi-projective stratum (open string, index module, closed-form
+    # orbit dimension or None where the staircase shape does not match):
+    # 1,407 regular and 167 semi-projective pairs
     digest, counts = hashlib.sha256(), collections.Counter()
     for a, b in itertools.product(range(2, 6), repeat=2):
         params = AlgebraParams(a, b)
@@ -126,13 +124,11 @@ def test_stratum_formulas_frozen():
             for pair in regular_pairs(n, params):
                 counts["regular"] += 1
                 fam = [(str(w), m) for w, m in diamond_family(*pair, params)]
-                digest.update(f"{a} {b} {pair} {fam} {delta_dim(*pair)} "
+                digest.update(f"{a} {b} {pair} {fam} {delta_dim(*pair, params)} "
                               f"{is_regular_component(*pair, params)} "
                               f"{index_of_regular_stratum(*pair, params)!r}\n"
                               .encode())
             for pair in regular_pairs(n, params, extra=1):
-                if pair[0][0] != a or pair[1][0] != b:
-                    continue
                 counts["semi-projective"] += 1
                 word, idx = semiproj_index(*pair, params)
                 try:
@@ -165,21 +161,77 @@ def test_ip_maximal_dominates_its_cell():
     pair = ip_maximal(9, P43, 4, 3)
     assert pair == (Partition((4, 2, 2, 1)), Partition((3, 2, 2, 1, 1)))
     other = (Partition((3, 3, 2, 1)), pair[1])
-    assert is_regular_pair(*other)
+    reduced_pair(*other, P43, 0)
     assert (len(other[0]), reduced_length(other[0])) == (4, 3)
     assert dominates(other[0], pair[0]) and dominates(other[1], pair[1])
     assert not dominates(pair[0], other[0])
-    assert delta_dim(*other) <= delta_dim(*pair)
+    assert delta_dim(*other, P43) <= delta_dim(*pair, P43)
 
 
 def test_delta_dim_rejects_what_is_not_a_pair():
     # sizes 4 and 2, then 3 and 6: no stratum, so no dimension
     with pytest.raises(ValueError, match="partitions of one n"):
-        delta_dim((3, 1), (2,))
+        delta_dim((3, 1), (2,), P33)
     with pytest.raises(ValueError, match="partitions of one n"):
-        delta_dim((2, 1), (2, 2, 2))
+        delta_dim((2, 1), (2, 2, 2), P33)
     with pytest.raises(ValueError, match=r"l\(a-1\) = l\(b-1\)"):
-        delta_dim((3, 1), (2, 2))
+        delta_dim((3, 1), (2, 2), P33)
+
+
+REGULAR_FORMULAS = [delta_dim, diamond_family, is_regular_component,
+                    index_of_regular_stratum]
+SEMIPROJ_FORMULAS = [semiproj_index, open_orbit_dim_formula]
+# pairs of partitions of n with equal reduced lengths, at (a, b) = (3, 3)
+REGULAR_33 = ((3, 1), (3, 1))
+OUTSIDE_33 = [
+    ((2, 1), (2, 1)),          # l(a) + l(b) = n + 1, but no full part
+    REGULAR_33,                # l(a) + l(b) = n
+    ((2, 1, 1), (2, 1, 1)),    # l(a) + l(b) = n + 2
+    ((2, 2, 1), (2, 2, 1)),    # l(a) + l(b) = n + 1, but no full part
+    ((4, 1), (3, 1, 1)),       # l(a) + l(b) = n, but a part 4 > a
+]
+
+
+@pytest.mark.parametrize("formula, pair", [
+    (f, pair) for f in REGULAR_FORMULAS + SEMIPROJ_FORMULAS for pair in OUTSIDE_33
+    if not (f in REGULAR_FORMULAS and pair == REGULAR_33)],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_stratum_formulas_reject_pairs_outside_their_kind(formula, pair):
+    with pytest.raises(ValueError, match=r"l\(a\) \+ l\(b\)|full part|bounds"):
+        formula(*pair, P33)
+
+
+def test_regular_pairs_are_the_pairs_reduced_pair_accepts():
+    # the validator sees every pair of partitions of n, with parts above
+    # a or b too, so its bound checks are exercised
+    for a, b in itertools.product(range(2, 6), repeat=2):
+        params = AlgebraParams(a, b)
+        for n in range(2, 11):
+            parts = list(enumerate_partitions(n))
+            for extra in (0, 1):
+                accepted = set()
+                for pair in itertools.product(parts, repeat=2):
+                    try:
+                        reduced_pair(*pair, params, extra)
+                    except ValueError:
+                        continue
+                    accepted.add(pair)
+                assert set(regular_pairs(n, params, extra)) == accepted, \
+                    (a, b, n, extra)
+
+
+def test_regular_components_pass_the_benchmark_dimension_check():
+    # the benchmark's output check recomputes each regular component's
+    # dimension from its index module, with unnormalized parameters
+    for n, (a, b) in itertools.product((16, 20, 24),
+                                       [(3, 3), (4, 4), (3, 5), (5, 3)]):
+        params = AlgebraParams(a, b)
+        regular = [c.as_dict() for c in components(n, a, b) if c.kind == "regular"]
+        assert regular
+        for comp in regular:
+            idx = index_of_regular_stratum(Partition(comp["a"]),
+                                           Partition(comp["b"]), params)
+            assert stratum_dim(idx, n, params) == comp["dim"], (n, a, b, comp)
 
 
 def test_is_regular_component_criterion():
@@ -430,9 +482,9 @@ def test_open_orbit_dim_formula_frozen_values():
     # value agrees with the orbit dimension of M(xxxyyxxyy) = 84
     assert open_orbit_dim_formula((4, 3, 1, 1, 1), (3, 3, 1, 1, 1, 1),
                                   P43) == 84
-    # but (2, 2) does not match the staircase for bound 4
-    with pytest.raises(ValueError):
-        open_orbit_dim_formula((3, 3, 1), (3, 3, 1), P43)
+    # but a_part - 1 = (3, 2, 2) does not match the staircase for bound 4
+    with pytest.raises(ValueError, match="does not match"):
+        open_orbit_dim_formula((4, 3, 3, 1, 1), (3, 2, 2, 1, 1, 1, 1, 1), P43)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from nilvar.partitions import (
     reduced_length,
     reduced_pair,
 )
+from nilvar.words import AlgebraParams
+
+P33 = AlgebraParams(3, 3)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -79,6 +82,20 @@ def test_rejects_non_integer_parts():
         Partition(["2", 1])
     with pytest.raises(ValueError, match="must be integers"):
         Partition([True, 1])
+
+
+def test_partition_of_a_partition_is_itself():
+    p = Partition([3, 2, 1])
+    assert Partition(p) is p
+    q = Partition((3, 2, 1))
+    assert q is not p and type(q) is Partition and q == p
+    # anything else is still checked
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition(tuple(reversed(p)))
+    with pytest.raises(ValueError, match="must be integers"):
+        Partition([True])
+    with pytest.raises(ValueError, match="positive"):
+        Partition(v - 1 for v in p)
 
 
 def test_tuple_interop():
@@ -143,20 +160,45 @@ def test_reduced_length():
 
 
 def test_reduced_pair_pairs_largest_x_run_with_smallest_y_run():
-    n, c, d, pairs = reduced_pair((3, 3, 3, 2), [3, 2, 2, 2, 1, 1])
-    assert (n, c, d) == (11, (2, 2, 2, 1), (2, 1, 1, 1))
+    n, c, d, pairs = reduced_pair((3, 3, 3, 2, 1), [3, 2, 2, 2, 1, 1, 1], P33, 0)
+    assert (n, c, d) == (12, (2, 2, 2, 1), (2, 1, 1, 1))
     assert isinstance(c, Partition) and isinstance(d, Partition)
     assert pairs == [(2, 1), (2, 1), (2, 1), (1, 2)]
-    assert reduced_pair((), ()) == (0, (), (), [])
+    assert reduced_pair((), (), P33, 0) == (0, (), (), [])
 
 
 def test_reduced_pair_rejects_what_is_not_a_pair():
     with pytest.raises(ValueError, match=r"\|\[3,1\]\| = 4 and \|\[2\]\| = 2"):
-        reduced_pair((3, 1), (2,))
+        reduced_pair((3, 1), (2,), P33, 0)
     with pytest.raises(ValueError, match=r"got 1 vs 2"):
-        reduced_pair((3, 1), (2, 2))
+        reduced_pair((3, 1), (2, 2), P33, 0)
     with pytest.raises(ValueError, match="weakly decreasing"):
-        reduced_pair((1, 2), (2, 1))
+        reduced_pair((1, 2), (2, 1), P33, 0)
+
+
+def test_reduced_pair_checks_the_rules_of_each_stratum_kind():
+    # regular: l(a) + l(b) = n and parts within a, b
+    assert reduced_pair((2,), (2,), P33, 0)[0] == 2
+    assert reduced_pair((3, 1), (3, 1), P33, 0)[0] == 4
+    with pytest.raises(ValueError, match=r"n \+ 0, got 4 vs 3"):
+        reduced_pair((2, 1), (2, 1), P33, 0)
+    with pytest.raises(ValueError, match="partitions of one n"):
+        reduced_pair((2, 2), (3, 1, 1), P33, 0)
+    with pytest.raises(ValueError, match="nilpotency bounds"):
+        reduced_pair((4, 1), (3, 1, 1), P33, 0)
+    with pytest.raises(ValueError, match="nilpotency bounds"):
+        reduced_pair((3, 1, 1), (4, 1), P33, 0)
+    # semi-projective: l(a) + l(b) = n + 1 and first parts a, b
+    assert reduced_pair((3, 1, 1), (3, 1, 1), P33, 1)[3] == [(2, 2)]
+    with pytest.raises(ValueError, match=r"n \+ 1, got 4 vs 5"):
+        reduced_pair((3, 1), (3, 1), P33, 1)
+    with pytest.raises(ValueError, match="full part"):
+        reduced_pair((2, 2, 1), (2, 2, 1), P33, 1)
+    with pytest.raises(ValueError, match="full part"):
+        reduced_pair((3, 1, 1), (3, 1, 1), AlgebraParams(3, 4), 1)
+    # no third kind: parts 9 > a = 3 would pass both bound checks unseen
+    with pytest.raises(ValueError, match="need extra 0 or 1, got -7"):
+        reduced_pair((9,), (9,), P33, -7)
 
 
 # -- dominance -------------------------------------------------------------
