@@ -21,7 +21,6 @@ proportional to the nonzeros and the integers stay small.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 
@@ -32,6 +31,9 @@ def _entry(v):
         return v
     if isinstance(v, float):
         raise TypeError(f"refusing float entry {v!r}; use Fraction or int")
+    # imported on the first entry that is not an int: matrices of int
+    # entries, all that `verify` builds, never load fractions
+    from fractions import Fraction
     v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 

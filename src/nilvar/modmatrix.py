@@ -242,26 +242,28 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
 
 def direct_sum(modules) -> MatrixPairModule:
     """Block-diagonal direct sum; all summands must share parameters.
-    Summand metadata is concatenated when every part carries it.  The
-    first summand's row dicts are shared (offset 0; modules are never
-    modified once built), later ones re-keyed."""
-    modules = list(modules)
-    if not modules:
+    Summand metadata is concatenated when every part carries it.  One
+    pass over the parts: the first summand's row dicts are shared
+    (offset 0; modules are never modified once built), later ones
+    re-keyed by the rows placed so far."""
+    params, a_rows, b_rows, summands = None, [], [], ()
+    for mod in modules:
+        if params is None:
+            params = mod.params
+        elif mod.params != params:
+            raise ValueError("direct_sum needs equal algebra parameters")
+        off = len(a_rows)
+        if off:
+            for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
+                rows += [{off + j: v for j, v in row.items()} if row else {}
+                         for row in part.rows]
+        else:
+            a_rows += mod.A.rows
+            b_rows += mod.B.rows
+        if summands is not None:
+            summands = None if mod.summands is None else summands + mod.summands
+    if params is None:
         raise ValueError("direct_sum of nothing")
-    params = modules[0].params
-    if any(m.params != params for m in modules):
-        raise ValueError("direct_sum needs equal algebra parameters")
-    n = sum(m.n for m in modules)
-    a_rows, b_rows = list(modules[0].A.rows), list(modules[0].B.rows)
-    off = modules[0].n
-    for mod in modules[1:]:
-        for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
-            rows.extend({off + j: v for j, v in row.items()} if row else {}
-                        for row in part.rows)
-        off += mod.n
-    A = RationalMatrix.of_rows(a_rows, n)
-    B = RationalMatrix.of_rows(b_rows, n)
-    summands = None
-    if all(m.summands is not None for m in modules):
-        summands = [s for m in modules for s in m.summands]
-    return MatrixPairModule(n, A, B, params, summands)
+    n = len(a_rows)
+    return MatrixPairModule(n, RationalMatrix.of_rows(a_rows, n),
+                            RationalMatrix.of_rows(b_rows, n), params, summands)

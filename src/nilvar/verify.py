@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from functools import lru_cache
 
 # Functions of the other modules are looked up in them at call time: this
 # module is loaded on demand, possibly after a profiler has wrapped some
@@ -75,14 +76,33 @@ CheckResult = namedtuple("CheckResult", "name passed detail seconds")
 _PARAM_POOL = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)]
 
 
-def _random_string_word(rng, params):
-    caps = (("x", params.a - 1), ("y", params.b - 1))
-    text = ""
+# the letters a string text may go on with: both, or only the other one
+# after a full run of its last letter; rng.choice on a one-letter tuple
+# still draws, so the RNG sees the same calls whichever applies
+_BOTH = ("x", "y")
+_OTHER = {"x": ("y",), "y": ("x",)}
+
+
+def _random_string_text(rng, params):
+    """The text of a random valid string word of length <= 5, drawn
+    letter by letter among those that keep every run within its cap."""
+    caps = {"x": params.a - 1, "y": params.b - 1}
+    text, last, run = "", "", 0
     for _ in range(rng.randint(0, 5)):
-        # a letter is capped when the text ends in a full run of it, and
-        # both letters never are
-        text += rng.choice([l for l, cap in caps if not text.endswith(l * cap)])
-    return Word(text, params)
+        letter = rng.choice(_OTHER[last] if run == caps.get(last) else _BOTH)
+        run = run + 1 if letter == last else 1
+        last = letter
+        text += letter
+    return text
+
+
+@lru_cache(maxsize=None)
+def _string_summand(text, params):
+    """M(text) over params, built once per (text, params): keyed on the
+    params too, since Word equality ignores them.  The sampler's pool
+    bounds the table (seven parameter sets, texts of length <= 5); it is
+    safe to share because modules are never modified once built."""
+    return modmatrix.string_module(Word(text, params))
 
 
 def _random_band_word(rng, params):
@@ -103,7 +123,9 @@ def _random_band_word(rng, params):
 def random_module(rng):
     """A seeded random direct sum of one to three string and band modules
     over a pool algebra (strings of length <= 5), with the summand
-    metadata kept for downstream bookkeeping checks."""
+    metadata kept for downstream bookkeeping checks.  String summands
+    come from the _string_summand memo; bands, of which there are far
+    more distinct ones, are built on every draw."""
     params = AlgebraParams(*rng.choice(_PARAM_POOL))
     parts = []
     for _ in range(rng.randint(1, 3)):
@@ -113,8 +135,8 @@ def random_module(rng):
             lambdas = [rng.randint(1, 5) for _ in range(mult)]
             parts.append(modmatrix.band_module(word, lambdas))
         else:
-            word = _random_string_word(rng, params)
-            parts.append(modmatrix.string_module(word))
+            parts.append(_string_summand(_random_string_text(rng, params),
+                                         params))
     return modmatrix.direct_sum(parts)
 
 
@@ -286,8 +308,8 @@ def _check_random_modules(level, seed):
         xs = ys = 0
         for s in mod.summands:
             mult = 1 if s[0] == "string" else len(s[2])
-            xs += mult * str(s[1]).count("x")
-            ys += mult * str(s[1]).count("y")
+            xs += mult * s[1].count("x")
+            ys += mult * s[1].count("y")
         if rka != xs or rkb != ys:
             raise CheckFailure(
                 f"letter-count ranks fail at sample {k}: "

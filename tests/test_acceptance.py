@@ -63,7 +63,7 @@ def test_criterion_6_published_remarks():
 
 def test_criterion_7_random_modules():
     _criterion(7, "10000 seeded random modules", "random-modules",
-               "10000 random modules, seed 0", budget=15, seed=0)
+               "10000 random modules, seed 0", budget=5, seed=0)
 
 
 def test_criterion_8_regular_density():

@@ -191,8 +191,10 @@ def test_checker_flags_an_unnamed_method():
 # modules that a command must not load unless it runs them: dataclasses
 # pulls in inspect, ast, dis and tokenize; nilvar.verify is needed by
 # `verify` alone and nilvar.indexmod by its stratum-dims check; the
-# matrix stack (nilvar.modmatrix, nilvar.exactla, fractions) by
-# `module`, `hom --oracle` and the checks; json by --format json
+# matrix stack (nilvar.modmatrix, nilvar.exactla) by `module`,
+# `hom --oracle` and the checks, and fractions only by a matrix entry
+# that is not an int, as `module --lambdas 1,1/2` gives; json by
+# --format json
 NEVER = ("dataclasses", "inspect", "nilvar.indexmod", "nilvar.verify")
 MATRICES = ("nilvar.modmatrix", "nilvar.exactla", "fractions")
 
@@ -241,3 +243,12 @@ def test_verify_loads_the_checks():
         "nilvar.verify"]
     assert modules_loaded(["verify", "--check", "stratum-dims"], NEVER) == [
         "nilvar.indexmod", "nilvar.verify"]
+
+
+@pytest.mark.parametrize("check", ["random-modules", "hom-agreement"])
+def test_matrix_checks_load_no_fractions(check):
+    # their matrices hold int entries only; exactla imports fractions on
+    # the first entry that is not an int
+    assert modules_loaded(["verify", "--check", check],
+                          MATRICES + ("json",)) == [
+        "nilvar.modmatrix", "nilvar.exactla"]

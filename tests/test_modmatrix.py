@@ -247,6 +247,42 @@ def test_direct_sum_param_mismatch():
         direct_sum([string_module(Word("x", P33)), string_module(Word("x", P43))])
     with pytest.raises(ValueError):
         direct_sum([])
+    # the last part is checked too, and a generator of parts is read once
+    parts = [string_module(Word("x", P33)), string_module(Word("xy", P33)),
+             string_module(Word("x", P43))]
+    with pytest.raises(ValueError, match="equal algebra parameters"):
+        direct_sum(iter(parts))
+
+
+def test_direct_sum_of_three_parts():
+    parts = [string_module(Word("xy", P33)),
+             band_module(Word("xyy", P33), [2]),
+             string_module(Word("yx", P33))]
+    total = direct_sum(iter(parts))
+    assert total.n == 3 + 3 + 3
+    assert total.summands == (("string", "xy"), ("band", "xyy", (2,)),
+                              ("string", "yx"))
+    # each part's block sits on the diagonal at the sum of the sizes before it
+    for name in ("A", "B"):
+        want = [[0] * total.n for _ in range(total.n)]
+        off = 0
+        for part in parts:
+            for i, row in enumerate(getattr(part, name).dense()):
+                want[off + i][off:off + part.n] = row
+            off += part.n
+        assert getattr(total, name).dense() == want
+        assert_sparse(getattr(total, name))
+
+
+def test_direct_sum_metadata_needs_every_part():
+    bare = string_module(Word("xy", P33))
+    bare = MatrixPairModule(bare.n, bare.A, bare.B, P33)
+    tagged = string_module(Word("x", P33))
+    for parts in ([bare, tagged], [tagged, bare], [tagged, bare, tagged]):
+        total = direct_sum(parts)
+        assert total.summands is None
+        assert total.n == sum(p.n for p in parts)
+        assert total.verify_relations()
 
 
 # -- the relations, failing ------------------------------------------------

@@ -9,7 +9,7 @@ from nilvar import exactla, homalg, modmatrix, verify
 from nilvar.exactla import RationalMatrix
 from nilvar.modmatrix import MatrixPairModule, string_module
 from nilvar.verify import CheckResult, run_check, run_suite, random_module
-from nilvar.words import AlgebraParams, Word, band_class
+from nilvar.words import AlgebraParams, Word, band_class, enumerate_words
 
 
 def test_quick_suite_passes():
@@ -56,6 +56,56 @@ def test_random_module_draws_are_pinned():
         digest.update(json.dumps(random_module(rng).to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == (
         "60e13df87ba3357a73f09ac1db745bbccf6fbff5da19e2515f83b5eb665699cc")
+
+
+def _reference_string_text(rng, params):
+    # the former sampler: a letter is capped when the text ends in a full
+    # run of it, and the choice is among the letters left
+    caps = (("x", params.a - 1), ("y", params.b - 1))
+    text = ""
+    for _ in range(rng.randint(0, 5)):
+        text += rng.choice([l for l, cap in caps if not text.endswith(l * cap)])
+    return text
+
+
+@pytest.mark.parametrize("pair", verify._PARAM_POOL)
+def test_string_sampler_matches_the_reference(pair):
+    # the run-length sampler makes the same RNG calls on the same choices
+    params = AlgebraParams(*pair)
+    for seed in range(5):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            assert (verify._random_string_text(ours, params)
+                    == _reference_string_text(ref, params))
+        assert ours.getstate() == ref.getstate()
+
+
+def test_string_summand_memo():
+    run_check("random-modules", "quick")
+    memo = verify._string_summand
+    pool = [(str(w), params) for pair in verify._PARAM_POOL
+            for params in [AlgebraParams(*pair)]
+            for w in enumerate_words(5, params)]
+    held = memo.cache_info().currsize
+    assert 0 < held <= len(pool)
+    # every cached module is as built, so no direct sum wrote through the
+    # rows it shares with one; a key is cached iff asking for it is a hit
+    cached = 0
+    for text, params in pool:
+        hits = memo.cache_info().hits
+        mod = memo(text, params)
+        if memo.cache_info().hits > hits:
+            cached += 1
+            fresh = string_module(Word(text, params))
+            assert (mod.A, mod.B, mod.summands) == (fresh.A, fresh.B, fresh.summands)
+            assert mod.params == params
+    assert cached == held
+    # equal texts over two algebras are two entries, each with its params
+    p22, p33 = AlgebraParams(2, 2), AlgebraParams(3, 3)
+    m22, m33 = memo("xy", p22), memo("xy", p33)
+    assert m22 is not m33
+    assert (m22.params, m33.params) == (p22, p33)
+    assert m22.summands[0][1].params == p22 and m33.summands[0][1].params == p33
 
 
 def test_random_module_structure():
