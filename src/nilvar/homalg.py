@@ -3,17 +3,16 @@
 Two independent routes to Hom, kept separate on purpose so each can
 audit the other:
 
-  * hom_dim_graph counts admissible pairs of words -- a factor triple of
-    the source against a substring triple of the target with equal middle
-    -- and each pair carries an explicit basis homomorphism, the *graph
-    map* that matches the two windows vector by vector.  The count builds
-    no pair: it is summed per pair from per-word middle multisets -- the
-    middle words of each word's factor triples and of its substring
-    triples, counted once per word -- by multiplying the multiplicities
-    of each middle word on the two sides.  A graph map is the triple
-    (s, q, L): it sends e_{s+i} to e_{q+i} for i = 0..L and every other
-    basis vector to zero, and this is the one form in which graph maps,
-    the projective cover and the compositions below are handled.
+  * hom_dim_graph counts graph maps, the basis of Hom that
+    words.admissible_pairs lists: one per factor window (s, E) of the
+    source and substring window (q, E) of the target with the same middle
+    word E.  A graph map is the triple (s, q, L), L = |E|: it sends
+    e_{s+i} to e_{q+i} for i = 0..L and every other basis vector to
+    zero, and this is the one form in which graph maps, the projective
+    cover and the compositions below are handled.  The count builds no
+    map: it multiplies, per middle word, its multiplicity among the
+    source's factor windows by that among the target's substring
+    windows, each multiset counted once per word.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
@@ -49,8 +48,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .words import (AlgebraParams, Word, admissible_pairs, factor_triples,
-                    substring_triples, tau_inverse)
+from .words import (AlgebraParams, Word, admissible_pairs, factor_windows,
+                    substring_windows, tau_inverse)
 
 # entries kept by each memo table (_middles, _hom_count, _ext1_vanishes):
 # bounded at any n, and above what a run uses (`verify --level full --seed
@@ -63,27 +62,20 @@ MEMO_SIZE = 2 ** 16
 # graph maps
 # ---------------------------------------------------------------------------
 
-def hom_basis(src: Word, tgt: Word) -> list[tuple]:
-    """The graph-map basis of Hom(M(src), M(tgt)), one map per admissible
-    pair (D1, E, F1), (D2, E, F2): it sends the window vectors over E
-    identically onto each other and everything else to zero.  Each map is
-    the triple (|D1|, |D2|, |E|): e_{|D1|+i} |-> e_{|D2|+i}, i = 0..|E|."""
-    return [(len(d1), len(d2), len(e))
-            for (d1, e, _), (d2, _, _) in admissible_pairs(src, tgt)]
-
-
 @lru_cache(maxsize=MEMO_SIZE)
-def _middles(text: str, triples) -> Counter:
-    """The multiset of middle words of triples(text), for triples one of
-    factor_triples and substring_triples; shared, so never modified."""
-    return Counter(m for _, m, _ in triples(text))
+def _middles(text: str, windows) -> Counter:
+    """The multiset of the middle words E of windows(text), for windows
+    one of factor_windows and substring_windows; shared, so never
+    modified."""
+    return Counter(e for _, e in windows(text))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _hom_count(src_text: str, tgt_text: str, a: int, b: int) -> int:
-    # len(admissible_pairs(..)) without the pairs; a and b only key the memo
-    fac = _middles(src_text, factor_triples)
-    sub = _middles(tgt_text, substring_triples)
+    # len(admissible_pairs(..)) without the maps: pairs of windows with
+    # equal middles, counted per middle; a and b only key the memo
+    fac = _middles(src_text, factor_windows)
+    sub = _middles(tgt_text, substring_windows)
     return sum(sub[m] * k for m, k in fac.items())
 
 
@@ -283,7 +275,7 @@ def _cover_compositions(c: Word, w: Word) -> set:
     p = c.params
     cover = projective_cover(c)
     lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
-    return {_compose(f, g) for f in hom_basis(w, lam) for g in cover} - {None}
+    return {_compose(f, g) for f in admissible_pairs(w, lam) for g in cover} - {None}
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:

@@ -5,7 +5,9 @@ longer than b-1; longer runs vanish in the algebra.  Valid words index the
 string modules (see modmatrix), cyclic-valid words index the bands, and a
 handful of word-combinatorial notions -- semi-projectivity, the inverse
 Auslander-Reiten translate, the admissible pairs that count homomorphisms
--- drive everything downstream.
+-- drive everything downstream.  Homomorphisms leave this module as graph
+maps, each the triple (s, q, L) sending e_{s+i} to e_{q+i} for i = 0..L
+and every other basis vector to zero.
 
 Conventions, fixed once and for all:
 
@@ -64,7 +66,10 @@ class Word(str):
 
     def __new__(cls, text, params: AlgebraParams):
         text = str(text)
-        if text.strip("xy") or "x" * params.a in text or "y" * params.b in text:
+        # a run longer than the text is in no text: the probes stay its size
+        cap = len(text) + 1
+        if (text.strip("xy") or "x" * min(params.a, cap) in text
+                or "y" * min(params.b, cap) in text):
             bad = set(text) - {"x", "y"}
             if bad:
                 raise ValueError(f"letters must be x or y, got {sorted(bad)!r}")
@@ -228,46 +233,45 @@ def enumerate_open_strings(dim: int, params: AlgebraParams) -> list[Word]:
 # admissible pairs
 # ---------------------------------------------------------------------------
 
-def _triples(w, before, after):
-    """All splittings w = D E F, in order of |D| then |E|, where D is
-    empty or ends in `before` and F is empty or starts with `after`."""
+def _windows(w, before, after):
+    """All windows (|D|, E) of splittings w = D E F, in order of |D| then
+    |E|, where D is empty or ends in `before` and F is empty or starts
+    with `after`."""
     n = len(w)
-    return [(w[:i], w[i:j], w[j:])
+    return [(i, w[i:j])
             for i in range(n + 1) if i == 0 or w[i - 1] == before
             for j in range(i, n + 1) if j == n or w[j] == after]
 
 
-def factor_triples(w):
-    """All splittings w = D E F where D is empty or ends in x and F is
-    empty or starts with y.  The window vectors of E then span a quotient
-    of the string module of w.
+def factor_windows(w):
+    """All windows (|D|, E) of splittings w = D E F where D is empty or
+    ends in x and F is empty or starts with y.  The basis vectors over E
+    then span a quotient of the string module of w.
     """
-    return _triples(w, "x", "y")
+    return _windows(w, "x", "y")
 
 
-def substring_triples(w):
-    """All splittings w = D E F where D is empty or ends in y and F is
-    empty or starts with x.  The window vectors of E then span a submodule
-    of the string module of w.
+def substring_windows(w):
+    """All windows (|D|, E) of splittings w = D E F where D is empty or
+    ends in y and F is empty or starts with x.  The basis vectors over E
+    then span a submodule of the string module of w.
     """
-    return _triples(w, "y", "x")
+    return _windows(w, "y", "x")
 
 
 def admissible_pairs(w1, w2):
-    """All pairs (factor triple of w1, substring triple of w2) with the
-    same middle word.  Their number is dim Hom(M(w1), M(w2)), and each
-    pair carries one basis homomorphism -- the graph map of homalg.
+    """The graph-map basis of Hom(M(w1), M(w2)): one graph map (s, q, |E|)
+    per factor window (s, E) of w1 and substring window (q, E) of w2 with
+    the same middle E, in order of the factor windows.  It sends e_{s+i}
+    to e_{q+i} for i = 0..|E| and every other basis vector to zero.
     """
     if getattr(w1, "params", None) != getattr(w2, "params", None):
         raise ValueError("admissible_pairs needs words over the same algebra")
     by_middle = {}
-    for t in substring_triples(w2):
-        by_middle.setdefault(t[1], []).append(t)
-    out = []
-    for t in factor_triples(w1):
-        for t2 in by_middle.get(t[1], ()):
-            out.append((t, t2))
-    return out
+    for q, e in substring_windows(w2):
+        by_middle.setdefault(e, []).append(q)
+    return [(s, q, len(e))
+            for s, e in factor_windows(w1) for q in by_middle.get(e, ())]
 
 
 def enumerate_words(max_len: int, params: AlgebraParams) -> list[Word]:

@@ -23,7 +23,6 @@ from nilvar.classify import components
 from nilvar.homalg import (
     end_dim,
     ext1_vanishes,
-    hom_basis,
     hom_dim_graph,
     hom_dim_oracle,
     orbit_dim,
@@ -64,11 +63,11 @@ def flat_ones(m):
 
 def test_graph_map_matrix_shape():
     src, tgt = Word("xxy", P33), Word("xyxx", P33)
-    basis = hom_basis(src, tgt)
-    assert len(basis) == len(admissible_pairs(src, tgt))
-    # the pair (x, x, y), (xy, x, x): |D1| = 1, |D2| = 2, |E| = 1
+    basis = admissible_pairs(src, tgt)
+    # factor window (1, "x") of xxy against substring window (2, "x") of xyxx
     assert (1, 2, 1) in basis
-    # the pair (xx, "", y), ("", "", xyxx): the top of M(xxy) onto e_0
+    # factor window (2, "") against substring window (0, ""): the top of
+    # M(xxy) onto e_0
     assert (2, 0, 0) in basis
     m = graph_map_matrix((1, 2, 1), src, tgt)
     assert (m.nrows, m.ncols) == (5, 4)
@@ -79,7 +78,7 @@ def test_graph_map_matrix_shape():
 def test_graph_map_matrices_store_ints():
     for src in enumerate_words(4, P33):
         for tgt in enumerate_words(4, P33):
-            for f in hom_basis(src, tgt):
+            for f in admissible_pairs(src, tgt):
                 m = graph_map_matrix(f, src, tgt)
                 assert all(type(v) is int for row in m.dense() for v in row)
 
@@ -88,7 +87,7 @@ def test_graph_maps_are_module_maps():
     words = enumerate_words(4, P33)
     for w1, w2 in itertools.product(words, repeat=2):
         m1, m2 = string_module(w1), string_module(w2)
-        for f in hom_basis(w1, w2):
+        for f in admissible_pairs(w1, w2):
             assert is_module_map(graph_map_matrix(f, w1, w2), m1, m2)
 
 
@@ -100,7 +99,7 @@ def test_graph_maps_linearly_independent():
         for w1, w2 in itertools.product(words, repeat=2):
             dim_w1 = len(w1) + 1
             flat = [dict.fromkeys(flat_ones(graph_map_matrix(f, w1, w2)), 1)
-                    for f in hom_basis(w1, w2)]
+                    for f in admissible_pairs(w1, w2)]
             rank = RationalMatrix.of_rows(flat, (len(w2) + 1) * dim_w1).rank()
             assert rank == hom_dim_oracle(string_module(w1), string_module(w2)), (w1, w2)
 
@@ -126,9 +125,9 @@ def test_hom_routes_agree_other_params():
 
 def test_hom_count_matches_pair_list():
     # the memoized count, summed from per-word middle multisets, and the
-    # pair list that hom_basis (and so Ext) is built from must not drift
-    # apart: every ordered pair of the full hom-agreement range, so each
-    # pair in both argument orders
+    # graph-map list that Ext is built from must not drift apart: every
+    # ordered pair of the full hom-agreement range, so each pair in both
+    # argument orders
     for params in (P33, P23, P43):
         words = enumerate_words(6, params)
         for s, t in itertools.product(words, repeat=2):
@@ -477,7 +476,7 @@ def test_projective_cover_properties():
             assert len(projective_cover(c)) == t
             # each summand is a graph map Lambda -> M(c)
             assert set(projective_cover(c)) <= set(
-                hom_basis(lambda_word(params), c)), str(c)
+                admissible_pairs(lambda_word(params), c)), str(c)
             phi = hstack(cover_matrices(c))
             assert phi.rank() == m.n
             assert is_module_map(phi, direct_sum([lam] * t), m), str(c)
@@ -600,7 +599,7 @@ def test_ext1_matches_cocycle_dimension():
         # minus their number is dim Ext^1, not only its vanishing
         w = tau_inverse(d)
         compositions = homalg._cover_compositions(c, w)
-        assert compositions <= set(hom_basis(w, c)), (str(c), str(d), c.params)
+        assert compositions <= set(admissible_pairs(w, c)), (str(c), str(d), c.params)
         assert hom_dim_graph(w, c) - len(compositions) == dim, (str(c), str(d), c.params)
         assert_compositions_match_positions(c, w)
         vanishing += dim == 0
@@ -624,9 +623,9 @@ def test_compose_with_the_identity_of_lambda():
     for params in COVER_PARAMS:
         lam = lambda_word(params)
         identity = (0, 0, params.d - 1)
-        assert identity in hom_basis(lam, lam)
+        assert identity in admissible_pairs(lam, lam)
         for w in enumerate_words(5, params):
-            for f in hom_basis(w, lam):
+            for f in admissible_pairs(w, lam):
                 assert homalg._compose(f, identity) == f
             for g in projective_cover(w):
                 assert homalg._compose(identity, g) == g
@@ -636,7 +635,7 @@ def test_compose_is_the_matrix_product():
     for params in (P33, P23, P43):
         lam = lambda_word(params)
         for w, c in itertools.product(enumerate_words(4, params), repeat=2):
-            for f, g in itertools.product(hom_basis(w, lam), projective_cover(c)):
+            for f, g in itertools.product(admissible_pairs(w, lam), projective_cover(c)):
                 product = graph_map_matrix(g, lam, c).mul(graph_map_matrix(f, w, lam))
                 h = homalg._compose(f, g)
                 if h is None:
@@ -651,8 +650,8 @@ def test_compose_is_the_matrix_product():
 # frozenset of its flattened row-major positions
 
 def positional_hom_basis(src, tgt):
-    return [[(len(d2) + i, len(d1) + i) for i in range(len(e) + 1)]
-            for (d1, e, _), (d2, _, _) in admissible_pairs(src, tgt)]
+    return [[(q + i, s + i) for i in range(length + 1)]
+            for s, q, length in admissible_pairs(src, tgt)]
 
 
 def positional_cover(c):

@@ -5,13 +5,15 @@ The open-string lists for (a,b) = (3,3) were derived by hand from the
 three pattern shapes (solving the block-length equations for each module
 dimension) and are frozen here; enumerate_open_strings must reproduce
 them exactly.  Admissible-pair counts for small words were likewise
-enumerated by hand.
+enumerated by hand, and the graph maps admissible_pairs lists are checked
+against an enumeration straight from their definition.
 """
 
 import collections
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
@@ -23,11 +25,11 @@ from nilvar.words import (
     band_class,
     enumerate_open_strings,
     enumerate_words,
-    factor_triples,
+    factor_windows,
     open_type,
     runs,
     semi_kind,
-    substring_triples,
+    substring_windows,
     tau_inverse,
 )
 
@@ -106,6 +108,21 @@ def test_word_validity_matches_run_length_rule():
             assert word_error(text, params) == run_length_error(text, params), text
     assert word_error("xxx", P33) == "run x^3 exceeds 2, not a word over (a,b)=(3,3)"
     assert word_error("xz", P33) == "letters must be x or y, got ['z']"
+
+
+def test_word_memory_follows_text_not_bounds():
+    # validating a short word under a huge bound builds no run of that bound
+    params = AlgebraParams(10 ** 7, 3)
+    tracemalloc.start()
+    try:
+        Word("xxy", params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert word_error("x" * 50 + "yy", params) is None
+    assert word_error("xyyy", params) == (
+        "run y^3 exceeds 2, not a word over (a,b)=(10000000,3)")
 
 
 def test_word_is_str():
@@ -308,30 +325,49 @@ def test_open_strings_22():
 
 # -- admissible pairs ------------------------------------------------------
 
-def test_triple_conventions():
+def test_window_conventions():
     w = Word("xxy", P33)
-    assert factor_triples(w) == [
-        ("", "xx", "y"),
-        ("", "xxy", ""),
-        ("x", "x", "y"),
-        ("x", "xy", ""),
-        ("xx", "", "y"),
-        ("xx", "y", ""),
+    assert factor_windows(w) == [
+        (0, "xx"),
+        (0, "xxy"),
+        (1, "x"),
+        (1, "xy"),
+        (2, ""),
+        (2, "y"),
     ]
-    assert substring_triples(w) == [
-        ("", "", "xxy"),
-        ("", "x", "xy"),
-        ("", "xxy", ""),
-        ("xxy", "", ""),
+    assert substring_windows(w) == [
+        (0, ""),
+        (0, "x"),
+        (0, "xxy"),
+        (3, ""),
     ]
-    for d, e, f in factor_triples(Word("xxyy", P33)):
-        assert d + e + f == "xxyy"
-        assert d == "" or d.endswith("x")
-        assert f == "" or f.startswith("y")
-    for d, e, f in substring_triples(Word("xxyy", P33)):
-        assert d + e + f == "xxyy"
-        assert d == "" or d.endswith("y")
-        assert f == "" or f.startswith("x")
+
+
+def graph_maps_by_definition(w1, w2):
+    """Every graph map (s, q, L) of M(w1) -> M(w2), straight from the
+    definition: equal windows w1[s:s+L] and w2[q:q+L], the first with x
+    (or nothing) before it and y (or nothing) after it, the second with
+    y before and x after."""
+    n1, n2 = len(w1), len(w2)
+    return {(s, q, length)
+            for s in range(n1 + 1) for q in range(n2 + 1)
+            for length in range(min(n1 - s, n2 - q) + 1)
+            if w1[s:s + length] == w2[q:q + length]
+            and (s == 0 or w1[s - 1] == "x")
+            and (s + length == n1 or w1[s + length] == "y")
+            and (q == 0 or w2[q - 1] == "y")
+            and (q + length == n2 or w2[q + length] == "x")}
+
+
+def test_admissible_pairs_match_definition():
+    for params in (P33, P23, AlgebraParams(4, 3)):
+        words = enumerate_words(5, params)
+        for w1, w2 in itertools.product(words, repeat=2):
+            maps = admissible_pairs(w1, w2)
+            assert len(set(maps)) == len(maps), (str(w1), str(w2))
+            assert set(maps) == graph_maps_by_definition(w1, w2), (str(w1), str(w2))
+            # factor windows in order, then the matching substring windows
+            assert maps == sorted(maps, key=lambda f: (f[0], f[2], f[1]))
 
 
 def test_admissible_pair_counts():
@@ -346,9 +382,8 @@ def test_admissible_pair_counts():
     for t1, t2, expect in cases:
         pairs = admissible_pairs(Word(t1, P33), Word(t2, P33))
         assert len(pairs) == expect, (t1, t2)
-        for (d1, e1, f1), (d2, e2, f2) in pairs:
-            assert e1 == e2
-            assert d1 + e1 + f1 == t1 and d2 + e2 + f2 == t2
+        for s, q, length in pairs:
+            assert t1[s:s + length] == t2[q:q + length]
 
 
 def test_admissible_pairs_rejects_mixed_params():
