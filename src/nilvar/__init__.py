@@ -14,10 +14,11 @@ Layout:
                 check that a pair indexes a regular or semi-projective
                 stratum, which every stratum formula calls
     words       strings and bands in the letters x, y
-    exactla     exact matrices stored as sparse rows (int entries, Fraction
-                only when needed), one sparse fraction-free elimination
-                for rank and pivot columns; serves modmatrix and the
-                dense Hom oracle; `nilvar classify` does not load it
+    exactla     exact matrices built once from sparse rows (int entries,
+                Fraction only when needed) and never written after, one
+                sparse fraction-free elimination for rank and pivot
+                columns; serves modmatrix and the dense Hom oracle;
+                `nilvar classify` does not load it
     modmatrix   matrix-pair modules: string/band constructions, stats
     homalg      Hom/End dimensions, Ext^1 vanishing, graph maps, orbit
                 dimensions

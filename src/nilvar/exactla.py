@@ -3,25 +3,25 @@
 Every dimension this package reports is ultimately the rank of a matrix,
 and ranks computed in floating point lie silently.  So entries are exact:
 an integral value is stored as a plain int, and a Fraction is kept only
-for a value that is not an integer (rational band parameters, JSON
-input).  Floats are refused.
+for a value that is not an integer (rational band parameters).  Values
+from outside the package -- band lambdas -- pass `_entry`, which refuses
+floats, and so does each entry of a product that is not an int.
 
 The module matrices downstream are mostly zeros and mostly 0/1, so a
-matrix stores each row as a sparse {col: entry} dict of its nonzero
-entries, from construction through products to elimination; dense lists
-of rows are accepted on input and given back by `dense()` only.  Every
-elimination -- rank and pivot columns -- goes through one routine,
-`echelon`.  It takes the rows as they are (a row holding a Fraction
-is first scaled by the lcm of its denominators) and reduces each
-against an incremental echelon keyed by leading column, with the
-fraction-free step row * piv - f * pivot_row followed by division by
-the row's content gcd (Bareiss 1968).  The work stays
-proportional to the nonzeros and the integers stay small.
+matrix is built once, from sparse {col: entry} rows of its nonzero
+entries, and stays in that form through products and elimination;
+`dense()` gives the zeros back for output only.  Every elimination --
+rank and pivot columns -- goes through one routine, `echelon`.  It takes
+the rows as they are (a row holding a Fraction is first scaled by the
+lcm of its denominators) and reduces each against an incremental echelon
+keyed by leading column, with the fraction-free step
+row * piv - f * pivot_row followed by division by the row's content gcd
+(Bareiss 1968).  The work stays proportional to the nonzeros and the
+integers stay small.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd, lcm
 
 
@@ -38,51 +38,23 @@ def _entry(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def _sparse(row) -> dict:
-    """The nonzero entries of a dense row, as {col: value}."""
-    return {j: row[j] for j in compress(range(len(row)), row)}
-
-
 class RationalMatrix:
     """A matrix of exact entries, stored as a list of sparse rows.
 
-    rows[i] is a {col: entry} dict holding the nonzero entries of row i
-    only; entries are int when integral, Fraction otherwise.  The
-    constructor takes dense rows (entries as int, Fraction or "p/q"
-    strings; floats are rejected), `of_rows` takes sparse ones.
-    Instances are mutable (rows is plain data) but the methods never
-    modify their operands.
+    rows[i] is the {col: entry} dict of the nonzero entries of row i.
+    The constructor wraps the rows as they are, with no copy and no
+    check, so the caller guarantees that every stored entry is nonzero
+    and exact (an int when integral, else a Fraction, as `_entry`
+    gives) and every column is below ncols.  Rows are never written
+    after construction: neither the methods nor their callers modify a
+    matrix, so matrices may share row dicts.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, rows, ncols=None):
-        rows = [[_entry(v) for v in row] for row in rows]
-        self.nrows = len(rows)
-        if self.nrows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ValueError(f"ragged rows, widths {sorted(widths)}")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError(f"expected {ncols} columns, got {self.ncols}")
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        self.rows = [_sparse(row) for row in rows]
-
-    @classmethod
-    def of_rows(cls, rows, ncols):
-        """Wraps sparse {col: entry} rows as they are: no copy, no check.
-        For matrices built in this package from nonzero entries that are
-        already exact and columns below ncols."""
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.nrows, m.ncols = len(rows), ncols
-        return m
-
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls.of_rows([{} for _ in range(nrows)], ncols)
+    def __init__(self, rows: list, ncols: int):
+        self.rows = rows
+        self.nrows, self.ncols = len(rows), ncols
 
     def dense(self) -> list:
         """The entries as a list of row lists, zeros included."""
@@ -104,7 +76,7 @@ class RationalMatrix:
         for i, row in enumerate(self.rows):
             for j, v in row.items():
                 cols[j][i] = v
-        return RationalMatrix.of_rows(cols, self.nrows)
+        return RationalMatrix(cols, self.nrows)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         """Matrix product self @ other over the nonzero entries only;
@@ -120,7 +92,7 @@ class RationalMatrix:
                     acc[j] = acc.get(j, 0) + v * w
             out.append({j: v if type(v) is int else _entry(v)
                         for j, v in acc.items() if v})
-        return RationalMatrix.of_rows(out, other.ncols)
+        return RationalMatrix(out, other.ncols)
 
     def rank(self) -> int:
         """Rank as the number of pivots of `echelon` on the nonempty rows."""
@@ -186,30 +158,6 @@ def _eliminate(row: dict, prow: dict, c: int) -> dict:
     if g > 1:
         out = {j: v // g for j, v in out.items()}
     return out
-
-
-def hstack(mats) -> RationalMatrix:
-    mats = list(mats)
-    nr = {m.nrows for m in mats}
-    if len(nr) != 1:
-        raise ValueError(f"row counts differ: {sorted(nr)}")
-    rows = [{} for _ in range(nr.pop())]
-    off = 0
-    for m in mats:
-        for row, part in zip(rows, m.rows):
-            for j, v in part.items():
-                row[off + j] = v
-        off += m.ncols
-    return RationalMatrix.of_rows(rows, off)
-
-
-def vstack(mats) -> RationalMatrix:
-    mats = list(mats)
-    nc = {m.ncols for m in mats}
-    if len(nc) != 1:
-        raise ValueError(f"column counts differ: {sorted(nc)}")
-    return RationalMatrix.of_rows([dict(row) for m in mats for row in m.rows],
-                                  nc.pop())
 
 
 def pivot_columns(mat: RationalMatrix) -> list[int]:

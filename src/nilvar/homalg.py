@@ -158,7 +158,7 @@ def _hom_dim_dense(m1, m2) -> int:
                     rows.append(row)
     if not rows:
         return total
-    return total - RationalMatrix.of_rows(rows, total).rank()
+    return total - RationalMatrix(rows, total).rank()
 
 
 def hom_dim_oracle(m1, m2, method=None) -> int:

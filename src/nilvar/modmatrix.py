@@ -29,7 +29,7 @@ one-parameter families; equal lambdas stack Jordan layers.
 
 from __future__ import annotations
 
-from .exactla import RationalMatrix, _entry, hstack, vstack
+from .exactla import RationalMatrix, _entry
 from .partitions import Partition
 from .words import Word, band_class
 
@@ -43,9 +43,11 @@ class MatrixPairModule:
     entries in block order, or None when the origin is unknown (e.g. a
     pair of matrices built directly).
 
-    A and B are never modified once the module is built: permutation_maps
-    reads its ones and letter masks off them once, and direct_sum shares
-    their rows.
+    A and B are never modified: the builders below fill plain row lists
+    and wrap each in a RationalMatrix once, and no matrix is written
+    after it is built.  So permutation_maps reads its ones and letter
+    masks off them once, direct_sum shares their rows, and verify
+    memoizes string modules.
     """
 
     __slots__ = ("n", "A", "B", "params", "summands", "_maps")
@@ -110,8 +112,11 @@ class MatrixPairModule:
         independent arrows).
         """
         rka, rkb = self.A.rank(), self.B.rank()
-        top = self.n - hstack([self.A, self.B]).rank()
-        soc = self.n - vstack([self.A, self.B]).rank()
+        # the top is the cokernel of [A B], read off its transpose [A^T; B^T]
+        # the socle is the kernel of [A; B]
+        top = self.n - RationalMatrix(self.A.transpose().rows
+                                      + self.B.transpose().rows, self.n).rank()
+        soc = self.n - RationalMatrix(self.A.rows + self.B.rows, self.n).rank()
         return {
             "rkA": rka,
             "rkB": rkb,
@@ -195,14 +200,15 @@ def _jordan_type(m: RationalMatrix) -> Partition:
 def string_module(word: Word) -> MatrixPairModule:
     """The string module M(word) of dimension |word| + 1."""
     n = len(word) + 1
-    A = RationalMatrix.zeros(n, n)
-    B = RationalMatrix.zeros(n, n)
+    a_rows = [{} for _ in range(n)]
+    b_rows = [{} for _ in range(n)]
     for i, letter in enumerate(word):
         if letter == "x":
-            A.rows[i][i + 1] = 1
+            a_rows[i][i + 1] = 1
         else:
-            B.rows[i + 1][i] = 1
-    return MatrixPairModule(n, A, B, word.params, [("string", word)])
+            b_rows[i + 1][i] = 1
+    return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
+                            word.params, [("string", word)])
 
 
 def band_module(word: Word, lambdas) -> MatrixPairModule:
@@ -222,22 +228,23 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
 
     m, k = len(canonical), len(lambdas)
     n = m * k
-    A = RationalMatrix.zeros(n, n)
-    B = RationalMatrix.zeros(n, n)
+    a_rows = [{} for _ in range(n)]
+    b_rows = [{} for _ in range(n)]
     idx = lambda i, j: j * m + i  # position i in layer j, layer-major
     for j in range(k):
         for i in range(m - 1):
             if canonical[i] == "x":
-                A.rows[idx(i, j)][idx(i + 1, j)] = 1
+                a_rows[idx(i, j)][idx(i + 1, j)] = 1
             else:
-                B.rows[idx(i + 1, j)][idx(i, j)] = 1
+                b_rows[idx(i + 1, j)][idx(i, j)] = 1
         # canonical form ends with y: the wrap-around letter couples the
         # end of the word back to the start, and adjacent layers to each
         # other (z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1})
-        B.rows[idx(0, j)][idx(m - 1, j)] = lambdas[j]
+        b_rows[idx(0, j)][idx(m - 1, j)] = lambdas[j]
         if j > 0:
-            B.rows[idx(0, j - 1)][idx(m - 1, j)] = 1
-    return MatrixPairModule(n, A, B, word.params, [("band", canonical, lambdas)])
+            b_rows[idx(0, j - 1)][idx(m - 1, j)] = 1
+    return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
+                            word.params, [("band", canonical, lambdas)])
 
 
 def direct_sum(modules) -> MatrixPairModule:
@@ -265,5 +272,5 @@ def direct_sum(modules) -> MatrixPairModule:
     if params is None:
         raise ValueError("direct_sum of nothing")
     n = len(a_rows)
-    return MatrixPairModule(n, RationalMatrix.of_rows(a_rows, n),
-                            RationalMatrix.of_rows(b_rows, n), params, summands)
+    return MatrixPairModule(n, RationalMatrix(a_rows, n),
+                            RationalMatrix(b_rows, n), params, summands)

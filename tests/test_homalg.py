@@ -28,7 +28,7 @@ from nilvar.homalg import (
     orbit_dim,
     projective_cover,
 )
-from nilvar.exactla import RationalMatrix, hstack, pivot_columns
+from nilvar.exactla import RationalMatrix, pivot_columns
 from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
 from nilvar.words import (AlgebraParams, Word, admissible_pairs, band_class,
                           enumerate_open_strings, enumerate_words, open_type, semi_kind,
@@ -53,7 +53,7 @@ def graph_map_matrix(f, src, tgt):
     rows = [{} for _ in range(len(tgt) + 1)]
     for i in range(length + 1):
         rows[q + i][s + i] = 1
-    return RationalMatrix.of_rows(rows, len(src) + 1)
+    return RationalMatrix(rows, len(src) + 1)
 
 
 def flat_ones(m):
@@ -100,7 +100,7 @@ def test_graph_maps_linearly_independent():
             dim_w1 = len(w1) + 1
             flat = [dict.fromkeys(flat_ones(graph_map_matrix(f, w1, w2)), 1)
                     for f in admissible_pairs(w1, w2)]
-            rank = RationalMatrix.of_rows(flat, (len(w2) + 1) * dim_w1).rank()
+            rank = RationalMatrix(flat, (len(w2) + 1) * dim_w1).rank()
             assert rank == hom_dim_oracle(string_module(w1), string_module(w2)), (w1, w2)
 
 
@@ -141,7 +141,7 @@ def conjugate(mod, perm):
         rows = [{} for _ in range(mod.n)]
         for i, row in enumerate(mat.rows):
             rows[perm[i]] = {perm[j]: v for j, v in row.items()}
-        return RationalMatrix.of_rows(rows, mod.n)
+        return RationalMatrix(rows, mod.n)
     return MatrixPairModule(mod.n, move(mod.A), move(mod.B), mod.params)
 
 
@@ -243,27 +243,28 @@ def test_partial_permutation_ones_edge_cases():
     def as_letters(mat):
         # permutation_maps of the module with mat as x, then as y, the
         # other letter zero
-        zero = RationalMatrix.zeros(mat.nrows, mat.ncols)
+        zero = RationalMatrix([{} for _ in range(mat.nrows)], mat.ncols)
         return tuple(MatrixPairModule(mat.nrows, a, b, P33).permutation_maps()
                      for a, b in ((mat, zero), (zero, mat)))
 
     # (row, col) of the ones, by row; masks: 1/2 an x/y-arrow into the
     # vertex (its row has a one), 4/8 one out of it (its column has one)
-    swap = RationalMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    swap = RationalMatrix([{2: 1}, {}, {0: 1}], 3)
     assert ones(swap) == [(0, 2), (2, 0)]
     assert as_letters(swap) == ((([(0, 2), (2, 0)], []), bytes([5, 0, 5])),
                            (([], [(0, 2), (2, 0)]), bytes([10, 0, 10])))
-    shift = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    shift = RationalMatrix([{1: 1}, {2: 1}, {}], 3)
     assert ones(shift) == [(0, 1), (1, 2)]
     assert as_letters(shift) == ((([(0, 1), (1, 2)], []), bytes([1, 5, 4])),
                             (([], [(0, 1), (1, 2)]), bytes([2, 10, 8])))
-    for bad in ([[0, 2], [0, 0]],    # an entry 2
-                [[0, 1], [0, 1]],    # a repeated column
-                [[1, 1], [0, 0]]):   # two ones in a row
-        assert ones(RationalMatrix(bad)) is None
-        assert as_letters(RationalMatrix(bad)) == (None, None)
-    assert ones(RationalMatrix.zeros(3, 3)) == []
-    assert as_letters(RationalMatrix.zeros(3, 3)) == ((([], []), bytes(3)),) * 2
+    for bad in ([{1: 2}, {}],          # an entry 2
+                [{1: 1}, {1: 1}],      # a repeated column
+                [{0: 1, 1: 1}, {}]):   # two ones in a row
+        assert ones(RationalMatrix(bad, 2)) is None
+        assert as_letters(RationalMatrix(bad, 2)) == (None, None)
+    zero = RationalMatrix([{}, {}, {}], 3)
+    assert ones(zero) == []
+    assert as_letters(zero) == ((([], []), bytes(3)),) * 2
     # a string module: M(xxy) has A e_1 = e_0, A e_2 = e_1, B e_2 = e_3
     assert string_module(Word("xxy", P33)).permutation_maps() == (
         ([(0, 1), (1, 2)], [(3, 2)]), bytes([1, 5, 4 | 8, 2]))
@@ -416,6 +417,17 @@ def _position(col):
     return support[0]
 
 
+def beside(mats):
+    """The matrix [M_1 | M_2 | ...] of matrices with equal row counts."""
+    rows = [{} for _ in range(mats[0].nrows)]
+    off = 0
+    for mat in mats:
+        for row, part in zip(rows, mat.rows):
+            row.update((off + j, v) for j, v in part.items())
+        off += mat.ncols
+    return RationalMatrix(rows, off)
+
+
 def generic_cover(mod):
     """The projective cover by linear algebra alone, as the reference:
     the top is the greedy complement of im A + im B by standard vectors
@@ -423,14 +435,14 @@ def generic_cover(mod):
     Lambda summand of v sends z_j to A^{a-j} v (j = 1..a) and z_{a+l} to
     B^l v (l = 1..b-1).  Returns each summand's columns as positions."""
     n, (a, b) = mod.n, mod.params
-    identity = RationalMatrix.of_rows([{i: 1} for i in range(n)], n)
-    aug = hstack([mod.A, mod.B, identity])
+    identity = RationalMatrix([{i: 1} for i in range(n)], n)
+    aug = beside([mod.A, mod.B, identity])
     out = []
     for c in pivot_columns(aug):
         if c < 2 * n:
             continue
-        v = RationalMatrix.of_rows([{0: 1} if r == c - 2 * n else {}
-                                    for r in range(n)], 1)
+        v = RationalMatrix([{0: 1} if r == c - 2 * n else {}
+                            for r in range(n)], 1)
         xs = [v]
         for _ in range(a - 1):
             xs.append(mod.A.mul(xs[-1]))
@@ -477,7 +489,7 @@ def test_projective_cover_properties():
             # each summand is a graph map Lambda -> M(c)
             assert set(projective_cover(c)) <= set(
                 admissible_pairs(lambda_word(params), c)), str(c)
-            phi = hstack(cover_matrices(c))
+            phi = beside(cover_matrices(c))
             assert phi.rank() == m.n
             assert is_module_map(phi, direct_sum([lam] * t), m), str(c)
 
@@ -540,7 +552,7 @@ def ext1_dim_cocycle(m, n):
     cells = m.n * n.n  # X, Y are n.n x m.n, flattened row-major
 
     def power(mat, k):
-        out = RationalMatrix.of_rows([{i: 1} for i in range(mat.nrows)], mat.nrows)
+        out = RationalMatrix([{i: 1} for i in range(mat.nrows)], mat.nrows)
         for _ in range(k):
             out = out.mul(mat)
         return out
@@ -565,7 +577,7 @@ def ext1_dim_cocycle(m, n):
                             cell, var = eq[i * m.n + j], block * cells + s * m.n + t
                             cell[var] = cell.get(var, 0) + u * v
         rows.extend({k: v for k, v in cell.items() if v} for cell in eq)
-    cocycles = 2 * cells - RationalMatrix.of_rows(rows, 2 * cells).rank()
+    cocycles = 2 * cells - RationalMatrix(rows, 2 * cells).rank()
     return cocycles - (cells - hom_dim_oracle(m, n))
 
 

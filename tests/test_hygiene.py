@@ -11,7 +11,9 @@ names, unless perfbench patches or calls it or a test backs it
 (TEST_BACKED, with the reason); dunders and overrides of a name a base
 class defines are called from outside and left out.  A true division,
 a float literal or a float(...) call in a source fails too, unless
-FLOAT_ALLOWED names its line with the reason.
+FLOAT_ALLOWED names its line with the reason, and so does a write
+through the rows of a matrix: matrices are built once from row lists
+and share rows, so none may change after it is built.
 A fresh interpreter per command shows which modules that command loads.
 """
 
@@ -89,6 +91,47 @@ def test_checker_flags_floating_point():
               "w = float(3)\nu = 1e3\nv = 10 ** 3\nok = isinstance(v, float)\n")
     assert float_uses(source) == ["q = 7 / 2", "q /= 2", "z = 1.5",
                                   "w = float(3)", "u = 1e3"]
+
+
+# the list and dict methods that change their receiver in place
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
+            "clear", "update", "setdefault", "sort", "reverse"}
+
+
+def under_rows(node) -> bool:
+    """Whether node is X.rows or a subscript of it (X.rows[i], ...)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+
+def row_writes(source: str) -> list[str]:
+    """The stripped source line of each store or delete through a `.rows`
+    attribute (X.rows[i][j] = v, X.rows[i] += r, del X.rows[i]) and each
+    call of a mutating method on one (X.rows[i].update(...)), in line
+    order."""
+    lines = source.splitlines()
+    hits = [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del)) and under_rows(node.value)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS and under_rows(node.func.value)]
+    return [lines[line - 1].strip() for line in sorted(hits)]
+
+
+def test_no_source_writes_matrix_rows():
+    assert [f"{path.name}: {line}" for path in SOURCES
+            for line in row_writes(path.read_text())] == []
+
+
+def test_checker_flags_a_row_write():
+    source = ("A.rows[i][j] = 1\nm.A.rows[0] = {}\nA.rows[i][j] += 2\n"
+              "del A.rows[i][j]\nA.rows[i].update(r)\nA.rows.append({})\n"
+              "rows[i][j] = 1\nself.rows = rows\nv = A.rows[i][j]\n"
+              "out += A.rows\nrow = dict(A.rows[i])\nrow.update(A.rows[i])\n")
+    assert row_writes(source) == ["A.rows[i][j] = 1", "m.A.rows[0] = {}",
+                                  "A.rows[i][j] += 2", "del A.rows[i][j]",
+                                  "A.rows[i].update(r)", "A.rows.append({})"]
 
 
 # definitions that nothing in src/nilvar names but that stay: each

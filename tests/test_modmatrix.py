@@ -7,13 +7,15 @@ is computed here directly from the words -- independent of the rank-based
 computation in modmatrix.
 """
 
+import copy
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilvar.exactla import RationalMatrix
+from nilvar.exactla import RationalMatrix, pivot_columns
+from nilvar.homalg import hom_dim_oracle
 from nilvar.modmatrix import (
     MatrixPairModule,
     _kills,
@@ -172,6 +174,8 @@ def test_band_rejections():
         band_module(Word("xx", P33), [1])  # single letter
     with pytest.raises(ValueError):
         band_module(Word("xxy", P33), [0])  # lambda must be nonzero
+    with pytest.raises(TypeError):
+        band_module(Word("xy", P33), [0.5])  # lambdas are exact
     with pytest.raises(ValueError):
         band_module(Word("xxy", P33), [])
     with pytest.raises(ValueError):
@@ -242,6 +246,30 @@ def test_direct_sum_shares_rows_but_never_changes_them():
                     assert not any(map(any, block))
 
 
+def test_operations_never_modify_their_operands():
+    # direct_sum shares rows and verify memoizes string modules, so no
+    # read of a matrix may write to the rows it is given
+    strings = [string_module(Word(w, P33)) for w in ("", "xxyxy", "yxxy")]
+    bands = [band_module(Word("xxyxy", P33), [Fraction(1, 2), Fraction(-3, 4)]),
+             band_module(Word("xyy", P33), [2])]
+    sums = [direct_sum([strings[1], bands[0], strings[2]]),
+            direct_sum([strings[2], strings[1]])]
+    mods = strings + bands + sums
+    before = [copy.deepcopy((m.A.rows, m.B.rows)) for m in mods]
+    for m in mods:
+        for mat in (m.A, m.B):
+            mat.rank(), pivot_columns(mat), mat.transpose(), mat.dense()
+        m.A.mul(m.B), m.B.mul(m.A), m.A.mul(m.A)
+        m.stats(), m.jordan_pair(), m.verify_relations(), m.permutation_maps()
+        for other in mods:
+            hom_dim_oracle(m, other, method="dense")
+            if m.permutation_maps() and other.permutation_maps():
+                hom_dim_oracle(m, other, method="unionfind")
+    for parts in ([strings[1], bands[0]], [bands[1], strings[2], strings[1]]):
+        assert direct_sum(parts).A == direct_sum(parts).A
+    assert [(m.A.rows, m.B.rows) for m in mods] == before
+
+
 def test_direct_sum_param_mismatch():
     with pytest.raises(ValueError):
         direct_sum([string_module(Word("x", P33)), string_module(Word("x", P43))])
@@ -291,10 +319,10 @@ def pair(n, a_ones, b_ones, params=P33):
     """The module whose A and B hold the given {(row, col): entry}."""
     mats = []
     for entries in (a_ones, b_ones):
-        mat = RationalMatrix.zeros(n, n)
+        rows = [{} for _ in range(n)]
         for (i, j), v in entries.items():
-            mat.rows[i][j] = v
-        mats.append(mat)
+            rows[i][j] = v
+        mats.append(RationalMatrix(rows, n))
     return MatrixPairModule(n, *mats, params)
 
 
@@ -338,28 +366,30 @@ def test_cancelling_terms_count_as_zero():
 
 def test_kills_cancelling_terms_and_powers():
     # the supports meet (column 1 of left, row 1 of right) but 1 - 1 = 0
-    assert _kills(RationalMatrix([[1, 1]]), RationalMatrix([[1], [-1]]))
-    assert not _kills(RationalMatrix([[1, 1]]), RationalMatrix([[1], [1]]))
+    ones = RationalMatrix([{0: 1, 1: 1}], 2)
+    assert _kills(ones, RationalMatrix([{0: 1}, {0: -1}], 1))
+    assert not _kills(ones, RationalMatrix([{0: 1}, {0: 1}], 1))
     # the 4-block N: N^k != 0 below its nilpotency index 4, N^4 = 0
-    shift, e0 = pair(4, SHIFT4, {}).A, RationalMatrix([[1, 0, 0, 0]])
+    shift, e0 = pair(4, SHIFT4, {}).A, RationalMatrix([{0: 1}], 4)
     for times in range(1, 6):
         assert _kills(shift, shift, times) == (times + 1 >= 4)
         assert _kills(e0, shift, times) == (times >= 4)
 
 
 def test_kills_ignores_stored_zeros():
-    # rows are public data: a stored {j: 0} must not change the answer
+    # a stored {j: 0} breaks the constructor's precondition, but must not
+    # change the answer
     shift = pair(4, SHIFT4, {}).A
-    zeroed = RationalMatrix.of_rows([{0: 0, **row} for row in shift.rows], 4)
+    zeroed = RationalMatrix([{0: 0, **row} for row in shift.rows], 4)
     for times in range(1, 6):
         assert (_kills(zeroed, shift, times) == _kills(shift, zeroed, times)
                 == _kills(zeroed, zeroed, times) == _kills(shift, shift, times))
     # supports that meet only through a stored zero
-    right = RationalMatrix.of_rows([{1: 5}, {}], 2)
-    assert _kills(RationalMatrix.of_rows([{0: 0}], 2), right)
-    assert _kills(RationalMatrix([[1, 0]]), RationalMatrix.of_rows([{1: 0}, {}], 2))
-    assert not _kills(RationalMatrix.of_rows([{0: 0, 1: 1}], 2),
-                      RationalMatrix([[0, 0], [0, 3]]))
+    right = RationalMatrix([{1: 5}, {}], 2)
+    assert _kills(RationalMatrix([{0: 0}], 2), right)
+    assert _kills(RationalMatrix([{0: 1}], 2), RationalMatrix([{1: 0}, {}], 2))
+    assert not _kills(RationalMatrix([{0: 0, 1: 1}], 2),
+                      RationalMatrix([{}, {1: 3}], 2))
 
 
 def relations_by_products(mod):
@@ -379,7 +409,7 @@ def perturbed(mod, rng):
     mats = [[dict(row) for row in mat.rows] for mat in (mod.A, mod.B)]
     row = rng.choice(rng.choice(mats))
     row[rng.randrange(mod.n)] = rng.choice((1, -1, 2, Fraction(1, 2)))
-    return MatrixPairModule(mod.n, *(RationalMatrix.of_rows(r, mod.n) for r in mats),
+    return MatrixPairModule(mod.n, *(RationalMatrix(r, mod.n) for r in mats),
                             mod.params)
 
 
@@ -398,8 +428,9 @@ def test_band_with_fraction_lambdas():
     assert m.verify_relations()
     # an x arrow out of the end of the first layer: B carries it back to
     # the start with lambda_1 = 1/2, so BA holds 1/2 and nothing else fails
-    A = RationalMatrix.of_rows([dict(row) for row in m.A.rows], m.n)
-    A.rows[4][2] = 1
+    rows = [dict(row) for row in m.A.rows]
+    rows[4][2] = 1
+    A = RationalMatrix(rows, m.n)
     assert not MatrixPairModule(m.n, A, m.B, P33).verify_relations()
     assert [row for row in m.B.mul(A).rows if row] == [{2: Fraction(1, 2)}]
     assert not any(A.mul(m.B).rows) and not any(A.mul(A).mul(A).rows)
