@@ -57,7 +57,10 @@ def diamond_family(a_part, b_part, params: AlgebraParams):
 
     Returns [(band word, multiplicity)], longest bands first.
     """
-    pairs = reduced_pair(a_part, b_part, params, 0)[3]
+    return _family(reduced_pair(a_part, b_part, params, 0)[3], params)
+
+
+def _family(pairs, params):
     mults = Counter("x" * i + "y" * j for i, j in pairs)
     ordered = sorted(mults, key=lambda s: (-len(s), s))
     return [(Word(s, params), mults[s]) for s in ordered]
@@ -71,7 +74,10 @@ def delta_dim(a_part, b_part, params: AlgebraParams) -> int:
     where (m_i), (n_i) are the duals of a_part - 1, b_part - 1 and t is
     their common length.  Raises unless reduced_pair accepts the pair as
     regular."""
-    n, c, d, _ = reduced_pair(a_part, b_part, params, 0)
+    return _delta(*reduced_pair(a_part, b_part, params, 0)[:3])
+
+
+def _delta(n, c, d):
     return (n * n - sum(m * m for m in c.dual()) - sum(m * m for m in d.dual())
             + len(c) ** 2)
 
@@ -110,14 +116,18 @@ def is_regular_component(a_part, b_part, params: AlgebraParams) -> bool:
     likewise for b_part with b, and the reduced length is at most
     #(parts = a) + #(parts = b) + 1.  Raises unless reduced_pair accepts
     the pair as regular."""
-    _, c, _, _ = reduced_pair(a_part, b_part, params, 0)
+    c = reduced_pair(a_part, b_part, params, 0)[1]
+    return _is_component(a_part, b_part, len(c), params)
+
+
+def _is_component(a_part, b_part, t, params):
     if sum(1 for v in a_part if v not in (1, 2, params.a)) > 1:
         return False
     if sum(1 for v in b_part if v not in (1, 2, params.b)) > 1:
         return False
     full = (sum(1 for v in a_part if v == params.a)
             + sum(1 for v in b_part if v == params.b))
-    return len(c) <= full + 1
+    return t <= full + 1
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +177,20 @@ class Component(namedtuple("Component",
         return {"kind": "zero", "dim": self.dim}
 
 
-def _regular_component(a_part, b_part, params) -> Component:
+def _regular_component(a_part, b_part, params):
+    """The regular component of the stratum of a regular pair, or None
+    when the criterion of is_regular_component fails: the pair passes
+    reduced_pair once, and the criterion, the dimension and the family
+    are all read off its (n, c, d, pairs)."""
+    n, c, d, pairs = reduced_pair(a_part, b_part, params, 0)
+    if not _is_component(a_part, b_part, len(c), params):
+        return None
     return Component(
         kind="regular",
-        dim=delta_dim(a_part, b_part, params),
+        dim=_delta(n, c, d),
         a_part=tuple(a_part),
         b_part=tuple(b_part),
-        family=tuple(diamond_family(a_part, b_part, params)),
+        family=tuple(_family(pairs, params)),
     )
 
 
@@ -187,8 +204,9 @@ def regular_components(n: int, params: AlgebraParams) -> list:
             pair = ip_maximal(n, params, i, p)
             if pair is None:
                 continue
-            if is_regular_component(*pair, params):
-                out.append(_regular_component(*pair, params))
+            comp = _regular_component(*pair, params)
+            if comp is not None:
+                out.append(comp)
     out.sort(key=Component.sort_key)
     return out
 

@@ -29,6 +29,8 @@ one-parameter families; equal lambdas stack Jordan layers.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exactla import RationalMatrix, _entry
 from .partitions import Partition
 from .words import Word, band_class
@@ -211,15 +213,32 @@ def string_module(word: Word) -> MatrixPairModule:
                             word.params, [("string", word)])
 
 
+@lru_cache(maxsize=1024)
+def _band_layer(text: str, params):
+    """One layer of the band modules over the band text: (canonical, x
+    ones, y ones), the canonical rotation and the (row, col) offsets of
+    the ones of A and B within the layer, the wrap-around letter left
+    out.  Keyed on the params too, since Word equality ignores them;
+    the sampler of `verify` draws under 200 distinct keys, so the bound
+    never evicts there.  Raises unless text is a primitive band."""
+    word = Word(text, params)
+    kind, canonical = band_class(word)
+    if kind != "primitive":
+        raise ValueError(f"band_module needs a primitive band, got {kind} for {text!r}")
+    x_ones = tuple((i, i + 1) for i in range(len(canonical) - 1) if canonical[i] == "x")
+    y_ones = tuple((i + 1, i) for i in range(len(canonical) - 1) if canonical[i] == "y")
+    return canonical, x_ones, y_ones
+
+
 def band_module(word: Word, lambdas) -> MatrixPairModule:
     """The band module M(word; lambda_1, .., lambda_k), dimension |word|*k.
 
     word must be a primitive band (any rotation; the canonical one is
-    used).  lambdas is a sequence of nonzero scalars.
+    used).  lambdas is a sequence of nonzero scalars.  The layer comes
+    from the _band_layer memo; each call writes it into fresh rows k
+    times and adds the lambdas and the layer couplings.
     """
-    kind, canonical = band_class(word)
-    if kind != "primitive":
-        raise ValueError(f"band_module needs a primitive band, got {kind} for {str(word)!r}")
+    canonical, x_ones, y_ones = _band_layer(str(word), word.params)
     lambdas = tuple(_entry(v) for v in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda layer")
@@ -230,19 +249,18 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     n = m * k
     a_rows = [{} for _ in range(n)]
     b_rows = [{} for _ in range(n)]
-    idx = lambda i, j: j * m + i  # position i in layer j, layer-major
     for j in range(k):
-        for i in range(m - 1):
-            if canonical[i] == "x":
-                a_rows[idx(i, j)][idx(i + 1, j)] = 1
-            else:
-                b_rows[idx(i + 1, j)][idx(i, j)] = 1
+        off = j * m  # position i in layer j is off + i, layer-major
+        for r, c in x_ones:
+            a_rows[off + r][off + c] = 1
+        for r, c in y_ones:
+            b_rows[off + r][off + c] = 1
         # canonical form ends with y: the wrap-around letter couples the
         # end of the word back to the start, and adjacent layers to each
         # other (z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1})
-        b_rows[idx(0, j)][idx(m - 1, j)] = lambdas[j]
+        b_rows[off][off + m - 1] = lambdas[j]
         if j > 0:
-            b_rows[idx(0, j - 1)][idx(m - 1, j)] = 1
+            b_rows[off - m][off + m - 1] = 1
     return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
                             word.params, [("band", canonical, lambdas)])
 

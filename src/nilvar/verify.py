@@ -73,7 +73,10 @@ CheckResult = namedtuple("CheckResult", "name passed detail seconds")
 # random modules (check 7 and anyone else who wants fuzz input)
 # ---------------------------------------------------------------------------
 
-_PARAM_POOL = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)]
+# the algebras the sampler draws from, built once: one rng.choice over
+# seven entries per module, as over any seven-entry sequence
+_PARAMS = tuple(AlgebraParams(a, b) for a, b in
+                [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)])
 
 
 # the letters a string text may go on with: both, or only the other one
@@ -96,12 +99,13 @@ def _random_string_text(rng, params):
     return text
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _string_summand(text, params):
     """M(text) over params, built once per (text, params): keyed on the
     params too, since Word equality ignores them.  The sampler's pool
-    bounds the table (seven parameter sets, texts of length <= 5); it is
-    safe to share because modules are never modified once built."""
+    (seven parameter sets, texts of length <= 5) has fewer keys than the
+    bound, so nothing is evicted; it is safe to share because modules
+    are never modified once built."""
     return modmatrix.string_module(Word(text, params))
 
 
@@ -124,9 +128,9 @@ def random_module(rng):
     """A seeded random direct sum of one to three string and band modules
     over a pool algebra (strings of length <= 5), with the summand
     metadata kept for downstream bookkeeping checks.  String summands
-    come from the _string_summand memo; bands, of which there are far
-    more distinct ones, are built on every draw."""
-    params = AlgebraParams(*rng.choice(_PARAM_POOL))
+    come from the _string_summand memo; each band is built afresh with
+    its own lambdas, on a layer that modmatrix builds once per word."""
+    params = rng.choice(_PARAMS)
     parts = []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.3:

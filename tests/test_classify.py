@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from nilvar import homalg
+from nilvar import classify, homalg
 from nilvar.classify import (
     Component,
     components,
@@ -245,6 +245,37 @@ def test_is_regular_component_criterion():
                                 AlgebraParams(4, 4))
     with pytest.raises(ValueError):
         is_regular_component((2, 1), (2, 1), P33)
+
+
+def test_regular_components_agree_with_the_per_pair_formulas():
+    # the components keep the cell maxima that pass is_regular_component,
+    # with delta_dim and diamond_family read off one reduced_pair each
+    for n, (a, b) in itertools.product(range(2, 17), [(3, 3), (4, 4), (3, 5)]):
+        params = normalize_params(n, a, b)
+        cells = [ip_maximal(n, params, i, p)
+                 for i in range(1, n) for p in range(1, min(i, n - i) + 1)]
+        want = sorted(((delta_dim(*pair, params), tuple(pair[0]), tuple(pair[1]),
+                        tuple(diamond_family(*pair, params)))
+                       for pair in cells
+                       if pair is not None and is_regular_component(*pair, params)),
+                      key=repr)
+        got = sorted(((c.dim, c.a_part, c.b_part, c.family)
+                      for c in regular_components(n, params)), key=repr)
+        assert got == want, (n, a, b)
+
+
+def test_regular_components_check_each_cell_once(monkeypatch):
+    # 31 candidate cells and 15 components at (24, 3, 3): each cell's pair
+    # passes reduced_pair once, not once per formula read off it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduced_pair(*args)
+
+    monkeypatch.setattr(classify, "reduced_pair", counted)
+    comps = regular_components(24, P33)
+    assert (len(calls), len(comps)) == (31, 15)
 
 
 # ---------------------------------------------------------------------------

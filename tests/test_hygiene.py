@@ -13,7 +13,8 @@ class defines are called from outside and left out.  A true division,
 a float literal or a float(...) call in a source fails too, unless
 FLOAT_ALLOWED names its line with the reason, and so does a write
 through the rows of a matrix: matrices are built once from row lists
-and share rows, so none may change after it is built.
+and share rows, so none may change after it is built.  Every lru_cache
+memo a module defines must have a bound, and MEMOS lists them all.
 A fresh interpreter per command shows which modules that command loads.
 """
 
@@ -22,6 +23,8 @@ import importlib
 import os
 import subprocess
 import sys
+import types
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -134,11 +137,59 @@ def test_checker_flags_a_row_write():
                                   "A.rows[i].update(r)", "A.rows.append({})"]
 
 
+# every lru_cache memo of src/nilvar, as module.function: the tables a
+# caller clears for a cold run
+MEMOS = ["homalg._ext1_vanishes", "homalg._hom_count", "homalg._middles",
+         "modmatrix._band_layer", "verify._string_summand"]
+
+
+def memo_tables(modules) -> dict:
+    """module.name -> cache_info() of each attribute of the modules that
+    has a cache_info, under the module that defines it only, so a memo
+    that another module imports counts once."""
+    out = {}
+    for mod in modules:
+        for name, value in vars(mod).items():
+            if (hasattr(value, "cache_info")
+                    and getattr(value, "__module__", None) == mod.__name__):
+                out[f"{mod.__name__.rsplit('.', 1)[-1]}.{name}"] = value.cache_info()
+    return out
+
+
+def test_every_memo_is_bounded():
+    # __main__ runs the command line when imported, and defines nothing
+    tables = memo_tables(importlib.import_module(f"nilvar.{path.stem}")
+                         for path in SOURCES if path.stem != "__main__")
+    assert sorted(tables) == MEMOS
+    assert [name for name, info in tables.items() if info.maxsize is None] == []
+
+
+def test_checker_finds_each_memo_once():
+    mod = types.ModuleType("pkg.fake")
+    exec("from functools import lru_cache\n"
+         "@lru_cache(maxsize=None)\ndef grows(x):\n    return x\n"
+         "@lru_cache(maxsize=8)\ndef capped(x):\n    return x\n"
+         "def plain(x):\n    return x\n", mod.__dict__)
+    other = types.ModuleType("pkg.other")
+    other.grows = mod.grows  # an import of it, not a second memo
+    other.own = lru_cache(maxsize=4)(lambda x: x)
+    other.own.__module__ = "pkg.other"
+    tables = memo_tables([mod, other])
+    assert sorted(tables) == ["fake.capped", "fake.grows", "other.own"]
+    assert [n for n, info in tables.items() if info.maxsize is None] == ["fake.grows"]
+
+
 # definitions that nothing in src/nilvar names but that stay: each
 # backs a test that holds the code to an independent computation
 TEST_BACKED = {
+    "diamond_family": "the band family of one regular pair, pinned over "
+                      "1,407 pairs and held to the families of "
+                      "regular_components",
     "dominates": "the dominance order that tests hold ip_maximal and the "
                  "V(n, n, n) components to",
+    "is_regular_component": "the component criterion for one regular pair, "
+                            "pinned over 1,407 pairs and held to the cells "
+                            "regular_components keeps",
     "is_index_module": "the paper's index-module inequalities, checked "
                        "against a brute-force enumeration",
     "open_type": "the open-string type that the self-extension dichotomy "

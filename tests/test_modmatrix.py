@@ -8,13 +8,15 @@ computation in modmatrix.
 """
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilvar.exactla import RationalMatrix, pivot_columns
+from nilvar import modmatrix
+from nilvar.exactla import RationalMatrix, _entry, pivot_columns
 from nilvar.homalg import hom_dim_oracle
 from nilvar.modmatrix import (
     MatrixPairModule,
@@ -23,7 +25,7 @@ from nilvar.modmatrix import (
     direct_sum,
     string_module,
 )
-from nilvar.verify import random_module
+from nilvar.verify import _PARAMS, random_module
 from nilvar.words import AlgebraParams, Word, band_class, enumerate_words, runs
 
 P33 = AlgebraParams(3, 3)
@@ -180,6 +182,127 @@ def test_band_rejections():
         band_module(Word("xxy", P33), [])
     with pytest.raises(ValueError):
         band_module(Word("xxyxx", P33), [1])  # square not valid
+
+
+def reference_band_module(word, lambdas):
+    """band_module as built before its layer was memoized: band_class on
+    every call and the layer written letter by letter into each of the
+    k layers."""
+    kind, canonical = band_class(word)
+    if kind != "primitive":
+        raise ValueError(f"band_module needs a primitive band, got {kind} for {str(word)!r}")
+    lambdas = tuple(_entry(v) for v in lambdas)
+    if not lambdas:
+        raise ValueError("need at least one lambda layer")
+    if any(v == 0 for v in lambdas):
+        raise ValueError("band lambdas must be nonzero")
+    m, k = len(canonical), len(lambdas)
+    n = m * k
+    a_rows = [{} for _ in range(n)]
+    b_rows = [{} for _ in range(n)]
+    idx = lambda i, j: j * m + i
+    for j in range(k):
+        for i in range(m - 1):
+            if canonical[i] == "x":
+                a_rows[idx(i, j)][idx(i + 1, j)] = 1
+            else:
+                b_rows[idx(i + 1, j)][idx(i, j)] = 1
+        b_rows[idx(0, j)][idx(m - 1, j)] = lambdas[j]
+        if j > 0:
+            b_rows[idx(0, j - 1)][idx(m - 1, j)] = 1
+    return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
+                            word.params, [("band", canonical, lambdas)])
+
+
+def built_as(mod):
+    """Everything a module carries, entry types and row order included
+    (Fraction(2) == 2, but their reprs differ)."""
+    return (mod.n, mod.params, repr(mod.A.rows), repr(mod.B.rows), mod.summands,
+            [s[1].params for s in mod.summands])
+
+
+def primitive_bands(max_len, params):
+    """Every primitive band text of length <= max_len, in every rotation."""
+    for k in range(2, max_len + 1):
+        for t in itertools.product("xy", repeat=k):
+            try:
+                w = Word("".join(t), params)
+            except ValueError:
+                continue
+            if band_class(w)[0] == "primitive":
+                yield w
+
+
+LAMBDAS = [[3], [1, 1], [2, -1, 2], [Fraction(1, 2)], [Fraction(4, 2), 5],
+           [Fraction(-3, 4), 1, Fraction(7, 3)]]
+
+
+@pytest.mark.parametrize("params", _PARAMS, ids=lambda p: f"{p.a}{p.b}")
+def test_band_layer_memo_matches_the_reference(params):
+    bands = list(primitive_bands(8, params))
+    assert bands
+    for w in bands:
+        for lambdas in LAMBDAS:
+            assert built_as(band_module(w, lambdas)) == built_as(
+                reference_band_module(w, lambdas)), (str(w), lambdas)
+        # a second call reads the memo and still builds fresh rows
+        one, two = band_module(w, [1]), band_module(w, [1])
+        assert one.B.rows is not two.B.rows
+        assert all(r is not s for r, s in zip(one.B.rows, two.B.rows))
+
+
+def test_band_layer_memo_is_bounded_and_keyed_on_params():
+    memo = modmatrix._band_layer
+    assert memo.cache_info().maxsize is not None
+    memo.cache_clear()
+    texts = ["xy", "yx", "xxy", "xyy", "xxyxy", "yxyxx"]
+    keys = set()
+    calls = 0
+    for params in (P22, P33, P43):
+        for text in texts:
+            try:
+                w = Word(text, params)
+            except ValueError:
+                continue
+            for lambdas in ([1], [2, 3]):
+                band_module(w, lambdas)
+                calls += 1
+            keys.add((text, params))
+    info = memo.cache_info()
+    # one entry and one miss per distinct (text, params), hits for the rest
+    assert (info.currsize, info.misses, info.hits) == (len(keys), len(keys),
+                                                       calls - len(keys))
+    # equal texts over two algebras are two entries, each with its params
+    m22, m33 = band_module(Word("xy", P22), [1]), band_module(Word("xy", P33), [1])
+    assert (m22.params, m33.params) == (P22, P33)
+    assert m22.summands[0][1].params == P22 and m33.summands[0][1].params == P33
+
+
+@pytest.mark.parametrize("text, lambdas", [
+    ("xyxy", [1]),       # periodic
+    ("xx", [1]),         # a single letter
+    ("", [1]),           # empty
+    ("xxyxx", [1]),      # its square is not a word
+    ("xxy", [0]),        # a zero lambda
+    ("xxy", [1, 0]),
+    ("xy", [0.5]),       # a float lambda
+    ("xxy", []),         # no layer
+])
+def test_band_rejections_match_the_reference(text, lambdas):
+    def outcome(build):
+        try:
+            build(Word(text, P33), lambdas)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    held = modmatrix._band_layer.cache_info().currsize
+    for _ in range(2):
+        got = outcome(band_module)
+        assert got is not None and got == outcome(reference_band_module)
+    # a rejected word leaves no entry behind
+    if band_class(Word(text, P33))[0] != "primitive":
+        assert modmatrix._band_layer.cache_info().currsize == held
 
 
 def test_distinct_lambdas_split_after_base_change():

@@ -58,6 +58,21 @@ def test_random_module_draws_are_pinned():
         "60e13df87ba3357a73f09ac1db745bbccf6fbff5da19e2515f83b5eb665699cc")
 
 
+@pytest.mark.parametrize("seed, state", [
+    (0, "7e59ed60ebf4eb6995dba283c7b5653e5cfb29baeb766d851985d848402093de"),
+    (1, "3bfe8513eaddefcecb147fda83316f8fb84834c156d3007ea2de05902bcaa8fb"),
+    (2, "c0429ca4bcd946ca4877a8471f2b4f09c15c883b38f747b6814c39d5a699b4cb"),
+])
+def test_random_module_rng_stream_is_pinned(seed, state):
+    # the generator's state after 2,000 draws: a sampler that makes one
+    # RNG call more or fewer, or draws over a pool of another size, moves
+    # it even where the modules happen to agree
+    rng = random.Random(seed)
+    for _ in range(2000):
+        random_module(rng)
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == state
+
+
 def _reference_string_text(rng, params):
     # the former sampler: a letter is capped when the text ends in a full
     # run of it, and the choice is among the letters left
@@ -68,10 +83,9 @@ def _reference_string_text(rng, params):
     return text
 
 
-@pytest.mark.parametrize("pair", verify._PARAM_POOL)
-def test_string_sampler_matches_the_reference(pair):
+@pytest.mark.parametrize("params", verify._PARAMS)
+def test_string_sampler_matches_the_reference(params):
     # the run-length sampler makes the same RNG calls on the same choices
-    params = AlgebraParams(*pair)
     for seed in range(5):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(2000):
@@ -83,8 +97,7 @@ def test_string_sampler_matches_the_reference(pair):
 def test_string_summand_memo():
     run_check("random-modules", "quick")
     memo = verify._string_summand
-    pool = [(str(w), params) for pair in verify._PARAM_POOL
-            for params in [AlgebraParams(*pair)]
+    pool = [(str(w), params) for params in verify._PARAMS
             for w in enumerate_words(5, params)]
     held = memo.cache_info().currsize
     assert 0 < held <= len(pool)
@@ -126,9 +139,10 @@ def test_random_band_words_are_primitive():
         assert band_class(w)[0] == "primitive"
     # the sampler's test: x^i y^j x^k y^l is periodic iff (i, j) = (k, l),
     # on every run pair of every parameter set it draws from
-    for a, b in verify._PARAM_POOL:
-        for i, j, k, l in itertools.product(range(1, a), range(1, b), repeat=2):
-            w = Word("x" * i + "y" * j + "x" * k + "y" * l, AlgebraParams(a, b))
+    for params in verify._PARAMS:
+        for i, j, k, l in itertools.product(range(1, params.a), range(1, params.b),
+                                            repeat=2):
+            w = Word("x" * i + "y" * j + "x" * k + "y" * l, params)
             assert (band_class(w)[0] == "primitive") == ((i, j) != (k, l)), str(w)
 
 

@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from nilvar.verify import _PARAM_POOL
+from nilvar.verify import _PARAMS
 from nilvar.words import (
     AlgebraParams,
     Word,
@@ -102,8 +102,7 @@ def test_word_validity_matches_run_length_rule():
     # and a stray letter anywhere, alone or beside an over-long run
     texts += ["".join(t) for k in range(1, 5) for t in itertools.product("xyz", repeat=k)]
     texts += ["X", " x", "x\ny", "xxxz", "yyyyw", "xy·"]
-    for a, b in _PARAM_POOL:
-        params = AlgebraParams(a, b)
+    for params in _PARAMS:
         for text in texts:
             assert word_error(text, params) == run_length_error(text, params), text
     assert word_error("xxx", P33) == "run x^3 exceeds 2, not a word over (a,b)=(3,3)"
