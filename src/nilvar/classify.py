@@ -49,6 +49,24 @@ def regular_pairs(n, params: AlgebraParams, extra=0):
                 yield a_part, b_part
 
 
+def _regular_stratum(a_part, b_part, params):
+    """(criterion, dimension, family) of the stratum of a regular pair, all
+    read off one reduced_pair: whether its closure is a component, its
+    delta dimension and its diamond band family.  Raises unless
+    reduced_pair accepts the pair as regular."""
+    n, c, d, pairs = reduced_pair(a_part, b_part, params, 0)
+    a, b = params.a, params.b
+    full = sum(1 for v in a_part if v == a) + sum(1 for v in b_part if v == b)
+    criterion = (sum(1 for v in a_part if v not in (1, 2, a)) <= 1
+                 and sum(1 for v in b_part if v not in (1, 2, b)) <= 1
+                 and len(c) <= full + 1)
+    dim = (n * n - sum(m * m for m in c.dual()) - sum(m * m for m in d.dual())
+           + len(c) ** 2)
+    mults = Counter("x" * i + "y" * j for i, j in pairs)
+    ordered = sorted(mults, key=lambda s: (-len(s), s))
+    return criterion, dim, [(Word(s, params), mults[s]) for s in ordered]
+
+
 def diamond_family(a_part, b_part, params: AlgebraParams):
     """The bands of the generic module on the stratum of a regular pair:
     one band x^i y^j for each pair (i, j) of the diamond pairing of
@@ -57,13 +75,7 @@ def diamond_family(a_part, b_part, params: AlgebraParams):
 
     Returns [(band word, multiplicity)], longest bands first.
     """
-    return _family(reduced_pair(a_part, b_part, params, 0)[3], params)
-
-
-def _family(pairs, params):
-    mults = Counter("x" * i + "y" * j for i, j in pairs)
-    ordered = sorted(mults, key=lambda s: (-len(s), s))
-    return [(Word(s, params), mults[s]) for s in ordered]
+    return _regular_stratum(a_part, b_part, params)[2]
 
 
 def delta_dim(a_part, b_part, params: AlgebraParams) -> int:
@@ -74,12 +86,7 @@ def delta_dim(a_part, b_part, params: AlgebraParams) -> int:
     where (m_i), (n_i) are the duals of a_part - 1, b_part - 1 and t is
     their common length.  Raises unless reduced_pair accepts the pair as
     regular."""
-    return _delta(*reduced_pair(a_part, b_part, params, 0)[:3])
-
-
-def _delta(n, c, d):
-    return (n * n - sum(m * m for m in c.dual()) - sum(m * m for m in d.dual())
-            + len(c) ** 2)
+    return _regular_stratum(a_part, b_part, params)[1]
 
 
 def _front_loaded(total, parts, cap):
@@ -116,18 +123,7 @@ def is_regular_component(a_part, b_part, params: AlgebraParams) -> bool:
     likewise for b_part with b, and the reduced length is at most
     #(parts = a) + #(parts = b) + 1.  Raises unless reduced_pair accepts
     the pair as regular."""
-    c = reduced_pair(a_part, b_part, params, 0)[1]
-    return _is_component(a_part, b_part, len(c), params)
-
-
-def _is_component(a_part, b_part, t, params):
-    if sum(1 for v in a_part if v not in (1, 2, params.a)) > 1:
-        return False
-    if sum(1 for v in b_part if v not in (1, 2, params.b)) > 1:
-        return False
-    full = (sum(1 for v in a_part if v == params.a)
-            + sum(1 for v in b_part if v == params.b))
-    return t <= full + 1
+    return _regular_stratum(a_part, b_part, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +173,6 @@ class Component(namedtuple("Component",
         return {"kind": "zero", "dim": self.dim}
 
 
-def _regular_component(a_part, b_part, params):
-    """The regular component of the stratum of a regular pair, or None
-    when the criterion of is_regular_component fails: the pair passes
-    reduced_pair once, and the criterion, the dimension and the family
-    are all read off its (n, c, d, pairs)."""
-    n, c, d, pairs = reduced_pair(a_part, b_part, params, 0)
-    if not _is_component(a_part, b_part, len(c), params):
-        return None
-    return Component(
-        kind="regular",
-        dim=_delta(n, c, d),
-        a_part=tuple(a_part),
-        b_part=tuple(b_part),
-        family=tuple(_family(pairs, params)),
-    )
-
-
 def regular_components(n: int, params: AlgebraParams) -> list:
     """The regular components of V(n, a, b): the dominance-largest pair
     of each feasible (length, reduced length) cell, kept when the
@@ -204,9 +183,10 @@ def regular_components(n: int, params: AlgebraParams) -> list:
             pair = ip_maximal(n, params, i, p)
             if pair is None:
                 continue
-            comp = _regular_component(*pair, params)
-            if comp is not None:
-                out.append(comp)
+            criterion, dim, family = _regular_stratum(*pair, params)
+            if criterion:
+                out.append(Component(kind="regular", dim=dim, a_part=tuple(pair[0]),
+                                     b_part=tuple(pair[1]), family=tuple(family)))
     out.sort(key=Component.sort_key)
     return out
 

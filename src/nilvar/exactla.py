@@ -84,19 +84,24 @@ class RationalMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
         right = other.rows
-        out = []
-        for row in self.rows:
-            acc = {}
-            for k, v in row.items():
-                for j, w in right[k].items():
-                    acc[j] = acc.get(j, 0) + v * w
-            out.append({j: v if type(v) is int else _entry(v)
-                        for j, v in acc.items() if v})
-        return RationalMatrix(out, other.ncols)
+        return RationalMatrix([{j: v if type(v) is int else _entry(v)
+                                for j, v in _row_times(row, right).items() if v}
+                               for row in self.rows], other.ncols)
 
     def rank(self) -> int:
         """Rank as the number of pivots of `echelon` on the nonempty rows."""
-        return len(echelon(map(_int_row, filter(None, self.rows)), self.ncols))
+        return len(echelon(map(_int_row, filter(None, self.rows))))
+
+
+def _row_times(row: dict, rows: list) -> dict:
+    """The sparse row `row` times the matrix with sparse rows `rows`, as
+    {col: sum} over the nonzero products; a sum that cancels is kept as a
+    0, for the caller to drop."""
+    acc = {}
+    for k, v in row.items():
+        for j, w in rows[k].items():
+            acc[j] = acc.get(j, 0) + v * w
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +122,13 @@ def _int_row(row: dict) -> dict:
     return {j: v.numerator * (m // v.denominator) for j, v in row.items() if v}
 
 
-def echelon(rows, limit=None) -> dict:
+def echelon(rows) -> dict:
     """Fraction-free echelon form of sparse integer rows.
 
     Returns {leading column: row}, one row per pivot; it spans the same
     row space as the input.  Each incoming row is reduced by the pivot
     row of its current leading column until its leading column is new
-    (it becomes a pivot) or it vanishes.  Stops early once there are
-    `limit` pivots.
+    (it becomes a pivot) or it vanishes.
     """
     pivots = {}
     for row in rows:
@@ -133,8 +137,6 @@ def echelon(rows, limit=None) -> dict:
             prow = pivots.get(c)
             if prow is None:
                 pivots[c] = row
-                if len(pivots) == limit:
-                    return pivots
                 break
             row = _eliminate(row, prow, c)
     return pivots

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactla import RationalMatrix, _entry
+from .exactla import RationalMatrix, _entry, _row_times
 from .partitions import Partition
 from .words import Word, band_class
 
@@ -160,18 +160,15 @@ def _partial_permutation_ones(mat: RationalMatrix):
 def _kills(left: RationalMatrix, right: RationalMatrix, times=1) -> bool:
     """True iff left @ right^times = 0: at once when no column of left
     meets a nonempty row of right, else by pushing each row of left
-    through `times` products with right, summed as in RationalMatrix.mul
-    (cancelled terms count as zero), up to the first row that survives."""
+    through `times` products with right by the row product of
+    RationalMatrix.mul (cancelled terms count as zero), up to the first
+    row that survives."""
     rows = right.rows
     if not any(rows[k] for row in left.rows for k in row):
         return True
     for row in filter(None, left.rows):
         for _ in range(times):
-            acc = {}
-            for k, v in row.items():
-                for j, w in rows[k].items():
-                    acc[j] = acc.get(j, 0) + v * w
-            row = {j: v for j, v in acc.items() if v}
+            row = {j: v for j, v in _row_times(row, rows).items() if v}
             if not row:
                 break
         else:
@@ -199,25 +196,37 @@ def _jordan_type(m: RationalMatrix) -> Partition:
 # constructions
 # ---------------------------------------------------------------------------
 
+def _layer_ones(text: str):
+    """The (row, col) offsets of the ones of A and B that the letters of
+    text put on e_0, .., e_{|text|}: letter i is x at (i, i+1) in A or y
+    at (i+1, i) in B."""
+    return (tuple((i, i + 1) for i, letter in enumerate(text) if letter == "x"),
+            tuple((i + 1, i) for i, letter in enumerate(text) if letter == "y"))
+
+
+def _write_layer(a_rows, b_rows, layer, off):
+    """Write the ones of a layer, as _layer_ones gives them, into the rows
+    of A and B with its e_0 at basis position off."""
+    for rows, ones in zip((a_rows, b_rows), layer):
+        for r, c in ones:
+            rows[off + r][off + c] = 1
+
+
 def string_module(word: Word) -> MatrixPairModule:
     """The string module M(word) of dimension |word| + 1."""
     n = len(word) + 1
     a_rows = [{} for _ in range(n)]
     b_rows = [{} for _ in range(n)]
-    for i, letter in enumerate(word):
-        if letter == "x":
-            a_rows[i][i + 1] = 1
-        else:
-            b_rows[i + 1][i] = 1
+    _write_layer(a_rows, b_rows, _layer_ones(word), 0)
     return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
                             word.params, [("string", word)])
 
 
 @lru_cache(maxsize=1024)
 def _band_layer(text: str, params):
-    """One layer of the band modules over the band text: (canonical, x
-    ones, y ones), the canonical rotation and the (row, col) offsets of
-    the ones of A and B within the layer, the wrap-around letter left
+    """One layer of the band modules over the band text: (canonical,
+    layer), the canonical rotation and the ones of its string
+    canonical[:-1] as _layer_ones gives them, the wrap-around letter left
     out.  Keyed on the params too, since Word equality ignores them;
     the sampler of `verify` draws under 200 distinct keys, so the bound
     never evicts there.  Raises unless text is a primitive band."""
@@ -225,9 +234,7 @@ def _band_layer(text: str, params):
     kind, canonical = band_class(word)
     if kind != "primitive":
         raise ValueError(f"band_module needs a primitive band, got {kind} for {text!r}")
-    x_ones = tuple((i, i + 1) for i in range(len(canonical) - 1) if canonical[i] == "x")
-    y_ones = tuple((i + 1, i) for i in range(len(canonical) - 1) if canonical[i] == "y")
-    return canonical, x_ones, y_ones
+    return canonical, _layer_ones(canonical[:-1])
 
 
 def band_module(word: Word, lambdas) -> MatrixPairModule:
@@ -238,7 +245,7 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     from the _band_layer memo; each call writes it into fresh rows k
     times and adds the lambdas and the layer couplings.
     """
-    canonical, x_ones, y_ones = _band_layer(str(word), word.params)
+    canonical, layer = _band_layer(str(word), word.params)
     lambdas = tuple(_entry(v) for v in lambdas)
     if not lambdas:
         raise ValueError("need at least one lambda layer")
@@ -251,10 +258,7 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     b_rows = [{} for _ in range(n)]
     for j in range(k):
         off = j * m  # position i in layer j is off + i, layer-major
-        for r, c in x_ones:
-            a_rows[off + r][off + c] = 1
-        for r, c in y_ones:
-            b_rows[off + r][off + c] = 1
+        _write_layer(a_rows, b_rows, layer, off)
         # canonical form ends with y: the wrap-around letter couples the
         # end of the word back to the start, and adjacent layers to each
         # other (z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1})

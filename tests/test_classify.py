@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from nilvar import classify, homalg
+from nilvar import classify, homalg, words
 from nilvar.classify import (
     Component,
     components,
@@ -436,6 +436,24 @@ def test_classification_builds_no_matrix_module(capsys, monkeypatch, n, a, b):
                  "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[n, a, b]
+
+
+def test_lambda_windows_are_built_once(monkeypatch):
+    # every Ext^1 test composes maps into Lambda = M(xxyy) through
+    # admissible_pairs; a cold classification indexes Lambda's substring
+    # windows by middle on the first call and reads that index afterwards
+    built = []
+
+    def counted(w, before, after):
+        built.append((str(w), before, after))
+        return windows(w, before, after)
+
+    windows = words._windows
+    monkeypatch.setattr(words, "_windows", counted)
+    for memo in (words._middles, homalg._hom_count, homalg._ext1_vanishes):
+        memo.cache_clear()
+    components(24, 3, 3)
+    assert built.count(("xxyy", "y", "x")) == 1
 
 
 def test_components_validates_bounds_at_n1():

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from nilvar import homalg, modmatrix, verify
+from nilvar import homalg, modmatrix, verify, words
 from nilvar.classify import components
 from nilvar.homalg import (
     end_dim,
@@ -739,8 +739,8 @@ def test_hom_order_flip_example():
 def test_memo_tables_are_bounded():
     # finite at any n, and no verify or classify run evicts: a full verify
     # makes 12 374 distinct Hom keys, hom-agreement alone 12 075, and the
-    # per-word middle multisets number two per word, far fewer
-    for memo in (homalg._middles, homalg._hom_count, homalg._ext1_vanishes):
+    # per-word window indexes number two per word, far fewer
+    for memo in (words._middles, homalg._hom_count, homalg._ext1_vanishes):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= 12_374
     # the random-modules sampler draws x^i y^j and x^i y^j x^k y^l, never

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every top-level function and class and every method is named somewhere,
-no source computes in floating point, and every command imports only
-the modules it runs.
+no source computes in floating point, no loop is written twice, and
+every command imports only the modules it runs.
 
 No linter ships with the package, so this test is the check.  It reads
 each source file and each test file with `ast`, collects the names its
@@ -13,13 +13,18 @@ class defines are called from outside and left out.  A true division,
 a float literal or a float(...) call in a source fails too, unless
 FLOAT_ALLOWED names its line with the reason, and so does a write
 through the rows of a matrix: matrices are built once from row lists
-and share rows, so none may change after it is built.  Every lru_cache
-memo a module defines must have a bound, and MEMOS lists them all.
-A fresh interpreter per command shows which modules that command loads.
+and share rows, so none may change after it is built.  Two for/while
+loops of 20 or more AST nodes that match once every name is blanked
+fail unless DUPLICATE_LOOPS_ALLOWED names the pair with the reason:
+one idea, one loop.  Every lru_cache memo a module defines must have a
+bound, and MEMOS lists them all.  A fresh interpreter per command shows
+which modules that command loads.
 """
 
 import ast
+import copy
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -96,6 +101,77 @@ def test_checker_flags_floating_point():
                                   "w = float(3)", "u = 1e3"]
 
 
+class _Blank(ast.NodeTransformer):
+    """Replaces every identifier and argument name by one placeholder."""
+
+    def visit_Name(self, node):
+        node.id = "_"
+        return node
+
+    def visit_arg(self, node):
+        node.arg = "_"
+        return self.generic_visit(node)
+
+
+def duplicate_loops(sources: dict, min_nodes=20) -> list[tuple[str, str]]:
+    """The pairs of for/while statements of `sources` (file name -> text)
+    of at least `min_nodes` AST nodes whose ASTs match once every
+    identifier and argument name is blanked, each as two "file: first
+    line" entries, files by name and loops outermost first.  A loop inside
+    a loop that is flagged already is left out: its match comes with the
+    outer one."""
+    groups = {}
+    for fname, text in sorted(sources.items()):
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.For, ast.While))
+                    and sum(1 for _ in ast.walk(node)) >= min_nodes):
+                shape = ast.dump(_Blank().visit(copy.deepcopy(node)))
+                entry = (node, f"{fname}: {lines[node.lineno - 1].strip()}")
+                groups.setdefault(shape, []).append(entry)
+    flagged = [node for group in groups.values() if len(group) > 1 for node, _ in group]
+    inner = {id(sub) for node in flagged for sub in ast.walk(node) if sub is not node}
+    return [(one, two) for group in groups.values()
+            for (n1, one), (n2, two) in itertools.combinations(group, 2)
+            if id(n1) not in inner and id(n2) not in inner]
+
+
+# the duplicate loops that src/nilvar keeps, pair of "file: line" -> reason
+DUPLICATE_LOOPS_ALLOWED = {
+    ("homalg.py: while parent[p] != p:", "homalg.py: while parent[q] != q:"):
+        "path halving for the two entries of one merge in _hom_dim_unionfind, "
+        "inlined for p and q because a call per find would cost the "
+        "hom-agreement hot path",
+}
+
+
+def test_no_duplicate_loops():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert duplicate_loops(sources) == list(DUPLICATE_LOOPS_ALLOWED)
+
+
+def test_checker_flags_duplicate_loops():
+    body = ("    for k, v in row.items():\n"
+            "        for j, w in {m}[k].items():\n"
+            "            acc[j] = acc.get(j, 0) + v * w\n")
+    sources = {
+        "a.py": "def f(row, right):\n" + body.format(m="right")
+                + "    for i in range(3):\n        pass\n",
+        "b.py": "def g(row, rows):\n" + body.format(m="rows")
+                + "    for i in range(3):\n        pass\n"
+                + "    while row:\n        row = [v * 2 for v in row if v]\n"
+                + "    while acc:\n        acc = [u * 3 for u in acc if u]\n",
+    }
+    # the inner loops match too, but only the outer pair is named; the
+    # range loops are under 20 nodes and the while loops differ in a
+    # constant
+    assert duplicate_loops(sources) == [("a.py: for k, v in row.items():",
+                                         "b.py: for k, v in row.items():")]
+    assert duplicate_loops(sources, min_nodes=5) == [
+        ("a.py: for k, v in row.items():", "b.py: for k, v in row.items():"),
+        ("a.py: for i in range(3):", "b.py: for i in range(3):")]
+
+
 # the list and dict methods that change their receiver in place
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
             "clear", "update", "setdefault", "sort", "reverse"}
@@ -139,8 +215,8 @@ def test_checker_flags_a_row_write():
 
 # every lru_cache memo of src/nilvar, as module.function: the tables a
 # caller clears for a cold run
-MEMOS = ["homalg._ext1_vanishes", "homalg._hom_count", "homalg._middles",
-         "modmatrix._band_layer", "verify._string_summand"]
+MEMOS = ["homalg._ext1_vanishes", "homalg._hom_count", "modmatrix._band_layer",
+         "verify._string_summand", "words._middles"]
 
 
 def memo_tables(modules) -> dict:

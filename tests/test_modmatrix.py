@@ -251,6 +251,22 @@ def test_band_layer_memo_matches_the_reference(params):
         assert all(r is not s for r, s in zip(one.B.rows, two.B.rows))
 
 
+@pytest.mark.parametrize("params", _PARAMS, ids=lambda p: f"{p.a}{p.b}")
+def test_band_layer_is_its_string_closed_by_lambda(params):
+    # one layer of M(w; lambda) is the string module of the canonical
+    # rotation less its last letter, a y that closes e_{m-1} to lambda e_0
+    for w in primitive_bands(8, params):
+        canonical = band_class(w)[1]
+        m = len(canonical)
+        string = string_module(Word(canonical[:-1], params))
+        for lam in (1, 2, Fraction(1, 2)):
+            band = band_module(w, [lam])
+            b_rows = [dict(row) for row in string.B.rows]
+            b_rows[0][m - 1] = lam
+            assert repr(band.A.rows) == repr(string.A.rows), str(w)
+            assert repr(band.B.rows) == repr(b_rows), (str(w), lam)
+
+
 def test_band_layer_memo_is_bounded_and_keyed_on_params():
     memo = modmatrix._band_layer
     assert memo.cache_info().maxsize is not None
