@@ -70,10 +70,13 @@ class MatrixPairModule:
 
     def verify_relations(self) -> bool:
         """True iff AB = BA = A^a = B^b = 0, tested by _kills without
-        building any product or power: A^a as A A^{a-1}, B^b as B B^{b-1}."""
+        building any product or power: A^a as A A^{a-1}, B^b as B B^{b-1}.
+        The column set of A starts the support walks of AB and A^a, that
+        of B the walks of BA and B^b; each is read off its matrix once."""
         A, B, a, b = self.A, self.B, self.params.a, self.params.b
-        return (_kills(A, B) and _kills(B, A)
-                and _kills(A, A, a - 1) and _kills(B, B, b - 1))
+        cols_a, cols_b = set().union(*A.rows), set().union(*B.rows)
+        return (_kills(A, B, 1, cols_a) and _kills(B, A, 1, cols_b)
+                and _kills(A, A, a - 1, cols_a) and _kills(B, B, b - 1, cols_b))
 
     # -- the ones of A and B, for the union-find Hom oracle ----------------
 
@@ -157,15 +160,24 @@ def _partial_permutation_ones(mat: RationalMatrix):
     return ones
 
 
-def _kills(left: RationalMatrix, right: RationalMatrix, times=1) -> bool:
-    """True iff left @ right^times = 0: at once when no column of left
-    meets a nonempty row of right, else by pushing each row of left
-    through `times` products with right by the row product of
-    RationalMatrix.mul (cancelled terms count as zero), up to the first
-    row that survives."""
+def _kills(left: RationalMatrix, right: RationalMatrix, times=1,
+           cols=None) -> bool:
+    """True iff left @ right^times = 0, first by a walk over the supports:
+    cols, the set of columns of left (read off left unless given), is
+    replaced `times` times by the set of columns of right's rows at those
+    indices.  It holds the columns where the product so far may be
+    nonzero, so once it empties every entry is an empty sum and the
+    product is 0 exactly.  Only a walk that survives its full length
+    falls back to pushing each row of left through `times` products with
+    right by the row product of RationalMatrix.mul (cancelled terms count
+    as zero), up to the first row that survives."""
     rows = right.rows
-    if not any(rows[k] for row in left.rows for k in row):
-        return True
+    if cols is None:
+        cols = set().union(*left.rows)
+    for _ in range(times):
+        cols = {j for k in cols for j in rows[k]}
+        if not cols:
+            return True
     for row in filter(None, left.rows):
         for _ in range(times):
             row = {j: v for j, v in _row_times(row, rows).items() if v}
@@ -246,7 +258,7 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     times and adds the lambdas and the layer couplings.
     """
     canonical, layer = _band_layer(str(word), word.params)
-    lambdas = tuple(_entry(v) for v in lambdas)
+    lambdas = tuple(map(_entry, lambdas))
     if not lambdas:
         raise ValueError("need at least one lambda layer")
     if any(v == 0 for v in lambdas):

@@ -79,23 +79,46 @@ _PARAMS = tuple(AlgebraParams(a, b) for a, b in
                 [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)])
 
 
-# the letters a string text may go on with: both, or only the other one
-# after a full run of its last letter; rng.choice on a one-letter tuple
-# still draws, so the RNG sees the same calls whichever applies
-_BOTH = ("x", "y")
-_OTHER = {"x": ("y",), "y": ("x",)}
+# every bounded integer the sampler draws is an rng.choice over one of
+# these tuples (or over a run tuple of _TABLES): it makes the one
+# _randbelow(width) call of rng.randint(lo, hi), which maps it to the
+# same value, so the stream is the same
+_LENGTHS = tuple(range(6))     # randint(0, 5): letters in a string text
+_SUMMANDS = (1, 2, 3)          # randint(1, 3): summands of a module
+_ONE_OR_TWO = (1, 2)           # randint(1, 2): run pairs, band layers
+_LAMBDAS = (1, 2, 3, 4, 5)     # randint(1, 5): a band's lambda
+
+
+def _sampler_tables(params):
+    """(steps, x runs, y runs) for the sampler over params.  steps maps
+    each valid text of length <= 4 to the texts one letter longer that
+    keep every run within its cap (a letter is capped when the text ends
+    in a full run of it), x before y; the runs are "x" .. "x" * (a - 1)
+    and "y" .. "y" * (b - 1).  A one-text step still draws, so the RNG
+    sees the same calls whichever applies."""
+    caps = (("x", params.a - 1), ("y", params.b - 1))
+    steps, texts = {}, [""]
+    for _ in range(max(_LENGTHS)):
+        for text in texts:
+            steps[text] = tuple(text + letter for letter, cap in caps
+                                if not text.endswith(letter * cap))
+        texts = [longer for text in texts for longer in steps[text]]
+    return (steps, *(tuple(letter * k for k in range(1, cap + 1))
+                     for letter, cap in caps))
+
+
+# the tables of each pool algebra, built once; the two draws below take
+# a pool algebra
+_TABLES = {params: _sampler_tables(params) for params in _PARAMS}
 
 
 def _random_string_text(rng, params):
     """The text of a random valid string word of length <= 5, drawn
     letter by letter among those that keep every run within its cap."""
-    caps = {"x": params.a - 1, "y": params.b - 1}
-    text, last, run = "", "", 0
-    for _ in range(rng.randint(0, 5)):
-        letter = rng.choice(_OTHER[last] if run == caps.get(last) else _BOTH)
-        run = run + 1 if letter == last else 1
-        last = letter
-        text += letter
+    steps = _TABLES[params][0]
+    text = ""
+    for _ in range(rng.choice(_LENGTHS)):
+        text = rng.choice(steps[text])
     return text
 
 
@@ -113,12 +136,11 @@ def _random_band_word(rng, params):
     # alternating x/y runs always make a valid band; a single run pair is
     # automatically primitive, and x^i y^j x^k y^l is periodic, so
     # resampled, iff (i, j) = (k, l)
+    _, xruns, yruns = _TABLES[params]
     for _ in range(8):
-        t = rng.randint(1, 2)
         chunks = []
-        for _ in range(t):
-            chunks.append("x" * rng.randint(1, params.a - 1))
-            chunks.append("y" * rng.randint(1, params.b - 1))
+        for _ in range(rng.choice(_ONE_OR_TWO)):
+            chunks += rng.choice(xruns), rng.choice(yruns)
         if chunks[:2] != chunks[2:]:
             return Word("".join(chunks), params)
     return Word("xy", params)
@@ -132,11 +154,11 @@ def random_module(rng):
     its own lambdas, on a layer that modmatrix builds once per word."""
     params = rng.choice(_PARAMS)
     parts = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.choice(_SUMMANDS)):
         if rng.random() < 0.3:
             word = _random_band_word(rng, params)
-            mult = rng.randint(1, 2)
-            lambdas = [rng.randint(1, 5) for _ in range(mult)]
+            layers = rng.choice(_ONE_OR_TWO)
+            lambdas = [rng.choice(_LAMBDAS) for _ in range(layers)]
             parts.append(modmatrix.band_module(word, lambdas))
         else:
             parts.append(_string_summand(_random_string_text(rng, params),

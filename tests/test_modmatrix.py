@@ -531,6 +531,42 @@ def test_kills_ignores_stored_zeros():
                       RationalMatrix([{}, {1: 3}], 2))
 
 
+def random_sparse(rng, nrows, ncols, entries):
+    """An nrows x ncols matrix, each entry drawn from entries with
+    probability 0.4 and 0 otherwise."""
+    return RationalMatrix([{j: rng.choice(entries) for j in range(ncols)
+                            if rng.random() < 0.4} for _ in range(nrows)], ncols)
+
+
+@pytest.mark.parametrize("entries", [
+    (1, -1, 2, -2),
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), -1),
+], ids=["int", "fraction"])
+def test_kills_matches_the_built_power(monkeypatch, entries):
+    # _kills against left @ right^times built with mul; a walk that empties
+    # decides without a row push, one that survives its full length pushes
+    # rows, and the push finds a zero product (cancellation) or not
+    pushes = []
+    row_times = modmatrix._row_times
+    monkeypatch.setattr(modmatrix, "_row_times",
+                        lambda row, rows: pushes.append(1) or row_times(row, rows))
+    rng, branches = random.Random(24), set()
+    for _ in range(500):
+        n = rng.randint(2, 4)
+        left = random_sparse(rng, rng.randint(1, 3), n, entries)
+        right = random_sparse(rng, n, n, entries)
+        for times in range(1, 5):
+            power = right
+            for _ in range(times - 1):
+                power = power.mul(right)
+            zero = not any(left.mul(power).rows)
+            pushes.clear()
+            assert _kills(left, right, times) == zero
+            branches.add(("walk empties" if not pushes
+                          else "push cancels" if zero else "push survives"))
+    assert branches == {"walk empties", "push cancels", "push survives"}
+
+
 def relations_by_products(mod):
     """AB = BA = A^a = B^b = 0 read off the built products and powers."""
     A, B, (a, b) = mod.A, mod.B, mod.params

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from nilvar import homalg, verify
+from nilvar import homalg, modmatrix, verify
 from nilvar.exactla import RationalMatrix
-from nilvar.modmatrix import MatrixPairModule, string_module
+from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
 from nilvar.verify import CheckResult, run_check, run_suite, random_module
 from nilvar.words import AlgebraParams, Word, band_class, enumerate_words
 
@@ -91,6 +91,60 @@ def test_string_sampler_matches_the_reference(params):
         for _ in range(2000):
             assert (verify._random_string_text(ours, params)
                     == _reference_string_text(ref, params))
+        assert ours.getstate() == ref.getstate()
+
+
+def _reference_band_word(rng, params):
+    # the former band sampler, with rng.randint for every bounded draw
+    for _ in range(8):
+        t = rng.randint(1, 2)
+        chunks = []
+        for _ in range(t):
+            chunks.append("x" * rng.randint(1, params.a - 1))
+            chunks.append("y" * rng.randint(1, params.b - 1))
+        if chunks[:2] != chunks[2:]:
+            return Word("".join(chunks), params)
+    return Word("xy", params)
+
+
+def _reference_random_module(rng):
+    # the former outer draws of random_module, with rng.randint, on the
+    # reference samplers and unmemoized builders
+    params = rng.choice(verify._PARAMS)
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            word = _reference_band_word(rng, params)
+            mult = rng.randint(1, 2)
+            lambdas = [rng.randint(1, 5) for _ in range(mult)]
+            parts.append(band_module(word, lambdas))
+        else:
+            parts.append(string_module(Word(_reference_string_text(rng, params),
+                                            params)))
+    return direct_sum(parts)
+
+
+@pytest.mark.parametrize("params", verify._PARAMS)
+def test_band_sampler_matches_the_reference(params):
+    # drawing over prebuilt run tuples makes the same RNG calls on the
+    # same values as rng.randint
+    for seed in range(5):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            word = verify._random_band_word(ours, params)
+            want = _reference_band_word(ref, params)
+            assert (str(word), word.params) == (str(want), want.params)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_random_module_matches_the_reference():
+    for seed in range(5):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            mod, want = random_module(ours), _reference_random_module(ref)
+            assert mod.params == want.params
+            assert mod.summands == want.summands
+            assert (mod.A, mod.B) == (want.A, want.B)
         assert ours.getstate() == ref.getstate()
 
 
@@ -201,6 +255,18 @@ def test_random_modules_builds_no_product(monkeypatch):
 
     monkeypatch.setattr(RationalMatrix, "mul", refuse)
     result = run_check("random-modules", "quick", seed=0)
+    assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_modules_pushes_no_row(monkeypatch, seed):
+    # every sampled module has entries >= 0, so nothing cancels: each
+    # relation holds by a support walk that empties, and no row push runs
+    def refuse(*args):
+        raise AssertionError("the support walks decide every relation")
+
+    monkeypatch.setattr(modmatrix, "_row_times", refuse)
+    result = run_check("random-modules", "quick", seed=seed)
     assert result.passed, result.detail
 
 
