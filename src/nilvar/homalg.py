@@ -13,7 +13,11 @@ audit the other:
     map: it reads both words' windows grouped by middle off the index
     that admissible_pairs uses too (words._middles, built once per word)
     and multiplies, per middle word, the source's factor windows by the
-    target's substring windows.
+    target's substring windows.  hom_table counts a whole list of words
+    against another the same way, as one join on middle words: the
+    targets' middles are indexed once, as postings middle -> (target,
+    window count), and each source's middles are looked up there.  A
+    single pair is the one-by-one table, memoized.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
@@ -56,24 +60,49 @@ from .words import (MEMO_SIZE, AlgebraParams, Word, _middles, admissible_pairs,
 # graph maps
 # ---------------------------------------------------------------------------
 
+def _hom_rows(sources, targets) -> list[list[int]]:
+    """dim Hom(M(s), M(t)) for the texts s of sources, one row each, and
+    t of targets, one column each: the number of pairs of a factor window
+    of s and a substring window of t with equal middles.  The targets'
+    middles become postings middle -> [(column, window count)], and each
+    middle of a source adds its window count times each posting's."""
+    postings = {}
+    for col, text in enumerate(targets):
+        for middle, offsets in _middles(text, substring_windows).items():
+            postings.setdefault(middle, []).append((col, len(offsets)))
+    rows = []
+    for text in sources:
+        row = [0] * len(targets)
+        for middle, offsets in _middles(text, factor_windows).items():
+            for col, count in postings.get(middle, ()):
+                row[col] += len(offsets) * count
+        rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _hom_count(src_text: str, tgt_text: str, a: int, b: int) -> int:
-    # len(admissible_pairs(..)) without the maps: pairs of windows with
-    # equal middles, counted per middle.  a and b stay in the key although
-    # the count reads the texts alone: hom-agreement runs one text over
-    # several algebras, and the benchmark's test expects that workload
-    # never to hit this memo
-    fac = _middles(src_text, factor_windows)
-    sub = _middles(tgt_text, substring_windows)
-    return sum(len(offsets) * len(sub.get(m, ())) for m, offsets in fac.items())
+def _hom_count(src_text: str, tgt_text: str) -> int:
+    # the count reads the texts alone, so one key serves every algebra
+    # the two words are valid over
+    return _hom_rows((src_text,), (tgt_text,))[0][0]
 
 
 def hom_dim_graph(src: Word, tgt: Word) -> int:
     """dim Hom(M(src), M(tgt)) by counting admissible pairs (memoized on
-    the word texts and parameters)."""
+    the word texts)."""
     if src.params != tgt.params:
         raise ValueError("hom_dim_graph needs words over the same algebra")
-    return _hom_count(str(src), str(tgt), src.params.a, src.params.b)
+    return _hom_count(str(src), str(tgt))
+
+
+def hom_table(sources, targets) -> list[list[int]]:
+    """dim Hom(M(u), M(v)) for every word u of sources and v of targets,
+    as rows by source: entry [i][j] is hom_dim_graph(sources[i],
+    targets[j]), counted by one join on middle words and not memoized.
+    All the words must be over one algebra."""
+    if len({w.params for w in (*sources, *targets)}) > 1:
+        raise ValueError("hom_table needs words over one algebra")
+    return _hom_rows([str(w) for w in sources], [str(w) for w in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +213,10 @@ def end_dim(words) -> int:
     the sum of the pairwise graph counts (memoized, so repeated summand
     types across a classification run cost nothing).  A band module m
     has End of dimension hom_dim_oracle(m, m)."""
-    params = {w.params for w in words}
-    if len(params) != 1:
+    if len({w.params for w in words}) != 1:
         raise ValueError("end_dim needs one or more words over one algebra")
-    a, b = params.pop()
     texts = [str(w) for w in words]
-    return sum(_hom_count(t1, t2, a, b) for t1 in texts for t2 in texts)
+    return sum(_hom_count(t1, t2) for t1 in texts for t2 in texts)
 
 
 def orbit_dim(words) -> int:

@@ -232,18 +232,17 @@ def _check_hom_agreement(level, seed):
         max_len, grids = 4, [(3, 3), (2, 3)]
     pairs = 0
     for a, b in grids:
-        params = AlgebraParams(a, b)
-        strings = list(words.enumerate_words(max_len, params))
-        mods = {w: modmatrix.string_module(w) for w in strings}
-        for w1 in strings:
-            for w2 in strings:
-                g = homalg.hom_dim_graph(w1, w2)
-                o = homalg.hom_dim_oracle(mods[w1], mods[w2])
+        strings = words.enumerate_words(max_len, AlgebraParams(a, b))
+        mods = [modmatrix.string_module(w) for w in strings]
+        table = homalg.hom_table(strings, strings)
+        for w1, m1, row in zip(strings, mods, table):
+            for w2, m2, g in zip(strings, mods, row):
+                o = homalg.hom_dim_oracle(m1, m2)
                 if g != o:
                     raise CheckFailure(
                         f"Hom({w1}, {w2}) at ({a}, {b}): "
                         f"graph count {g}, linear algebra {o}")
-                pairs += 1
+        pairs += len(strings) ** 2
     return f"{pairs} string pairs across {len(grids)} parameter sets"
 
 

@@ -27,8 +27,9 @@ from itertools import groupby
 
 # entries kept by each memo table (words._middles, homalg._hom_count,
 # homalg._ext1_vanishes): bounded at any n, and above what a run uses
-# (`verify --level full --seed 0` leaves 342 window indexes, 12 374 Hom
-# keys and 37 Ext keys; classify at n = 24 under 200 Hom keys)
+# (`verify --level full --seed 0` leaves 342 window indexes, 282 Hom
+# keys and 37 Ext keys, hom-agreement counting through homalg.hom_table
+# and so adding no Hom key; classify at n = 24 under 200 Hom keys)
 MEMO_SIZE = 2 ** 16
 
 

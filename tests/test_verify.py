@@ -280,3 +280,37 @@ def test_hom_agreement_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "rank", refuse)
     result = run_check("hom-agreement", "quick", seed=0)
     assert result.passed, result.detail
+
+
+def test_hom_agreement_counts_one_table_per_algebra(monkeypatch):
+    # the graph route is one hom_table join per algebra, never the
+    # per-pair memoized count
+    def refuse(*args):
+        raise AssertionError("hom-agreement counts through hom_table")
+
+    tables = []
+    table = homalg.hom_table
+    monkeypatch.setattr(homalg, "_hom_count", refuse)
+    monkeypatch.setattr(homalg, "hom_table", lambda sources, targets: tables.append(
+        (sources[0].params, len(sources), len(targets))) or table(sources, targets))
+    result = run_check("hom-agreement", "quick", seed=0)
+    assert result.passed, result.detail
+    assert result.detail == "754 string pairs across 2 parameter sets"
+    assert tables == [(AlgebraParams(3, 3), 23, 23), (AlgebraParams(2, 3), 15, 15)]
+
+
+def test_hom_agreement_reports_a_wrong_table_entry(monkeypatch):
+    # one graph count off by one, at Hom(M(xy), M(xxy)) over (3, 3): the
+    # check names that pair and both counts
+    table = homalg.hom_table
+
+    def bumped(sources, targets):
+        rows = table(sources, targets)
+        if sources[0].params == (3, 3):
+            rows[sources.index("xy")][targets.index("xxy")] += 1
+        return rows
+
+    monkeypatch.setattr(homalg, "hom_table", bumped)
+    result = run_check("hom-agreement", "quick", seed=0)
+    assert not result.passed
+    assert result.detail == "Hom(xy, xxy) at (3, 3): graph count 4, linear algebra 3"
