@@ -48,8 +48,9 @@ class MatrixPairModule:
     A and B are never modified: the builders below fill plain row lists
     and wrap each in a RationalMatrix once, and no matrix is written
     after it is built.  So permutation_maps reads its ones and letter
-    masks off them once, direct_sum shares their rows, and verify
-    memoizes string modules.
+    masks off them once, band modules over one band frame share A and
+    the lambda-free rows of B, direct_sum shares rows (and returns a
+    lone part itself), and verify memoizes string modules.
     """
 
     __slots__ = ("n", "A", "B", "params", "summands", "_maps")
@@ -235,58 +236,69 @@ def string_module(word: Word) -> MatrixPairModule:
 
 
 @lru_cache(maxsize=1024)
-def _band_layer(text: str, params):
-    """One layer of the band modules over the band text: (canonical,
-    layer), the canonical rotation and the ones of its string
-    canonical[:-1] as _layer_ones gives them, the wrap-around letter left
-    out.  Keyed on the params too, since Word equality ignores them;
-    the sampler of `verify` draws under 200 distinct keys, so the bound
-    never evicts there.  Raises unless text is a primitive band."""
+def _band_frame(text: str, params, layers: int):
+    """The lambda-free part of the band modules over the band text with
+    `layers` layers: (canonical, A, B rows), the canonical rotation, A as
+    one RationalMatrix, and the rows of B holding the ones of each
+    layer's string canonical[:-1] and the layer couplings (z_{m,j} . y
+    has z_{1,j-1}) but no lambda.  Rows are never written once built, so
+    every module over the frame shares A and the lambda-free rows of B.
+    Keyed on the params too, since Word equality ignores them; the
+    sampler of `verify` can meet 356 keys (351 in a full pass at seed
+    1), so the bound never evicts there.  Raises unless text is a primitive band,
+    and so caches no rejected word."""
     word = Word(text, params)
     kind, canonical = band_class(word)
     if kind != "primitive":
         raise ValueError(f"band_module needs a primitive band, got {kind} for {text!r}")
-    return canonical, _layer_ones(canonical[:-1])
+    m = len(canonical)
+    n = m * layers
+    a_rows = [{} for _ in range(n)]
+    b_rows = [{} for _ in range(n)]
+    layer = _layer_ones(canonical[:-1])
+    for off in range(0, n, m):  # position i in layer j is j*m + i, layer-major
+        _write_layer(a_rows, b_rows, layer, off)
+        if off:
+            b_rows[off - m][off + m - 1] = 1
+    return canonical, RationalMatrix(a_rows, n), tuple(b_rows)
 
 
 def band_module(word: Word, lambdas) -> MatrixPairModule:
     """The band module M(word; lambda_1, .., lambda_k), dimension |word|*k.
 
     word must be a primitive band (any rotation; the canonical one is
-    used).  lambdas is a sequence of nonzero scalars.  The layer comes
-    from the _band_layer memo; each call writes it into fresh rows k
-    times and adds the lambdas and the layer couplings.
+    used).  lambdas is a sequence of nonzero scalars.  A and the
+    lambda-free rows of B come from the _band_frame memo of (word, k)
+    and are shared; each call builds only the k rows that carry a
+    lambda afresh, the wrap-around y of each layer (canonical form ends
+    with y): z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1}.
     """
-    canonical, layer = _band_layer(str(word), word.params)
+    lambdas = tuple(lambdas)
+    canonical, A, frame = _band_frame(str(word), word.params, len(lambdas))
     lambdas = tuple(map(_entry, lambdas))
     if not lambdas:
         raise ValueError("need at least one lambda layer")
     if any(v == 0 for v in lambdas):
         raise ValueError("band lambdas must be nonzero")
 
-    m, k = len(canonical), len(lambdas)
-    n = m * k
-    a_rows = [{} for _ in range(n)]
-    b_rows = [{} for _ in range(n)]
-    for j in range(k):
-        off = j * m  # position i in layer j is off + i, layer-major
-        _write_layer(a_rows, b_rows, layer, off)
-        # canonical form ends with y: the wrap-around letter couples the
-        # end of the word back to the start, and adjacent layers to each
-        # other (z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1})
-        b_rows[off][off + m - 1] = lambdas[j]
-        if j > 0:
-            b_rows[off - m][off + m - 1] = 1
-    return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
+    m = len(canonical)
+    b_rows = list(frame)
+    for off, lam in zip(range(0, A.nrows, m), lambdas):
+        b_rows[off] = {off + m - 1: lam, **frame[off]}
+    return MatrixPairModule(A.nrows, A, RationalMatrix(b_rows, A.nrows),
                             word.params, [("band", canonical, lambdas)])
 
 
 def direct_sum(modules) -> MatrixPairModule:
     """Block-diagonal direct sum; all summands must share parameters.
-    Summand metadata is concatenated when every part carries it.  One
-    pass over the parts: the first summand's row dicts are shared
-    (offset 0; modules are never modified once built), later ones
-    re-keyed by the rows placed so far."""
+    Summand metadata is concatenated when every part carries it.
+    Modules are never modified once built, so the sum of one part is
+    that part itself.  Otherwise one pass over the parts: the first
+    summand's row dicts are shared (offset 0), later ones re-keyed by
+    the rows placed so far."""
+    modules = tuple(modules)
+    if len(modules) == 1:
+        return modules[0]
     params, a_rows, b_rows, summands = None, [], [], ()
     for mod in modules:
         if params is None:

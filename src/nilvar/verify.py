@@ -73,52 +73,73 @@ CheckResult = namedtuple("CheckResult", "name passed detail seconds")
 # random modules (check 7 and anyone else who wants fuzz input)
 # ---------------------------------------------------------------------------
 
-# the algebras the sampler draws from, built once: one rng.choice over
-# seven entries per module, as over any seven-entry sequence
+def _pool(seq):
+    """seq as a pool for _pick: (its entries padded with None to 2**k
+    slots, k), with k = len(seq).bit_length()."""
+    k = len(seq).bit_length()
+    return tuple(seq) + (None,) * ((1 << k) - len(seq)), k
+
+
+def _pick(getrandbits, pool):
+    """rng.choice(seq) for the pool of seq, given rng.getrandbits: it
+    draws k bits and draws again while they land on a pad, which is the
+    one _randbelow(len(seq)) call of Random.choice, call for call, so
+    the value and the stream are the same."""
+    seq, k = pool
+    v = seq[getrandbits(k)]
+    while v is None:
+        v = seq[getrandbits(k)]
+    return v
+
+
+# the algebras the sampler draws from, built once: one choice over seven
+# entries per module, as over any seven-entry sequence
 _PARAMS = tuple(AlgebraParams(a, b) for a, b in
                 [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4)])
+_ALGEBRAS = _pool(_PARAMS)
+
+# every bounded integer the sampler draws is a _pick over one of these
+# pools (or over a run pool of _POOLS): it draws as the one
+# _randbelow(width) call of rng.randint(lo, hi) and maps it to the same
+# value, so the stream is the same
+_MAX_LENGTH = 5
+_LENGTHS = _pool(range(_MAX_LENGTH + 1))  # randint(0, 5): letters in a string text
+_SUMMANDS = _pool((1, 2, 3))       # randint(1, 3): summands of a module
+_ONE_OR_TWO = _pool((1, 2))        # randint(1, 2): run pairs, band layers
+_LAMBDAS = _pool((1, 2, 3, 4, 5))  # randint(1, 5): a band's lambda
 
 
-# every bounded integer the sampler draws is an rng.choice over one of
-# these tuples (or over a run tuple of _TABLES): it makes the one
-# _randbelow(width) call of rng.randint(lo, hi), which maps it to the
-# same value, so the stream is the same
-_LENGTHS = tuple(range(6))     # randint(0, 5): letters in a string text
-_SUMMANDS = (1, 2, 3)          # randint(1, 3): summands of a module
-_ONE_OR_TWO = (1, 2)           # randint(1, 2): run pairs, band layers
-_LAMBDAS = (1, 2, 3, 4, 5)     # randint(1, 5): a band's lambda
-
-
-def _sampler_tables(params):
-    """(steps, x runs, y runs) for the sampler over params.  steps maps
-    each valid text of length <= 4 to the texts one letter longer that
-    keep every run within its cap (a letter is capped when the text ends
-    in a full run of it), x before y; the runs are "x" .. "x" * (a - 1)
-    and "y" .. "y" * (b - 1).  A one-text step still draws, so the RNG
-    sees the same calls whichever applies."""
+def _sampler_pools(params):
+    """(steps, x runs, y runs) for the sampler over params, each choice
+    as a pool.  steps maps each valid text of length <= 4 to the texts
+    one letter longer that keep every run within its cap (a letter is
+    capped when the text ends in a full run of it), x before y; the runs
+    are "x" .. "x" * (a - 1) and "y" .. "y" * (b - 1).  A one-text step
+    still draws, so the RNG sees the same calls whichever applies."""
     caps = (("x", params.a - 1), ("y", params.b - 1))
     steps, texts = {}, [""]
-    for _ in range(max(_LENGTHS)):
+    for _ in range(_MAX_LENGTH):
         for text in texts:
             steps[text] = tuple(text + letter for letter, cap in caps
                                 if not text.endswith(letter * cap))
         texts = [longer for text in texts for longer in steps[text]]
-    return (steps, *(tuple(letter * k for k in range(1, cap + 1))
-                     for letter, cap in caps))
+    return ({text: _pool(step) for text, step in steps.items()},
+            *(_pool([letter * k for k in range(1, cap + 1)])
+              for letter, cap in caps))
 
 
-# the tables of each pool algebra, built once; the two draws below take
-# a pool algebra
-_TABLES = {params: _sampler_tables(params) for params in _PARAMS}
+# the pools of each pool algebra, built once; the two draws below take a
+# pool algebra
+_POOLS = {params: _sampler_pools(params) for params in _PARAMS}
 
 
 def _random_string_text(rng, params):
     """The text of a random valid string word of length <= 5, drawn
     letter by letter among those that keep every run within its cap."""
-    steps = _TABLES[params][0]
+    getrandbits, steps = rng.getrandbits, _POOLS[params][0]
     text = ""
-    for _ in range(rng.choice(_LENGTHS)):
-        text = rng.choice(steps[text])
+    for _ in range(_pick(getrandbits, _LENGTHS)):
+        text = _pick(getrandbits, steps[text])
     return text
 
 
@@ -136,11 +157,11 @@ def _random_band_word(rng, params):
     # alternating x/y runs always make a valid band; a single run pair is
     # automatically primitive, and x^i y^j x^k y^l is periodic, so
     # resampled, iff (i, j) = (k, l)
-    _, xruns, yruns = _TABLES[params]
+    getrandbits, (_, xruns, yruns) = rng.getrandbits, _POOLS[params]
     for _ in range(8):
         chunks = []
-        for _ in range(rng.choice(_ONE_OR_TWO)):
-            chunks += rng.choice(xruns), rng.choice(yruns)
+        for _ in range(_pick(getrandbits, _ONE_OR_TWO)):
+            chunks += _pick(getrandbits, xruns), _pick(getrandbits, yruns)
         if chunks[:2] != chunks[2:]:
             return Word("".join(chunks), params)
     return Word("xy", params)
@@ -149,16 +170,19 @@ def _random_band_word(rng, params):
 def random_module(rng):
     """A seeded random direct sum of one to three string and band modules
     over a pool algebra (strings of length <= 5), with the summand
-    metadata kept for downstream bookkeeping checks.  String summands
-    come from the _string_summand memo; each band is built afresh with
-    its own lambdas, on a layer that modmatrix builds once per word."""
-    params = rng.choice(_PARAMS)
+    metadata kept for downstream bookkeeping checks.  Every bounded draw
+    is a _pick on rng.getrandbits, the same calls rng.choice would make.
+    String summands come from the _string_summand memo; each band shares
+    the frame that modmatrix builds once per (word, layers) and gets
+    fresh lambda rows.  A lone summand is the module itself."""
+    getrandbits = rng.getrandbits
+    params = _pick(getrandbits, _ALGEBRAS)
     parts = []
-    for _ in range(rng.choice(_SUMMANDS)):
+    for _ in range(_pick(getrandbits, _SUMMANDS)):
         if rng.random() < 0.3:
             word = _random_band_word(rng, params)
-            layers = rng.choice(_ONE_OR_TWO)
-            lambdas = [rng.choice(_LAMBDAS) for _ in range(layers)]
+            layers = _pick(getrandbits, _ONE_OR_TWO)
+            lambdas = [_pick(getrandbits, _LAMBDAS) for _ in range(layers)]
             parts.append(modmatrix.band_module(word, lambdas))
         else:
             parts.append(_string_summand(_random_string_text(rng, params),

@@ -770,15 +770,16 @@ def test_memo_tables_are_bounded():
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= 12_374
     # the random-modules sampler draws x^i y^j and x^i y^j x^k y^l, never
-    # periodic, over seven algebras: 178 band texts, all of which a pass
-    # at seed 1 meets, and 243 string texts of length <= 5
+    # periodic, over seven algebras, with one or two layers: 178 band
+    # texts, 356 band frame keys, and 243 string texts of length <= 5
     blocks = [(["x" * i + "y" * j for i in range(1, p.a) for j in range(1, p.b)], p)
               for p in verify._PARAMS]
-    bands = ([(u, p) for us, p in blocks for u in us]
+    texts = ([(u, p) for us, p in blocks for u in us]
              + [(u + v, p) for us, p in blocks for u in us for v in us if u != v])
+    bands = [(u, p, layers) for u, p in texts for layers in (1, 2)]
     strings = [(w, p) for p in verify._PARAMS for w in enumerate_words(5, p)]
-    assert (len(bands), len(strings)) == (178, 243)
-    for memo, keys in ((modmatrix._band_layer, bands),
+    assert (len(texts), len(bands), len(strings)) == (178, 356, 243)
+    for memo, keys in ((modmatrix._band_frame, bands),
                        (verify._string_summand, strings)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= len(keys)

@@ -215,7 +215,7 @@ def test_checker_flags_a_row_write():
 
 # every lru_cache memo of src/nilvar, as module.function: the tables a
 # caller clears for a cold run
-MEMOS = ["homalg._ext1_vanishes", "homalg._hom_count", "modmatrix._band_layer",
+MEMOS = ["homalg._ext1_vanishes", "homalg._hom_count", "modmatrix._band_frame",
          "verify._string_summand", "words._middles"]
 
 

@@ -245,10 +245,16 @@ def test_band_layer_memo_matches_the_reference(params):
         for lambdas in LAMBDAS:
             assert built_as(band_module(w, lambdas)) == built_as(
                 reference_band_module(w, lambdas)), (str(w), lambdas)
-        # a second call reads the memo and still builds fresh rows
-        one, two = band_module(w, [1]), band_module(w, [1])
-        assert one.B.rows is not two.B.rows
-        assert all(r is not s for r, s in zip(one.B.rows, two.B.rows))
+        # a second call reads the frame and builds its lambda rows afresh
+        m = len(band_class(w)[1])
+        one, two = band_module(w, [1, 1]), band_module(w, [1, 1])
+        frame = modmatrix._band_frame(str(w), params, 2)[2]
+        assert all(one.B.rows[off] is not two.B.rows[off]
+                   and one.B.rows[off] is not frame[off] for off in (0, m))
+        # the rows it shares stay as built: a later module over the frame
+        # leaves the earlier one equal to its reference
+        band_module(w, [2, 3])
+        assert built_as(one) == built_as(reference_band_module(w, [1, 1]))
 
 
 @pytest.mark.parametrize("params", _PARAMS, ids=lambda p: f"{p.a}{p.b}")
@@ -268,7 +274,7 @@ def test_band_layer_is_its_string_closed_by_lambda(params):
 
 
 def test_band_layer_memo_is_bounded_and_keyed_on_params():
-    memo = modmatrix._band_layer
+    memo = modmatrix._band_frame
     assert memo.cache_info().maxsize is not None
     memo.cache_clear()
     texts = ["xy", "yx", "xxy", "xyy", "xxyxy", "yxyxx"]
@@ -280,12 +286,13 @@ def test_band_layer_memo_is_bounded_and_keyed_on_params():
                 w = Word(text, params)
             except ValueError:
                 continue
-            for lambdas in ([1], [2, 3]):
+            for lambdas in ([1], [2, 3], [4], [5, 6]):
                 band_module(w, lambdas)
                 calls += 1
-            keys.add((text, params))
+                keys.add((text, params, len(lambdas)))
     info = memo.cache_info()
-    # one entry and one miss per distinct (text, params), hits for the rest
+    # one entry and one miss per distinct (text, params, layers), hits for
+    # the rest
     assert (info.currsize, info.misses, info.hits) == (len(keys), len(keys),
                                                        calls - len(keys))
     # equal texts over two algebras are two entries, each with its params
@@ -312,13 +319,13 @@ def test_band_rejections_match_the_reference(text, lambdas):
             return type(exc), str(exc)
         return None
 
-    held = modmatrix._band_layer.cache_info().currsize
+    held = modmatrix._band_frame.cache_info().currsize
     for _ in range(2):
         got = outcome(band_module)
         assert got is not None and got == outcome(reference_band_module)
     # a rejected word leaves no entry behind
     if band_class(Word(text, P33))[0] != "primitive":
-        assert modmatrix._band_layer.cache_info().currsize == held
+        assert modmatrix._band_frame.cache_info().currsize == held
 
 
 def test_distinct_lambdas_split_after_base_change():
@@ -340,6 +347,8 @@ def test_direct_sum_blocks_and_metadata():
     assert [len(word) + 1 for _, word in m.summands] == [4, 3]
     st = m.stats()
     assert st == {"rkA": 3, "rkB": 2, "top_dim": 2, "soc_dim": 4, "regular": False}
+    # modules are never modified, so the sum of one part is that part
+    assert direct_sum(iter([m])) is m
 
 
 def test_direct_sum_stats_additive():

@@ -148,6 +148,32 @@ def test_random_module_matches_the_reference():
         assert ours.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("size", range(1, 10))
+def test_pick_matches_choice(size):
+    # a _pick over the pool of seq is rng.choice(seq), value and stream
+    seq = tuple(f"v{i}" for i in range(size))
+    pool = verify._pool(seq)
+    assert len(pool[0]) == 1 << size.bit_length()
+    for seed in range(5):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            assert verify._pick(ours.getrandbits, pool) == ref.choice(seq)
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_modules_pass_evicts_nothing(seed):
+    # a full pass fills the band frame and string summand memos without
+    # evicting: every miss is still an entry, below the bound
+    memos = (modmatrix._band_frame, verify._string_summand)
+    for memo in memos:
+        memo.cache_clear()
+    assert run_check("random-modules", "full", seed).passed
+    for memo in memos:
+        info = memo.cache_info()
+        assert 0 < info.misses == info.currsize < info.maxsize
+
+
 def test_string_summand_memo():
     run_check("random-modules", "quick")
     memo = verify._string_summand
