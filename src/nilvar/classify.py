@@ -39,14 +39,17 @@ def regular_pairs(n, params: AlgebraParams, extra=0):
     same extra: the regular pairs at extra = 0 (parts bounded by a, b,
     equal reduced lengths, l(a_part) + l(b_part) = n), the
     semi-projective strata at extra = 1 (lengths adding up to n + 1 and
-    first parts a and b)."""
-    full = (params.a, params.b)
-    for a_part in enumerate_partitions(n, params.a):
-        for b_part in enumerate_partitions(n, params.b):
-            if (len(a_part) + len(b_part) == n + extra
-                    and reduced_length(a_part) == reduced_length(b_part)
-                    and (extra == 0 or (a_part[0], b_part[0]) == full)):
-                yield a_part, b_part
+    first parts a and b).  The b side is indexed once by shape (length,
+    reduced length) and each a-side partition joins the shape it needs:
+    each side is read once, pairs come in the order of P(n, a) x P(n, b)."""
+    def side(bound):
+        return (p for p in enumerate_partitions(n, bound)
+                if extra == 0 or p[:1] == (bound,))
+    by_shape = {}
+    for b_part in side(params.b):
+        by_shape.setdefault((len(b_part), reduced_length(b_part)), []).append(b_part)
+    return ((a_part, b_part) for a_part in side(params.a) for b_part
+            in by_shape.get((n + extra - len(a_part), reduced_length(a_part)), ()))
 
 
 def _regular_stratum(a_part, b_part, params):

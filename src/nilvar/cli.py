@@ -269,7 +269,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="append", metavar="NAME",
                    help="run only this check (repeatable); available: ")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    add_format(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

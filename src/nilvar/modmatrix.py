@@ -271,10 +271,12 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     lambda-free rows of B come from the _band_frame memo of (word, k)
     and are shared; each call builds only the k rows that carry a
     lambda afresh, the wrap-around y of each layer (canonical form ends
-    with y): z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1}.
+    with y): z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1}.  Empty lambdas
+    are refused after an unmemoized word check, leaving no memo entry.
     """
     lambdas = tuple(lambdas)
-    canonical, A, frame = _band_frame(str(word), word.params, len(lambdas))
+    build = _band_frame if lambdas else _band_frame.__wrapped__
+    canonical, A, frame = build(str(word), word.params, len(lambdas))
     lambdas = tuple(map(_entry, lambdas))
     if not lambdas:
         raise ValueError("need at least one lambda layer")

@@ -111,21 +111,13 @@ _LAMBDAS = _pool((1, 2, 3, 4, 5))  # randint(1, 5): a band's lambda
 
 def _sampler_pools(params):
     """(steps, x runs, y runs) for the sampler over params, each choice
-    as a pool.  steps maps each valid text of length <= 4 to the texts
-    one letter longer that keep every run within its cap (a letter is
-    capped when the text ends in a full run of it), x before y; the runs
+    as a pool: steps pools words.letter_steps to length 5, and the runs
     are "x" .. "x" * (a - 1) and "y" .. "y" * (b - 1).  A one-text step
     still draws, so the RNG sees the same calls whichever applies."""
-    caps = (("x", params.a - 1), ("y", params.b - 1))
-    steps, texts = {}, [""]
-    for _ in range(_MAX_LENGTH):
-        for text in texts:
-            steps[text] = tuple(text + letter for letter, cap in caps
-                                if not text.endswith(letter * cap))
-        texts = [longer for text in texts for longer in steps[text]]
+    steps = words.letter_steps(params, _MAX_LENGTH)
     return ({text: _pool(step) for text, step in steps.items()},
-            *(_pool([letter * k for k in range(1, cap + 1)])
-              for letter, cap in caps))
+            *(_pool([letter * k for k in range(1, bound)])
+              for letter, bound in zip("xy", params)))
 
 
 # the pools of each pool algebra, built once; the two draws below take a
@@ -292,10 +284,11 @@ def _check_stratum_dims(level, seed):
             for pair in classify.regular_pairs(n, params, extra=1):
                 word, idx = indexmod.semiproj_index(*pair, params)
                 orbit = homalg.orbit_dim([word])
-                if orbit != indexmod.stratum_dim(idx, n, params):
+                stratum = indexmod.stratum_dim(idx, n, params)
+                if orbit != stratum:
                     raise CheckFailure(
                         f"open orbit vs stratum at {pair}, ({a}, {b}): "
-                        f"{orbit} != {indexmod.stratum_dim(idx, n, params)}")
+                        f"{orbit} != {stratum}")
                 try:
                     closed = classify.open_orbit_dim_formula(*pair, params)
                 except ValueError:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 
 # entries kept by each memo table (words._middles, homalg._hom_count,
 # homalg._ext1_vanishes): bounded at any n, and above what a run uses
@@ -292,18 +292,20 @@ def admissible_pairs(w1, w2):
             for s, e in factor_windows(w1) for q in by_middle.get(e, ())]
 
 
+def letter_steps(params: AlgebraParams, max_len: int) -> dict:
+    """Maps each valid text shorter than max_len to the valid texts one
+    letter longer, x before y: a letter may follow unless the text ends in
+    a full run of it.  Keys, and the values chained, go by length then lex."""
+    steps, texts = {}, [""]
+    for _ in range(max_len):
+        for text in texts:
+            steps[text] = tuple(text + letter for letter, bound in zip("xy", params)
+                                if not text.endswith(letter * (bound - 1)))
+        texts = [longer for text in texts for longer in steps[text]]
+    return steps
+
+
 def enumerate_words(max_len: int, params: AlgebraParams) -> list[Word]:
     """All valid words of length <= max_len, by length then lexicographic.
     Includes the empty word."""
-    a, b = params.a, params.b
-    out, layer = [Word("", params)], [""]
-    for _ in range(max_len):
-        nxt = []
-        for text in layer:
-            for letter, bound in (("x", a - 1), ("y", b - 1)):
-                cand = text + letter
-                if not cand.endswith(letter * (bound + 1)):
-                    nxt.append(cand)
-        layer = sorted(nxt)
-        out.extend(Word(t, params) for t in layer)
-    return out
+    return [Word(t, params) for t in chain([""], *letter_steps(params, max_len).values())]

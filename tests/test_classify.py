@@ -93,6 +93,48 @@ def test_regular_pairs_enumeration_small():
     assert len(pairs) == len(set(pairs))
 
 
+def filtered_pairs(n, params, extra=0):
+    """regular_pairs as the filter of the whole product P(n, a) x P(n, b)
+    that it replaced: the reference for its sequence."""
+    full = (params.a, params.b)
+    for a_part in enumerate_partitions(n, params.a):
+        for b_part in enumerate_partitions(n, params.b):
+            if (len(a_part) + len(b_part) == n + extra
+                    and reduced_length(a_part) == reduced_length(b_part)
+                    and (extra == 0 or (a_part[0], b_part[0]) == full)):
+                yield a_part, b_part
+
+
+def test_regular_pairs_match_the_product_filter_in_order():
+    for a, b in itertools.product(range(2, 6), repeat=2):
+        params = AlgebraParams(a, b)
+        for n in range(0, 13):
+            for extra in (0, 1):
+                got = list(regular_pairs(n, params, extra))
+                assert got == list(filtered_pairs(n, params, extra)), \
+                    (a, b, n, extra)
+                assert all(type(p) is Partition for pair in got for p in pair)
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (4, 4), (3, 5)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_regular_pairs_read_each_partition_once(monkeypatch, a, b, extra):
+    # one join on shape: each partition of each side has its reduced
+    # length taken at most once, where the product filter takes it per
+    # pair (676 calls at (30, 3, 3), extra 0)
+    n, calls = 30, []
+
+    def counted(p):
+        calls.append(p)
+        return reduced_length(p)
+
+    monkeypatch.setattr(classify, "reduced_length", counted)
+    assert list(regular_pairs(n, AlgebraParams(a, b), extra))
+    bound = (sum(1 for _ in enumerate_partitions(n, a))
+             + sum(1 for _ in enumerate_partitions(n, b)))
+    assert len(calls) <= bound, (len(calls), bound)
+
+
 def test_diamond_family_pairs_large_x_with_small_y():
     fam = diamond_family((3, 3, 3, 2, 1), (3, 2, 2, 2, 1, 1, 1), P33)
     # c = (2,2,2,1), d = (2,1,1,1): three x^2y and one xy^2

@@ -310,6 +310,8 @@ def test_band_layer_memo_is_bounded_and_keyed_on_params():
     ("xxy", [1, 0]),
     ("xy", [0.5]),       # a float lambda
     ("xxy", []),         # no layer
+    ("xxyy", []),
+    ("xyxy", []),        # no layer and periodic: the word is refused first
 ])
 def test_band_rejections_match_the_reference(text, lambdas):
     def outcome(build):
@@ -323,8 +325,8 @@ def test_band_rejections_match_the_reference(text, lambdas):
     for _ in range(2):
         got = outcome(band_module)
         assert got is not None and got == outcome(reference_band_module)
-    # a rejected word leaves no entry behind
-    if band_class(Word(text, P33))[0] != "primitive":
+    # a rejected word or an empty lambda list leaves no entry behind
+    if band_class(Word(text, P33))[0] != "primitive" or not lambdas:
         assert modmatrix._band_frame.cache_info().currsize == held
 
 

@@ -26,6 +26,7 @@ from nilvar.words import (
     enumerate_open_strings,
     enumerate_words,
     factor_windows,
+    letter_steps,
     open_type,
     runs,
     semi_kind,
@@ -429,3 +430,18 @@ def test_enumerate_words_against_filter():
                     brute.append(text)
         assert sorted(got) == sorted(brute)
         assert len(got) == len(set(got))
+        # by length, then lexicographically
+        assert got == sorted(brute, key=lambda t: (len(t), t))
+        assert all(w.params == params for w in got)
+
+
+def test_letter_steps_extend_by_one_valid_letter():
+    for params in (P33, P23, AlgebraParams(4, 3)):
+        words = enumerate_words(6, params)
+        steps = letter_steps(params, 6)
+        # a key for every valid text shorter than 6, in enumeration order
+        assert list(steps) == [str(w) for w in words if len(w) < 6]
+        for text, step in steps.items():
+            assert step == tuple(text + c for c in "xy"
+                                 if text + c in words), text
+    assert letter_steps(P33, 0) == {} and enumerate_words(0, P33) == [""]
