@@ -25,12 +25,13 @@ audit the other:
     band module with one layer and lambda = 1, and any direct sum or
     permutation conjugate of them) each scalar equation mentions at most
     two entries of F with coefficient 1, so the system collapses to
-    union-find on the entries.  The oracle reads each module's ones and
-    a 4-bit letter mask per basis vertex once
-    (MatrixPairModule.permutation_maps) and reuses them for every pair:
-    it merges entries only over pairs of ones of the same letter, and
-    reads the entries forced to zero off a 16 x 16 table of mask pairs.
-    Otherwise a dense exact nullity is computed.
+    union-find on the entries, merged only over pairs of ones of one
+    letter, with the entries forced to zero read off a 16 x 16 table of
+    letter masks (MatrixPairModule.permutation_maps, read once per
+    module).  hom_oracle_table counts a row, one source against all
+    targets, in one pass against their direct sum: it is block diagonal,
+    so no equation joins two blocks and the free classes are counted per
+    block.  Otherwise a dense exact nullity is computed.
 
 Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
 formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
@@ -51,6 +52,7 @@ Hom), which needs only the module matrices.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .words import (MEMO_SIZE, AlgebraParams, Word, _middles, admissible_pairs,
                     factor_windows, substring_windows, tau_inverse)
@@ -119,39 +121,37 @@ _FORCED = [bytes(m1 < 16 and bool(m1 & ~m2 & 3 | m2 & ~m1 & 12)
                  for m1 in range(256)) for m2 in range(16)]
 
 
-def _hom_dim_unionfind(maps1, maps2) -> int:
+def _hom_dim_unionfind(maps1, maps2, starts) -> list[int]:
     """Solution dimension of F A1 = A2 F, F B1 = B2 F for n2 x n1 F when
-    every matrix is a partial permutation, given by the two modules'
-    permutation_maps: each equation says F_p = F_q or F_p = 0, so the
-    free entries are the union-find classes that no entry forced to zero
-    lies in.  For each letter, a one (s, j) of x1 and a one (i, t) of x2
-    give (F x1)[i, j] = F[i, s] = F[t, j] = (x2 F)[i, j], the only
-    merges; every other equation reads 0 = 0 or zeroes one entry, and
-    those entries are the ones _FORCED marks.  The free classes are
-    counted as the merges go: a merge loses one unless both classes
-    were forced to zero already."""
+    all four matrices are partial permutations, given by permutation_maps,
+    per block k of M2: vertices starts[k] to starts[k + 1] - 1, with A2
+    and B2 block diagonal.  Each equation says F_p = F_q or F_p = 0, so
+    the free entries are the union-find classes with no entry forced to
+    zero.  For each letter, a one (s, j) of x1 and a one (i, t) of x2
+    give F[i, s] = (F x1)[i, j] = (x2 F)[i, j] = F[t, j], the only merges;
+    every other equation reads 0 = 0 or zeroes an entry _FORCED marks.
+    A merge marks the kept root if the dropped one was marked, else the
+    dropped one: a block's unmarked entries are its free classes' roots."""
     (ones1, masks1), (ones2, masks2) = maps1, maps2
     n1 = len(masks1)
-    zero = bytearray(b"".join([masks1.translate(_FORCED[m]) for m in masks2]))
-    free = len(zero) - zero.count(1)
-    parent = list(range(len(zero)))
+    forced = [masks1.translate(row) for row in _FORCED]
+    marked = bytearray(b"".join([forced[m] for m in masks2]))
+    parent = list(range(len(marked)))
     for letter1, letter2 in zip(ones1, ones2):
-        for i, t in letter2:
-            row_p, row_q = i * n1, t * n1
-            for s, j in letter1:
-                p, q = row_p + s, row_q + j
+        for s, j in letter1:
+            for i, t in letter2:
+                p, q = i * n1 + s, t * n1 + j
                 while parent[p] != p:
                     parent[p] = p = parent[parent[p]]
                 while parent[q] != q:
                     parent[q] = q = parent[parent[q]]
                 if p != q:
                     parent[p] = q
-                    if zero[p]:
-                        if zero[q]:
-                            continue
-                        zero[q] = 1
-                    free -= 1
-    return free
+                    if marked[p]:
+                        marked[q] = 1
+                    else:
+                        marked[p] = 1
+    return [marked.count(0, lo * n1, hi * n1) for lo, hi in zip(starts, starts[1:])]
 
 
 def _hom_dim_dense(m1, m2) -> int:
@@ -187,21 +187,34 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
     permutations (exact; one merge per pair of ones of a letter, one table
     lookup per entry of F) and exact elimination otherwise; pass
     "unionfind" or "dense" to force a route.  Each module's ones and
-    letter masks are read once, on its first call, and kept on the module
-    (permutation_maps), so a module met again -- or found not to be a
-    partial permutation -- costs no further scan.
+    letter masks, or None, are read once and kept (permutation_maps).
     """
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
     if method in (None, "unionfind"):
         maps1, maps2 = m1.permutation_maps(), m2.permutation_maps()
         if maps1 is not None and maps2 is not None:
-            return _hom_dim_unionfind(maps1, maps2)
+            return _hom_dim_unionfind(maps1, maps2, (0, m2.n))[0]
         if method == "unionfind":
             raise ValueError("union-find route needs partial-permutation matrices")
     elif method != "dense":
         raise ValueError(f"unknown method {method!r}")
     return _hom_dim_dense(m1, m2)
+
+
+def hom_oracle_table(sources, targets) -> list[list[int]]:
+    """[[hom_dim_oracle(u, v) for v in targets] for u in sources], each
+    row one union-find pass against the targets' direct sum when all the
+    modules are partial permutations; all must be over one algebra."""
+    from .modmatrix import direct_sum  # here only: classify never loads it
+    if len({m.params for m in (*sources, *targets)}) > 1:
+        raise ValueError("hom_oracle_table needs modules over one algebra")
+    maps1 = [u.permutation_maps() for u in sources]
+    maps2 = direct_sum(targets).permutation_maps() if targets else None
+    if maps2 is None or None in maps1:
+        return [[hom_dim_oracle(u, v) for v in targets] for u in sources]
+    starts = list(accumulate((v.n for v in targets), initial=0))
+    return [_hom_dim_unionfind(maps, maps2, starts) for maps in maps1]
 
 
 # ---------------------------------------------------------------------------

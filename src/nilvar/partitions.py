@@ -116,23 +116,27 @@ def enumerate_partitions(n: int, amax: int | None = None):
     """Yields all partitions of n with parts <= amax, lexicographically
     decreasing.  amax=None means no bound on the parts.
 
-    enumerate_partitions(0) yields just the empty partition.
+    enumerate_partitions(0) yields just the empty partition.  Each next
+    one lowers the last part v + 1 >= 2 to v and fills in v + 1 and the
+    trailing ones greedily by parts <= v: valid, so not checked again.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    if amax is None:
-        amax = n
-    if n == 0:
-        yield Partition()
+    amax = n if amax is None else amax
+    if amax <= 0 < n:
         return
-    if amax <= 0:
-        return
-
-    def rec(remaining, bound, prefix):
-        if remaining == 0:
-            yield Partition(prefix)
+    big, ones = [], n  # the parts >= 2, and the number of ones
+    if amax > 1:
+        q, r = divmod(n, amax)
+        big, ones = [amax] * q + [r] * (r > 1), int(r == 1)
+    while True:
+        yield tuple.__new__(Partition, big + [1] * ones)
+        if not big:
             return
-        for v in range(min(bound, remaining), 0, -1):
-            yield from rec(remaining - v, v, prefix + [v])
-
-    yield from rec(n, amax, [])
+        v = big.pop() - 1
+        if v == 1:
+            ones += 2
+        else:
+            q, r = divmod(v + 1 + ones, v)
+            big += [v] * q + [r] * (r > 1)
+            ones = int(r == 1)

@@ -238,6 +238,39 @@ def test_unionfind_equals_dense_with_bands():
     assert sizes == {True, False}
 
 
+def test_oracle_table_equals_the_pairwise_oracle():
+    # sources and targets of mixed sizes, not the same list: strings,
+    # one-layer bands with lambda = 1, a direct sum and a permutation
+    # conjugate; each row is one union-find pass against the targets'
+    # direct sum, and must be the row of the per-pair oracle by either
+    # route, and sum to the oracle against that direct sum
+    strings = [string_module(Word(t, P33)) for t in ("", "xxy", "yx", "xxyxyy")]
+    bands = [band_module(Word(t, P33), [1]) for t in ("xy", "xxyy")]
+    mixed = direct_sum([strings[1], bands[0]])
+    conj = direct_sum([strings[2], bands[1]])
+    conj = conjugate(conj, random.Random(3).sample(range(conj.n), conj.n))
+    sources = [strings[0], bands[1], mixed, conj, strings[3]]
+    targets = [strings[1], bands[0], conj, strings[2], mixed, strings[0]]
+    table = homalg.hom_oracle_table(sources, targets)
+    for method in ("unionfind", "dense"):
+        assert table == [[hom_dim_oracle(u, v, method=method) for v in targets]
+                         for u in sources]
+    assert [sum(row) for row in table] == [
+        hom_dim_oracle(u, direct_sum(targets), method="dense") for u in sources]
+    # a band with lambda = 2 is no partial permutation: the table falls
+    # back to the per-pair oracle, dense on that band's column
+    targets.append(band_module(Word("xxy", P33), [2]))
+    assert homalg.hom_oracle_table(sources, targets) == [
+        [hom_dim_oracle(u, v, method="dense") for v in targets] for u in sources]
+    assert homalg.hom_oracle_table(targets[-1:], sources) == [
+        [hom_dim_oracle(targets[-1], v, method="dense") for v in sources]]
+    # the shapes of hom_table, and one algebra only
+    assert homalg.hom_oracle_table(sources, []) == [[]] * len(sources)
+    assert homalg.hom_oracle_table([], targets) == []
+    with pytest.raises(ValueError, match="one algebra"):
+        homalg.hom_oracle_table(sources, [string_module(Word("xy", P23))])
+
+
 def test_unionfind_forced_zeros_and_merges():
     # each rule of the route changes one of these: Hom(S, M(x)) is the
     # socle, a map into e_1 would leave it by x (an arrow out of the

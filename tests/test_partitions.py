@@ -249,6 +249,38 @@ def test_enumerate_bounded_matches_oracle():
             assert len(got) == len(set(got))
 
 
+def recursive_partitions(n, amax=None):
+    """The recursive walk that enumerate_partitions replaced: each part
+    from the largest allowed down to 1, then the partitions of the rest
+    with parts no larger."""
+    if amax is None:
+        amax = n
+    if n == 0:
+        yield ()
+        return
+    if amax <= 0:
+        return
+
+    def rec(remaining, bound, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for v in range(min(bound, remaining), 0, -1):
+            yield from rec(remaining - v, v, prefix + [v])
+
+    yield from rec(n, amax, [])
+
+
+def test_enumerate_matches_the_recursive_walk():
+    # the same list, order included, for every bound that matters; each
+    # entry a Partition although none is validated again
+    for n in range(21):
+        for amax in [None, *range(n + 2)]:
+            got = list(enumerate_partitions(n, amax))
+            assert got == list(recursive_partitions(n, amax)), (n, amax)
+            assert {type(p) for p in got} <= {Partition}
+
+
 def test_enumerate_edge_cases():
     assert list(enumerate_partitions(0)) == [()]
     assert list(enumerate_partitions(0, 3)) == [()]

@@ -325,18 +325,43 @@ def test_hom_agreement_counts_one_table_per_algebra(monkeypatch):
     assert tables == [(AlgebraParams(3, 3), 23, 23), (AlgebraParams(2, 3), 15, 15)]
 
 
-def test_hom_agreement_reports_a_wrong_table_entry(monkeypatch):
-    # one graph count off by one, at Hom(M(xy), M(xxy)) over (3, 3): the
-    # check names that pair and both counts
+@pytest.mark.parametrize("level, params, source, target", [
+    ("quick", (3, 3), "xy", "xxy"),
+    ("full", (3, 3), "xy", "xxy"),
+    ("full", (4, 3), "yyxxx", "xxxy"),
+])
+def test_hom_agreement_reports_a_wrong_table_entry(monkeypatch, level, params,
+                                                   source, target):
+    # one graph count off by one, in the first algebra or a later one,
+    # at a later column than the row's first: the check compares rows
+    # and names that one pair and both counts
     table = homalg.hom_table
 
     def bumped(sources, targets):
         rows = table(sources, targets)
-        if sources[0].params == (3, 3):
-            rows[sources.index("xy")][targets.index("xxy")] += 1
+        if sources[0].params == params:
+            rows[sources.index(source)][targets.index(target)] += 1
         return rows
 
     monkeypatch.setattr(homalg, "hom_table", bumped)
-    result = run_check("hom-agreement", "quick", seed=0)
+    result = run_check("hom-agreement", level, seed=0)
     assert not result.passed
-    assert result.detail == "Hom(xy, xxy) at (3, 3): graph count 4, linear algebra 3"
+    p = AlgebraParams(*params)
+    o = homalg.hom_dim_oracle(string_module(Word(source, p)),
+                              string_module(Word(target, p)))
+    assert result.detail == (f"Hom({source}, {target}) at {params}: "
+                             f"graph count {o + 1}, linear algebra {o}")
+
+
+def test_hom_agreement_counts_one_union_find_per_source(monkeypatch):
+    # the oracle side is one union-find pass per source module against
+    # the direct sum of all the modules of its algebra, one block each:
+    # 65 + 31 + 83 calls, not one per pair
+    blocks = []
+    real = homalg._hom_dim_unionfind
+    monkeypatch.setattr(homalg, "_hom_dim_unionfind", lambda maps1, maps2, starts: (
+        blocks.append(len(starts) - 1) or real(maps1, maps2, starts)))
+    result = run_check("hom-agreement", "full", seed=0)
+    assert result.passed, result.detail
+    assert result.detail == "12075 string pairs across 3 parameter sets"
+    assert blocks == [65] * 65 + [31] * 31 + [83] * 83
