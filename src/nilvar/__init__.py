@@ -22,7 +22,7 @@ Layout:
     modmatrix   matrix-pair modules: string/band constructions, stats
     homalg      Hom/End dimensions, Ext^1 vanishing, graph maps, orbit
                 dimensions
-    indexmod    biserial index modules and stratum dimensions
+    indexmod    index modules as tuples of summand words, stratum dimensions
     classify    the component classification itself
     verify      randomized/batch verification suites
     cli         command-line interface

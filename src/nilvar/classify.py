@@ -41,7 +41,11 @@ def regular_pairs(n, params: AlgebraParams, extra=0):
     semi-projective strata at extra = 1 (lengths adding up to n + 1 and
     first parts a and b).  The b side is indexed once by shape (length,
     reduced length) and each a-side partition joins the shape it needs:
-    each side is read once, pairs come in the order of P(n, a) x P(n, b)."""
+    each side is read once, pairs come in the order of P(n, a) x P(n, b).
+    Raises ValueError at the call for any other extra."""
+    if extra not in (0, 1):
+        raise ValueError(f"need extra 0 or 1, got {extra!r}")
+
     def side(bound):
         return (p for p in enumerate_partitions(n, bound)
                 if extra == 0 or p[:1] == (bound,))

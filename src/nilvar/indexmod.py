@@ -10,13 +10,14 @@ of total dimension n(d-1) whose multiplicities satisfy a short list of
 inequalities; each one pins down an irreducible stratum of the variety,
 of dimension  n * dim Hom(L, Lambda) - dim End(L).
 
-We store an index module as a multiset of exponent pairs (i, j) >= (0,0):
-(0,0) is the simple module, (i,0) is M(x^i), (0,j) is M(y^j).
+An index module is the tuple of its summand words, one Word x^i y^j per
+summand and with multiplicity, largest exponent pair (i, j) first: the
+empty word is the simple module S, x^i is M(x^i) and y^j is M(y^j).  It
+is the form in which homalg.end_dim and orbit_dim take any direct sum of
+strings.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 # loaded on demand: functions of other modules are looked up at call
 # time, as in verify
@@ -25,126 +26,62 @@ from .partitions import reduced_pair
 from .words import AlgebraParams, Word
 
 
-class BiserialIndexModule:
-    """A formal direct sum of the modules S, M(x^i), M(y^j), M(x^i y^j),
-    kept as a multiset of exponent pairs.  Immutable and hashable."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, counts):
-        items = []
-        for (i, j), mult in sorted(Counter(dict(counts)).items(), reverse=True):
-            if not all(type(v) is int for v in (i, j, mult)):
-                raise ValueError(f"need integer exponents and multiplicity, "
-                                 f"got {(i, j)!r}: {mult!r}")
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for {(i, j)}")
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponents {(i, j)}")
-            if mult:
-                items.append(((i, j), mult))
-        self._items = tuple(items)
-
-    # -- views -------------------------------------------------------------
-
-    @property
-    def m_s(self) -> int:
-        return dict(self._items).get((0, 0), 0)
-
-    @property
-    def m_x(self) -> dict:
-        return {i: m for (i, j), m in self._items if i > 0 and j == 0}
-
-    @property
-    def m_y(self) -> dict:
-        return {j: m for (i, j), m in self._items if i == 0 and j > 0}
-
-    @property
-    def m_xy(self) -> dict:
-        return {(i, j): m for (i, j), m in self._items if i > 0 and j > 0}
-
-    def total_summands(self) -> int:
-        return sum(m for _, m in self._items)
-
-    def dim(self) -> int:
-        """Dimension of the realization: a summand (i, j) contributes
-        i + j + 1."""
-        return sum(m * (i + j + 1) for (i, j), m in self._items)
-
-    def __eq__(self, other):
-        return isinstance(other, BiserialIndexModule) and self._items == other._items
-
-    def __hash__(self):
-        return hash(self._items)
-
-    def __repr__(self):
-        return f"BiserialIndexModule({dict(self._items)!r})"
-
-    def summand_words(self, params: AlgebraParams) -> list[Word]:
-        """The summands as words, largest first, with multiplicity."""
-        out = []
-        for (i, j), mult in self._items:
-            w = Word("x" * i + "y" * j, params)
-            out.extend([w] * mult)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # recognition and dimension formulas
 # ---------------------------------------------------------------------------
 
-def is_index_module(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> bool:
-    """Whether idx is the index module of a stratum of the n-dimensional
-    variety: the multiplicity inequalities plus total dimension n(d-1).
+def is_index_module(words, n: int, params: AlgebraParams) -> bool:
+    """Whether the direct sum of words is the index module of a stratum of
+    the n-dimensional variety: every summand x^i y^j, the multiplicity
+    inequalities, and total dimension n(d-1).
     """
     a, b = params.a, params.b
-    mx, my, mxy = idx.m_x, idx.m_y, idx.m_xy
-    if any(i > a - 2 for i in mx):
+    pairs = [(w.count("x"), w.count("y")) for w in words]
+    if any(w != "x" * i + "y" * j for w, (i, j) in zip(words, pairs)):
         return False
-    if any(j > b - 2 for j in my):
+    mx = [i for i, j in pairs if i and not j]
+    my = [j for i, j in pairs if j and not i]
+    mxy = [(i, j) for i, j in pairs if i and j]
+    if any(i > a - 2 for i in mx) or any(j > b - 2 for j in my):
         return False
     # mixed summands touching a boundary must be the full algebra
-    if any(j == b - 1 and i != a - 1 for (i, j) in mxy):
+    if any((i == a - 1) != (j == b - 1) for i, j in mxy):
         return False
-    if any(i == a - 1 and j != b - 1 for (i, j) in mxy):
+    # the last is m_s + m_x + m_y + 2 m_xy <= 2n, with m_s the simples
+    if (len(mx) + len(mxy) > n or len(my) + len(mxy) > n
+            or len(pairs) + len(mxy) > 2 * n):
         return False
-    if any(i > a - 1 or j > b - 1 for (i, j) in mxy):
-        return False
-    sx, sy, sxy = sum(mx.values()), sum(my.values()), sum(mxy.values())
-    if sx + sxy > n or sy + sxy > n:
-        return False
-    if idx.m_s + sx + sy + 2 * sxy > 2 * n:
-        return False
-    return idx.dim() == n * (params.d - 1)
+    return sum(len(w) + 1 for w in words) == n * (params.d - 1)
 
 
-def hom_to_proj_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> int:
+def hom_to_proj_dim(words, n: int, params: AlgebraParams) -> int:
     """dim Hom(L, Lambda) for an index module L: every non-projective
     summand contributes its dimension plus one, each Lambda exactly its
     dimension -- so n(d-1) + (#summands) - (#Lambda summands)."""
-    p = idx.m_xy.get((params.a - 1, params.b - 1), 0)
-    return n * (params.d - 1) + idx.total_summands() - p
+    lam = "x" * (params.a - 1) + "y" * (params.b - 1)
+    return n * (params.d - 1) + len(words) - words.count(lam)
 
 
-def stratum_dim(idx: BiserialIndexModule, n: int, params: AlgebraParams) -> int:
-    """Dimension of the stratum indexed by idx inside the n-dimensional
-    variety:  n * dim Hom(L, Lambda) - dim End(L)."""
-    return (n * hom_to_proj_dim(idx, n, params)
-            - homalg.end_dim(idx.summand_words(params)))
+def stratum_dim(words, n: int, params: AlgebraParams) -> int:
+    """Dimension of the stratum indexed by the direct sum of words inside
+    the n-dimensional variety:  n * dim Hom(L, Lambda) - dim End(L)."""
+    return n * hom_to_proj_dim(words, n, params) - homalg.end_dim(words)
 
 
 # ---------------------------------------------------------------------------
 # the index modules of the classification
 # ---------------------------------------------------------------------------
 
-def _index_module(m, pairs, params: AlgebraParams) -> BiserialIndexModule:
-    """Lambda^m  +  sum over (i, j) in pairs of M(x^{a-1-i} y^{b-1-j})."""
-    counts = Counter({(params.a - 1, params.b - 1): m})
-    counts.update((params.a - 1 - i, params.b - 1 - j) for i, j in pairs)
-    return BiserialIndexModule(counts)
+def _index_module(m, pairs, params: AlgebraParams) -> tuple:
+    """Lambda^m  +  sum over (i, j) in pairs of M(x^{a-1-i} y^{b-1-j}), as
+    its summand words, largest exponent pair first."""
+    a, b = params.a, params.b
+    exps = sorted([(a - 1, b - 1)] * m + [(a - 1 - i, b - 1 - j) for i, j in pairs],
+                  reverse=True)
+    return tuple(Word("x" * i + "y" * j, params) for i, j in exps)
 
 
-def index_of_regular_stratum(a_part, b_part, params: AlgebraParams) -> BiserialIndexModule:
+def index_of_regular_stratum(a_part, b_part, params: AlgebraParams) -> tuple:
     """The index module of the regular stratum C(a_part, b_part):
 
         L = Lambda^{n-t}  +  sum_{i=1}^t M(x^{a-c_i-1} y^{b-d_{t-i+1}-1})

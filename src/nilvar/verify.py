@@ -275,6 +275,9 @@ def _check_stratum_dims(level, seed):
             params = classify.normalize_params(n, a, b)
             for pair in classify.regular_pairs(n, params):
                 idx = indexmod.index_of_regular_stratum(*pair, params)
+                if not indexmod.is_index_module(idx, n, params):
+                    raise CheckFailure(f"not an index module at {pair}, ({a}, {b}):"
+                                       f" {[str(w) for w in idx]}")
                 delta = classify.delta_dim(*pair, params)
                 stratum = indexmod.stratum_dim(idx, n, params)
                 if delta != stratum:
@@ -284,6 +287,9 @@ def _check_stratum_dims(level, seed):
                 regular += 1
             for pair in classify.regular_pairs(n, params, extra=1):
                 word, idx = indexmod.semiproj_index(*pair, params)
+                if not indexmod.is_index_module(idx, n, params):
+                    raise CheckFailure(f"not an index module at {pair}, ({a}, {b}):"
+                                       f" {[str(w) for w in idx]}")
                 orbit = homalg.orbit_dim([word])
                 stratum = indexmod.stratum_dim(idx, n, params)
                 if orbit != stratum:

@@ -307,5 +307,7 @@ def letter_steps(params: AlgebraParams, max_len: int) -> dict:
 
 def enumerate_words(max_len: int, params: AlgebraParams) -> list[Word]:
     """All valid words of length <= max_len, by length then lexicographic.
-    Includes the empty word."""
+    Includes the empty word; none below max_len 0."""
+    if max_len < 0:
+        return []
     return [Word(t, params) for t in chain([""], *letter_steps(params, max_len).values())]

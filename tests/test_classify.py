@@ -116,6 +116,14 @@ def test_regular_pairs_match_the_product_filter_in_order():
                 assert all(type(p) is Partition for pair in got for p in pair)
 
 
+@pytest.mark.parametrize("extra", [2, -1])
+def test_regular_pairs_refuse_other_extras_at_the_call(extra):
+    # extra = 2 would yield ((3,1,1,1), (3,1,1,1)) at (6, 3, 3), extra = -1
+    # pairs whose lengths sum to n - 1: none that reduced_pair accepts
+    with pytest.raises(ValueError, match=f"need extra 0 or 1, got {extra}"):
+        regular_pairs(6, P33, extra)
+
+
 @pytest.mark.parametrize("a, b", [(3, 3), (4, 4), (3, 5)])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_regular_pairs_read_each_partition_once(monkeypatch, a, b, extra):
@@ -153,6 +161,17 @@ def test_delta_dim_matches_stratum_dim_of_index_module():
                     (a_part, b_part, params)
 
 
+def old_index_repr(words):
+    """An index module in the text of the multiset class it once was,
+    BiserialIndexModule({(i, j): m, ...}) with the largest pair first, so
+    the frozen digest below pins each multiset of exponent pairs; the
+    words themselves must come largest pair first."""
+    pairs = [(w.count("x"), w.count("y")) for w in words]
+    assert pairs == sorted(pairs, reverse=True), words
+    counts = collections.Counter(pairs)
+    return f"BiserialIndexModule({dict(sorted(counts.items(), reverse=True))!r})"
+
+
 def test_stratum_formulas_frozen():
     # for (a, b) in {2..5}^2 and n = 2..12, one line per regular pair
     # (band family, delta_dim, component test, index module) and per
@@ -166,10 +185,10 @@ def test_stratum_formulas_frozen():
             for pair in regular_pairs(n, params):
                 counts["regular"] += 1
                 fam = [(str(w), m) for w, m in diamond_family(*pair, params)]
+                idx = index_of_regular_stratum(*pair, params)
                 digest.update(f"{a} {b} {pair} {fam} {delta_dim(*pair, params)} "
                               f"{is_regular_component(*pair, params)} "
-                              f"{index_of_regular_stratum(*pair, params)!r}\n"
-                              .encode())
+                              f"{old_index_repr(idx)}\n".encode())
             for pair in regular_pairs(n, params, extra=1):
                 counts["semi-projective"] += 1
                 word, idx = semiproj_index(*pair, params)
@@ -177,7 +196,8 @@ def test_stratum_formulas_frozen():
                     closed = open_orbit_dim_formula(*pair, params)
                 except ValueError:
                     closed = None
-                digest.update(f"{a} {b} {pair} {word} {idx!r} {closed}\n".encode())
+                digest.update(f"{a} {b} {pair} {word} {old_index_repr(idx)} "
+                              f"{closed}\n".encode())
     assert counts == {"regular": 1407, "semi-projective": 167}
     assert digest.hexdigest() == (
         "517b896bb1d28600e4f1c1ca127c2bb75ce4f1287e0a19d6a6e5ef6e8d269b24")

@@ -266,8 +266,6 @@ TEST_BACKED = {
     "is_regular_component": "the component criterion for one regular pair, "
                             "pinned over 1,407 pairs and held to the cells "
                             "regular_components keeps",
-    "is_index_module": "the paper's index-module inequalities, checked "
-                       "against a brute-force enumeration",
     "open_type": "the open-string type that the self-extension dichotomy "
                  "(type 1 iff Ext^1(M, M) = 0) is checked by",
 }

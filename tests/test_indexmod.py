@@ -11,7 +11,6 @@ import pytest
 
 from nilvar.homalg import end_dim, hom_dim_graph
 from nilvar.indexmod import (
-    BiserialIndexModule,
     hom_to_proj_dim,
     index_of_regular_stratum,
     is_index_module,
@@ -24,47 +23,21 @@ P33 = AlgebraParams(3, 3)
 P43 = AlgebraParams(4, 3)
 
 
-def idx_of(counts):
-    return BiserialIndexModule(counts)
-
-
-# ---------------------------------------------------------------------------
-# the multiset container
-# ---------------------------------------------------------------------------
-
-def test_views_split_by_exponent_support():
-    idx = BiserialIndexModule(
-        {(0, 0): 2, (1, 0): 3, (0, 2): 1, (1, 1): 4, (2, 2): 1})
-    assert idx.m_s == 2
-    assert idx.m_x == {1: 3}
-    assert idx.m_y == {2: 1}
-    assert idx.m_xy == {(1, 1): 4, (2, 2): 1}
-    assert idx.total_summands() == 11
-    # dim: 2*1 + 3*2 + 1*3 + 4*3 + 1*5
-    assert idx.dim() == 28
-
-
-def test_zero_multiplicities_are_dropped_and_equality_is_by_content():
-    assert idx_of({(1, 1): 1, (2, 2): 0}) == idx_of({(1, 1): 1})
-    assert hash(idx_of({(1, 1): 2})) == hash(idx_of({(1, 1): 2}))
-
-
-def test_non_integer_entries_are_rejected_not_truncated():
-    # int() would read these as {(0, 0): 1} and {(0, 0): 1}
-    with pytest.raises(ValueError, match=r"got \(0, 0\): 1\.5"):
-        idx_of({(0, 0): 1.5})
-    with pytest.raises(ValueError, match=r"got \(0\.5, 0\): 1"):
-        idx_of({(0.5, 0): 1})
-    with pytest.raises(ValueError, match=r"got \(1, 0\): True"):
-        idx_of({(1, 0): True})
+def idx_of(counts, params):
+    """The index module with counts[(i, j)] summands x^i y^j, as its tuple
+    of summand words, largest exponent pair first."""
+    return tuple(Word("x" * i + "y" * j, params)
+                 for (i, j), m in sorted(counts.items(), reverse=True)
+                 for _ in range(m))
 
 
 def test_realize_matches_summand_dims():
-    idx = idx_of({(2, 2): 1, (1, 1): 1})
-    words = idx.summand_words(P33)
-    assert [str(w) for w in words] == ["xxyy", "xy"]
+    idx = idx_of({(2, 2): 1, (1, 1): 1, (0, 0): 0}, P33)
+    assert [str(w) for w in idx] == ["xxyy", "xy"]
     # a summand word w stands for M(w), of dimension |w| + 1
-    assert sum(len(w) + 1 for w in words) == idx.dim() == 8
+    assert sum(len(w) + 1 for w in idx) == 8
+    assert idx_of({(0, 1): 1, (2, 2): 1, (1, 0): 2}, P33) == (
+        Word("xxyy", P33), Word("x", P33), Word("x", P33), Word("y", P33))
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +60,13 @@ def brute_index_modules(n, params):
     def rec(pos, left, counts):
         if pos == len(keys):
             if left == 0:
-                idx = BiserialIndexModule(dict(counts))
-                sx = sum(idx.m_x.values())
-                sy = sum(idx.m_y.values())
-                sxy = sum(idx.m_xy.values())
+                s = counts.get((0, 0), 0)
+                sx = sum(m for (i, j), m in counts.items() if i and not j)
+                sy = sum(m for (i, j), m in counts.items() if j and not i)
+                sxy = sum(m for (i, j), m in counts.items() if i and j)
                 if (sx + sxy <= n and sy + sxy <= n
-                        and idx.m_s + sx + sy + 2 * sxy <= 2 * n):
-                    out.append(idx)
+                        and s + sx + sy + 2 * sxy <= 2 * n):
+                    out.append(idx_of(counts, params))
             return
         i, j = keys[pos]
         unit = i + j + 1
@@ -109,8 +82,8 @@ def brute_index_modules(n, params):
 def test_index_modules_for_n2_are_exactly_four():
     found = brute_index_modules(2, P33)
     assert len(found) == 4
-    assert idx_of({(2, 2): 1, (1, 1): 1}) in found
-    assert idx_of({(1, 0): 2, (0, 1): 2}) in found
+    assert idx_of({(2, 2): 1, (1, 1): 1}, P33) in found
+    assert idx_of({(1, 0): 2, (0, 1): 2}, P33) in found
     for idx in found:
         assert is_index_module(idx, 2, P33)
 
@@ -132,7 +105,7 @@ def test_is_index_module_agrees_with_brute_enumeration():
             for key in combo:
                 counts[key] = counts.get(key, 0) + 1
             counts[(0, 0)] = counts.get((0, 0), 0) + (target - total)
-            idx = BiserialIndexModule(counts)
+            idx = idx_of(counts, params)
             if idx in seen:
                 continue
             seen.add(idx)
@@ -141,14 +114,24 @@ def test_is_index_module_agrees_with_brute_enumeration():
 
 def test_boundary_mixed_summands_must_be_projective():
     # M(x y^2) has j = b-1 but i != a-1 at (3,3): not allowed as index summand
-    bad = idx_of({(1, 2): 1, (2, 2): 1})
+    bad = idx_of({(1, 2): 1, (2, 2): 1}, P33)
     assert not is_index_module(bad, 2, P33)
     # same dimension count (3 + 5 = 8) with the legal key is fine
-    assert is_index_module(idx_of({(1, 1): 1, (2, 2): 1}), 2, P33)
+    assert is_index_module(idx_of({(1, 1): 1, (2, 2): 1}, P33), 2, P33)
 
 
 def test_wrong_total_dimension_is_rejected():
-    assert not is_index_module(idx_of({(2, 2): 2}), 2, P33)  # dim 10 != 8
+    assert not is_index_module(idx_of({(2, 2): 2}, P33), 2, P33)  # dim 10 != 8
+
+
+def test_every_summand_must_be_x_then_y():
+    # yx has the exponents of xy but is not x^i y^j: padded with simples
+    # to n(d-1) = 6 at (a, b) = (2, 2) it is refused, and the same tuple
+    # with xy, the algebra itself, is accepted
+    p22 = AlgebraParams(2, 2)
+    simples = (Word("", p22),) * 3
+    assert not is_index_module((Word("yx", p22),) + simples, 3, p22)
+    assert is_index_module((Word("xy", p22),) + simples, 3, p22)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +140,12 @@ def test_wrong_total_dimension_is_rejected():
 
 def hom_to_proj_by_pairing(idx, params):
     lam = Word("x" * (params.a - 1) + "y" * (params.b - 1), params)
-    return sum(hom_dim_graph(w, lam) for w in idx.summand_words(params))
+    return sum(hom_dim_graph(w, lam) for w in idx)
 
 
 def test_hom_to_proj_formula_matches_pairwise_route():
     for idx in brute_index_modules(2, P33) + brute_index_modules(3, P33):
-        n = idx.dim() // (P33.d - 1)
+        n = sum(len(w) + 1 for w in idx) // (P33.d - 1)
         assert hom_to_proj_dim(idx, n, P33) == hom_to_proj_by_pairing(idx, P33)
     for idx in brute_index_modules(2, P43):
         assert hom_to_proj_dim(idx, 2, P43) == hom_to_proj_by_pairing(idx, P43)
@@ -170,17 +153,18 @@ def test_hom_to_proj_formula_matches_pairwise_route():
 
 def test_stratum_dims_frozen_small_cases():
     # n = 2: the dense regular stratum Lambda + M(xy) has dimension 3
-    assert stratum_dim(idx_of({(2, 2): 1, (1, 1): 1}), 2, P33) == 3
+    assert stratum_dim(idx_of({(2, 2): 1, (1, 1): 1}, P33), 2, P33) == 3
     # n = 4: Lambda^3 + S, the stratum of the band x^2y^2, dimension 13
-    assert stratum_dim(idx_of({(2, 2): 3, (0, 0): 1}), 4, P33) == 13
+    assert stratum_dim(idx_of({(2, 2): 3, (0, 0): 1}, P33), 4, P33) == 13
     # n = 6: Lambda^4 + M(x) + M(y), the {x^2y, xy^2} stratum, dimension 30
-    assert stratum_dim(idx_of({(2, 2): 4, (1, 0): 1, (0, 1): 1}), 6, P33) == 30
+    idx = idx_of({(2, 2): 4, (1, 0): 1, (0, 1): 1}, P33)
+    assert stratum_dim(idx, 6, P33) == 30
 
 
 def test_stratum_dim_n12_diamond_corner():
     # the (x^2y, 4) family at n = 12 has dimension 112
     idx = index_of_regular_stratum((3, 3, 3, 3), (2, 2, 2, 2, 1, 1, 1, 1), P33)
-    assert idx == idx_of({(2, 2): 8, (0, 1): 4})
+    assert idx == idx_of({(2, 2): 8, (0, 1): 4}, P33)
     assert stratum_dim(idx, 12, P33) == 112
 
 
@@ -190,15 +174,15 @@ def test_stratum_dim_n12_diamond_corner():
 
 def test_index_of_regular_stratum_smallest_cases():
     assert index_of_regular_stratum((2,), (2,), P33) == idx_of(
-        {(2, 2): 1, (1, 1): 1})
+        {(2, 2): 1, (1, 1): 1}, P33)
     assert index_of_regular_stratum((3, 1), (3, 1), P33) == idx_of(
-        {(2, 2): 3, (0, 0): 1})
+        {(2, 2): 3, (0, 0): 1}, P33)
 
 
 def test_index_of_regular_stratum_antitone_pairing():
     # c = (2, 1), d = (2, 1): the leftover exponents pair large-x/small-y
     idx = index_of_regular_stratum((3, 2, 1), (3, 2, 1), P33)
-    assert idx == idx_of({(2, 2): 4, (1, 0): 1, (0, 1): 1})
+    assert idx == idx_of({(2, 2): 4, (1, 0): 1, (0, 1): 1}, P33)
 
 
 def test_index_of_regular_stratum_is_index_module():
@@ -228,10 +212,10 @@ def test_index_of_regular_stratum_rejects_irregular_pairs():
 def test_semiproj_index_frozen_examples():
     word, idx = semiproj_index((3, 1, 1), (3, 1, 1), P33)
     assert str(word) == "xxyy"
-    assert idx == idx_of({(2, 2): 4})
+    assert idx == idx_of({(2, 2): 4}, P33)
     word, idx = semiproj_index((3, 2, 1, 1), (3, 2, 1, 1), P33)
     assert str(word) == "xxyxyy"
-    assert idx == idx_of({(2, 2): 5, (1, 1): 1})
+    assert idx == idx_of({(2, 2): 5, (1, 1): 1}, P33)
 
 
 def test_semiproj_stratum_dims_match_orbit_dims():
@@ -252,10 +236,10 @@ def test_semiproj_stratum_dims_match_orbit_dims():
 def test_semiproj_words_for_n8():
     word, idx = semiproj_index((3, 3, 1, 1), (3, 2, 1, 1, 1), P33)
     assert str(word) == "xxyxxyy"
-    assert idx == idx_of({(2, 2): 6, (0, 1): 1})
+    assert idx == idx_of({(2, 2): 6, (0, 1): 1}, P33)
     word, idx = semiproj_index((3, 2, 1, 1, 1), (3, 3, 1, 1), P33)
     assert str(word) == "xxyyxyy"
-    assert idx == idx_of({(2, 2): 6, (1, 0): 1})
+    assert idx == idx_of({(2, 2): 6, (1, 0): 1}, P33)
 
 
 def test_semiproj_index_requires_full_parts():

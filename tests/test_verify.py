@@ -41,6 +41,26 @@ def test_failure_is_reported_not_raised(monkeypatch):
     assert "n = 2" in result.detail
 
 
+def test_stratum_dims_refuses_a_module_outside_the_inequalities(monkeypatch):
+    # M(x^{a-1}) padded with simples to the stratum's n(d-1) has the right
+    # dimension but breaks i <= a - 2 for the summands M(x^i)
+    from nilvar import indexmod
+    semiproj_index = indexmod.semiproj_index
+
+    def bad(a_part, b_part, params):
+        word, idx = semiproj_index(a_part, b_part, params)
+        simples = sum(len(w) + 1 for w in idx) - params.a
+        return word, ((Word("x" * (params.a - 1), params),)
+                      + (Word("", params),) * simples)
+
+    monkeypatch.setattr(indexmod, "semiproj_index", bad)
+    result = run_check("stratum-dims", "quick")
+    assert not result.passed
+    assert result.detail == ("not an index module at (Partition([2, 1]), "
+                             "Partition([2, 1])), (2, 2): "
+                             "['x', '', '', '', '']")
+
+
 def test_random_module_is_deterministic():
     first = [random_module(random.Random(42)).to_json() for _ in range(20)]
     second = [random_module(random.Random(42)).to_json() for _ in range(20)]

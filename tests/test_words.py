@@ -445,3 +445,5 @@ def test_letter_steps_extend_by_one_valid_letter():
             assert step == tuple(text + c for c in "xy"
                                  if text + c in words), text
     assert letter_steps(P33, 0) == {} and enumerate_words(0, P33) == [""]
+    # no word has length <= -1
+    assert enumerate_words(-1, P33) == []
