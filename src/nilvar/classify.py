@@ -43,7 +43,7 @@ def regular_pairs(n, params: AlgebraParams, extra=0):
     reduced length) and each a-side partition joins the shape it needs:
     each side is read once, pairs come in the order of P(n, a) x P(n, b).
     Raises ValueError at the call for any other extra."""
-    if extra not in (0, 1):
+    if type(extra) is not int or extra not in (0, 1):
         raise ValueError(f"need extra 0 or 1, got {extra!r}")
 
     def side(bound):

@@ -38,12 +38,7 @@ from .words import Word, band_class
 
 class MatrixPairModule:
     """A pair (A, B) of n x n rational matrices together with the algebra
-    parameters, optionally remembering the string/band summands it was
-    assembled from (the random-modules check of verify keys on that).
-
-    summands is a tuple of ("string", word) and ("band", word, lambdas)
-    entries in block order, or None when the origin is unknown (e.g. a
-    pair of matrices built directly).
+    parameters.
 
     A and B are never modified: the builders below fill plain row lists
     and wrap each in a RationalMatrix once, and no matrix is written
@@ -53,16 +48,15 @@ class MatrixPairModule:
     lone part itself), and verify memoizes string modules.
     """
 
-    __slots__ = ("n", "A", "B", "params", "summands", "_maps")
+    __slots__ = ("n", "A", "B", "params", "_maps")
 
-    def __init__(self, n, A, B, params, summands=None):
+    def __init__(self, n, A, B, params):
         if A.nrows != n or A.ncols != n or B.nrows != n or B.ncols != n:
             raise ValueError(f"matrices must be {n}x{n}")
         self.n = n
         self.A = A
         self.B = B
         self.params = params
-        self.summands = tuple(summands) if summands is not None else None
 
     def __repr__(self):
         return f"MatrixPairModule(n={self.n}, a={self.params.a}, b={self.params.b})"
@@ -232,7 +226,7 @@ def string_module(word: Word) -> MatrixPairModule:
     b_rows = [{} for _ in range(n)]
     _write_layer(a_rows, b_rows, _layer_ones(word), 0)
     return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
-                            word.params, [("string", word)])
+                            word.params)
 
 
 @lru_cache(maxsize=1024)
@@ -287,13 +281,11 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     b_rows = list(frame)
     for off, lam in zip(range(0, A.nrows, m), lambdas):
         b_rows[off] = {off + m - 1: lam, **frame[off]}
-    return MatrixPairModule(A.nrows, A, RationalMatrix(b_rows, A.nrows),
-                            word.params, [("band", canonical, lambdas)])
+    return MatrixPairModule(A.nrows, A, RationalMatrix(b_rows, A.nrows), word.params)
 
 
 def direct_sum(modules) -> MatrixPairModule:
     """Block-diagonal direct sum; all summands must share parameters.
-    Summand metadata is concatenated when every part carries it.
     Modules are never modified once built, so the sum of one part is
     that part itself.  Otherwise one pass over the parts: the first
     summand's row dicts are shared (offset 0), later ones re-keyed by
@@ -301,7 +293,7 @@ def direct_sum(modules) -> MatrixPairModule:
     modules = tuple(modules)
     if len(modules) == 1:
         return modules[0]
-    params, a_rows, b_rows, summands = None, [], [], ()
+    params, a_rows, b_rows = None, [], []
     for mod in modules:
         if params is None:
             params = mod.params
@@ -315,10 +307,8 @@ def direct_sum(modules) -> MatrixPairModule:
         else:
             a_rows += mod.A.rows
             b_rows += mod.B.rows
-        if summands is not None:
-            summands = None if mod.summands is None else summands + mod.summands
     if params is None:
         raise ValueError("direct_sum of nothing")
     n = len(a_rows)
     return MatrixPairModule(n, RationalMatrix(a_rows, n),
-                            RationalMatrix(b_rows, n), params, summands)
+                            RationalMatrix(b_rows, n), params)

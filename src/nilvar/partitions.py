@@ -89,9 +89,10 @@ def reduced_pair(a_part, b_part, params, extra):
     extra = 0 asks for a regular pair: l(a_part) + l(b_part) = n with
     parts <= a in a_part and <= b in b_part.  extra = 1 asks for a
     semi-projective stratum: l(a_part) + l(b_part) = n + 1 with first
-    parts a and b; no other extra is accepted.  Raises ValueError unless
-    the sizes, the reduced lengths, the lengths and the bounds all hold."""
-    if extra not in (0, 1):
+    parts a and b; no other extra, not even True or 1.0, is accepted.
+    Raises ValueError unless the sizes, the reduced lengths, the lengths
+    and the bounds all hold."""
+    if type(extra) is not int or extra not in (0, 1):
         raise ValueError(f"need extra 0 or 1, got {extra!r}")
     a_part, b_part = Partition(a_part), Partition(b_part)
     n = sum(a_part)

@@ -160,26 +160,29 @@ def _random_band_word(rng, params):
 
 
 def random_module(rng):
-    """A seeded random direct sum of one to three string and band modules
-    over a pool algebra (strings of length <= 5), with the summand
-    metadata kept for downstream bookkeeping checks.  Every bounded draw
-    is a _pick on rng.getrandbits, the same calls rng.choice would make.
-    String summands come from the _string_summand memo; each band shares
-    the frame that modmatrix builds once per (word, layers) and gets
-    fresh lambda rows.  A lone summand is the module itself."""
+    """(module, draws): a seeded random direct sum of one to three string
+    and band modules over a pool algebra (strings of length <= 5), and
+    the (text, layers) drawn for each summand in block order, layers None
+    for a string.  Every bounded draw is a _pick on rng.getrandbits, the
+    same calls rng.choice would make.  String summands come from the
+    _string_summand memo; each band shares the frame that modmatrix
+    builds once per (word, layers) and gets fresh lambda rows.  A lone
+    summand is the module itself."""
     getrandbits = rng.getrandbits
     params = _pick(getrandbits, _ALGEBRAS)
-    parts = []
+    parts, draws = [], []
     for _ in range(_pick(getrandbits, _SUMMANDS)):
         if rng.random() < 0.3:
             word = _random_band_word(rng, params)
             layers = _pick(getrandbits, _ONE_OR_TWO)
             lambdas = [_pick(getrandbits, _LAMBDAS) for _ in range(layers)]
             parts.append(modmatrix.band_module(word, lambdas))
+            draws.append((str(word), layers))
         else:
-            parts.append(_string_summand(_random_string_text(rng, params),
-                                         params))
-    return modmatrix.direct_sum(parts)
+            text = _random_string_text(rng, params)
+            parts.append(_string_summand(text, params))
+            draws.append((text, None))
+    return modmatrix.direct_sum(parts), draws
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +347,20 @@ def _check_random_modules(level, seed):
     count = 10_000 if level == "full" else 500
     rng = random.Random(seed)
     for k in range(count):
-        mod = random_module(rng)
+        mod, draws = random_module(rng)
         if not mod.verify_relations():
             raise CheckFailure(f"relations fail at sample {k}: "
                                f"{mod.to_json()}")
         rka, rkb = mod.A.rank(), mod.B.rank()
-        strings = sum(1 for s in mod.summands if s[0] == "string")
+        strings = sum(1 for _, layers in draws if layers is None)
         if rka + rkb != mod.n - strings:
             raise CheckFailure(
                 f"rank bookkeeping fails at sample {k}: rkA + rkB = "
                 f"{rka + rkb}, n - #strings = {mod.n - strings}")
         xs = ys = 0
-        for s in mod.summands:
-            mult = 1 if s[0] == "string" else len(s[2])
-            xs += mult * s[1].count("x")
-            ys += mult * s[1].count("y")
+        for text, layers in draws:
+            xs += (layers or 1) * text.count("x")
+            ys += (layers or 1) * text.count("y")
         if rka != xs or rkb != ys:
             raise CheckFailure(
                 f"letter-count ranks fail at sample {k}: "

@@ -116,11 +116,13 @@ def test_regular_pairs_match_the_product_filter_in_order():
                 assert all(type(p) is Partition for pair in got for p in pair)
 
 
-@pytest.mark.parametrize("extra", [2, -1])
+@pytest.mark.parametrize("extra", [2, -1, True, False, 1.0, 0.0])
 def test_regular_pairs_refuse_other_extras_at_the_call(extra):
     # extra = 2 would yield ((3,1,1,1), (3,1,1,1)) at (6, 3, 3), extra = -1
-    # pairs whose lengths sum to n - 1: none that reduced_pair accepts
-    with pytest.raises(ValueError, match=f"need extra 0 or 1, got {extra}"):
+    # pairs whose lengths sum to n - 1: none that reduced_pair accepts;
+    # True and 1.0 equal 1, False and 0.0 equal 0, but only the ints are
+    # accepted
+    with pytest.raises(ValueError, match=f"need extra 0 or 1, got {extra!r}$"):
         regular_pairs(6, P33, extra)
 
 

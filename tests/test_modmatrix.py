@@ -136,7 +136,8 @@ def test_band_layers_and_defaults():
     m = band_module(Word("xxy", P33), [1, 2, 3])
     assert m.n == 9
     assert m.verify_relations()
-    assert m.summands == (("band", "xxy", (1, 2, 3)),)
+    # one wrap-around y per layer carries its lambda, in layer order
+    assert [m.B.rows[off][off + 2] for off in (0, 3, 6)] == [1, 2, 3]
     assert m.jordan_pair() == ((3, 3, 3), (2, 2, 2, 1, 1, 1))
     st = m.stats()
     assert st["regular"] and st["top_dim"] == 3 and st["soc_dim"] == 3
@@ -211,14 +212,13 @@ def reference_band_module(word, lambdas):
         if j > 0:
             b_rows[idx(0, j - 1)][idx(m - 1, j)] = 1
     return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
-                            word.params, [("band", canonical, lambdas)])
+                            word.params)
 
 
 def built_as(mod):
     """Everything a module carries, entry types and row order included
     (Fraction(2) == 2, but their reprs differ)."""
-    return (mod.n, mod.params, repr(mod.A.rows), repr(mod.B.rows), mod.summands,
-            [s[1].params for s in mod.summands])
+    return (mod.n, mod.params, repr(mod.A.rows), repr(mod.B.rows))
 
 
 def primitive_bands(max_len, params):
@@ -298,7 +298,7 @@ def test_band_layer_memo_is_bounded_and_keyed_on_params():
     # equal texts over two algebras are two entries, each with its params
     m22, m33 = band_module(Word("xy", P22), [1]), band_module(Word("xy", P33), [1])
     assert (m22.params, m33.params) == (P22, P33)
-    assert m22.summands[0][1].params == P22 and m33.summands[0][1].params == P33
+    assert modmatrix._band_frame("xy", P22, 1) is not modmatrix._band_frame("xy", P33, 1)
 
 
 @pytest.mark.parametrize("text, lambdas", [
@@ -345,8 +345,9 @@ def test_direct_sum_blocks_and_metadata():
     m = direct_sum([string_module(Word("xxy", P33)), string_module(Word("xy", P33))])
     assert m.n == 7
     assert m.verify_relations()
-    assert m.summands == (("string", "xxy"), ("string", "xy"))
-    assert [len(word) + 1 for _, word in m.summands] == [4, 3]
+    # the blocks of M(xxy) and M(xy) in order, on 4 + 3 basis vectors
+    assert m.A.rows == [{1: 1}, {2: 1}, {}, {}, {5: 1}, {}, {}]
+    assert m.B.rows == [{}, {}, {}, {2: 1}, {}, {}, {5: 1}]
     st = m.stats()
     assert st == {"rkA": 3, "rkB": 2, "top_dim": 2, "soc_dim": 4, "regular": False}
     # modules are never modified, so the sum of one part is that part
@@ -358,6 +359,7 @@ def test_direct_sum_stats_additive():
     words = [w for w in enumerate_words(5, P33)]
     for _ in range(20):
         parts = [string_module(rng.choice(words)) for _ in range(rng.randint(1, 3))]
+        strings = len(parts)
         if rng.random() < 0.5:
             parts.append(band_module(Word("xxy", P33), [rng.randint(1, 5)]))
         total = direct_sum(parts)
@@ -366,8 +368,7 @@ def test_direct_sum_stats_additive():
         for key in ("rkA", "rkB", "top_dim", "soc_dim"):
             assert st[key] == sum(p.stats()[key] for p in parts)
         # Lemma-style count: n - #string summands = rk A + rk B
-        s = sum(1 for p in parts for kind, *_ in p.summands if kind == "string")
-        assert total.n - s == st["rkA"] + st["rkB"]
+        assert total.n - strings == st["rkA"] + st["rkB"]
 
 
 def test_direct_sum_shares_rows_but_never_changes_them():
@@ -438,8 +439,7 @@ def test_direct_sum_of_three_parts():
              string_module(Word("yx", P33))]
     total = direct_sum(iter(parts))
     assert total.n == 3 + 3 + 3
-    assert total.summands == (("string", "xy"), ("band", "xyy", (2,)),
-                              ("string", "yx"))
+    assert total.params == P33 and total.verify_relations()
     # each part's block sits on the diagonal at the sum of the sizes before it
     for name in ("A", "B"):
         want = [[0] * total.n for _ in range(total.n)]
@@ -450,17 +450,6 @@ def test_direct_sum_of_three_parts():
             off += part.n
         assert getattr(total, name).dense() == want
         assert_sparse(getattr(total, name))
-
-
-def test_direct_sum_metadata_needs_every_part():
-    bare = string_module(Word("xy", P33))
-    bare = MatrixPairModule(bare.n, bare.A, bare.B, P33)
-    tagged = string_module(Word("x", P33))
-    for parts in ([bare, tagged], [tagged, bare], [tagged, bare, tagged]):
-        total = direct_sum(parts)
-        assert total.summands is None
-        assert total.n == sum(p.n for p in parts)
-        assert total.verify_relations()
 
 
 # -- the relations, failing ------------------------------------------------
@@ -602,7 +591,7 @@ def perturbed(mod, rng):
 def test_relations_match_built_products():
     rng, outcomes = random.Random(12), []
     for _ in range(2000):
-        mod = random_module(rng)
+        mod, _ = random_module(rng)
         for m in (mod, perturbed(mod, rng)):
             outcomes.append(relations_by_products(m))
             assert m.verify_relations() == outcomes[-1]
@@ -679,8 +668,6 @@ def test_constructions_store_ints():
     for mod in mods:
         for v in [v for m in (mod.A, mod.B) for row in m.dense() for v in row]:
             assert type(v) is int or (type(v) is Fraction and v == half)
-    assert band_module(Word("xxy", P33), [Fraction(6, 3)]).summands[0][2] == (2,)
-    assert type(band_module(Word("xxy", P33), [Fraction(6, 3)]).summands[0][2][0]) is int
 
 
 # -- sparse storage ----------------------------------------------------------

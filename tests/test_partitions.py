@@ -201,6 +201,15 @@ def test_reduced_pair_checks_the_rules_of_each_stratum_kind():
         reduced_pair((9,), (9,), P33, -7)
 
 
+@pytest.mark.parametrize("extra", [True, False, 1.0, 0.0])
+def test_reduced_pair_refuses_extras_equal_to_but_not_0_or_1(extra):
+    # True and 1.0 would read (3, 1, 1), (3, 1, 1) as a semi-projective
+    # pair of n = 5, False and 0.0 would read (2, 1), (3) as a regular one
+    for pair in (((3, 1, 1), (3, 1, 1)), ((2, 1), (3,))):
+        with pytest.raises(ValueError, match=f"need extra 0 or 1, got {extra!r}$"):
+            reduced_pair(*pair, P33, extra)
+
+
 # -- dominance -------------------------------------------------------------
 
 def test_dominance_requires_equal_size():

@@ -62,8 +62,12 @@ def test_stratum_dims_refuses_a_module_outside_the_inequalities(monkeypatch):
 
 
 def test_random_module_is_deterministic():
-    first = [random_module(random.Random(42)).to_json() for _ in range(20)]
-    second = [random_module(random.Random(42)).to_json() for _ in range(20)]
+    def draw(rng):
+        mod, draws = random_module(rng)
+        return mod.to_json(), draws
+
+    first = [draw(random.Random(42)) for _ in range(20)]
+    second = [draw(random.Random(42)) for _ in range(20)]
     assert first == second
 
 
@@ -73,7 +77,7 @@ def test_random_module_draws_are_pinned():
     # the same ones
     rng, digest = random.Random(0), hashlib.sha256()
     for _ in range(200):
-        digest.update(json.dumps(random_module(rng).to_json(), sort_keys=True).encode())
+        digest.update(json.dumps(random_module(rng)[0].to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == (
         "60e13df87ba3357a73f09ac1db745bbccf6fbff5da19e2515f83b5eb665699cc")
 
@@ -129,19 +133,22 @@ def _reference_band_word(rng, params):
 
 def _reference_random_module(rng):
     # the former outer draws of random_module, with rng.randint, on the
-    # reference samplers and unmemoized builders
+    # reference samplers and unmemoized builders; the draws are kept as
+    # (text, layers), layers None for a string
     params = rng.choice(verify._PARAMS)
-    parts = []
+    parts, draws = [], []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.3:
             word = _reference_band_word(rng, params)
             mult = rng.randint(1, 2)
             lambdas = [rng.randint(1, 5) for _ in range(mult)]
             parts.append(band_module(word, lambdas))
+            draws.append((str(word), mult))
         else:
-            parts.append(string_module(Word(_reference_string_text(rng, params),
-                                            params)))
-    return direct_sum(parts)
+            text = _reference_string_text(rng, params)
+            parts.append(string_module(Word(text, params)))
+            draws.append((text, None))
+    return direct_sum(parts), draws
 
 
 @pytest.mark.parametrize("params", verify._PARAMS)
@@ -161,9 +168,10 @@ def test_random_module_matches_the_reference():
     for seed in range(5):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(2000):
-            mod, want = random_module(ours), _reference_random_module(ref)
+            (mod, draws), (want, want_draws) = (random_module(ours),
+                                                _reference_random_module(ref))
             assert mod.params == want.params
-            assert mod.summands == want.summands
+            assert draws == want_draws
             assert (mod.A, mod.B) == (want.A, want.B)
         assert ours.getstate() == ref.getstate()
 
@@ -210,7 +218,7 @@ def test_string_summand_memo():
         if memo.cache_info().hits > hits:
             cached += 1
             fresh = string_module(Word(text, params))
-            assert (mod.A, mod.B, mod.summands) == (fresh.A, fresh.B, fresh.summands)
+            assert (mod.n, mod.A, mod.B) == (fresh.n, fresh.A, fresh.B)
             assert mod.params == params
     assert cached == held
     # equal texts over two algebras are two entries, each with its params
@@ -218,17 +226,21 @@ def test_string_summand_memo():
     m22, m33 = memo("xy", p22), memo("xy", p33)
     assert m22 is not m33
     assert (m22.params, m33.params) == (p22, p33)
-    assert m22.summands[0][1].params == p22 and m33.summands[0][1].params == p33
 
 
 def test_random_module_structure():
     rng = random.Random(5)
     for _ in range(50):
-        mod = random_module(rng)
+        mod, draws = random_module(rng)
         assert mod.verify_relations()
-        assert mod.summands is not None
-        for s in mod.summands:
-            assert s[0] in ("string", "band")
+        assert 1 <= len(draws) <= 3
+        # each draw is a string text or a band text with its layer count,
+        # and the blocks add up to n
+        n = 0
+        for text, layers in draws:
+            assert layers in (None, 1, 2)
+            n += len(text) + 1 if layers is None else len(text) * layers
+        assert n == mod.n
 
 
 def test_random_band_words_are_primitive():
@@ -251,23 +263,23 @@ def test_random_band_words_are_primitive():
 P33 = AlgebraParams(3, 3)
 
 
-def _relabelled(word, summands):
-    m = string_module(Word(word, P33))
-    return MatrixPairModule(m.n, m.A, m.B, P33, summands)
+def _relabelled(word, draws):
+    # M(word) over (3, 3), reported as drawn from draws
+    return string_module(Word(word, P33)), draws
 
 
 def _not_nilpotent_enough():
     # one Jordan block of size 4: A^3 != 0 breaks a = 3
     m = string_module(Word("xxx", AlgebraParams(4, 3)))
-    return MatrixPairModule(m.n, m.A, m.B, P33, m.summands)
+    return MatrixPairModule(m.n, m.A, m.B, P33), [("xxx", None)]
 
 
 BAD_MODULES = {
     "relations fail at sample 0: ": _not_nilpotent_enough,
     "rank bookkeeping fails at sample 0: rkA + rkB = 2, n - #strings = 3":
-        lambda: _relabelled("xy", [("band", Word("xy", P33), (1,))]),
+        lambda: _relabelled("xy", [("xy", 1)]),
     "letter-count ranks fail at sample 0: (1, 1) != (2, 0)":
-        lambda: _relabelled("xy", [("string", Word("xx", P33))]),
+        lambda: _relabelled("xy", [("xx", None)]),
 }
 
 
@@ -277,6 +289,17 @@ def test_random_modules_reports_each_failure(monkeypatch, prefix):
     result = run_check("random-modules", "quick")
     assert not result.passed
     assert result.detail.startswith(prefix)
+
+
+def test_random_modules_catches_a_direct_sum_that_drops_parts(monkeypatch):
+    # the expectations come from the sampler's draws, not from the module
+    # under test: a direct sum that keeps only its first part shows at the
+    # first sample with more than one
+    monkeypatch.setattr(modmatrix, "direct_sum", lambda parts: tuple(parts)[0])
+    result = run_check("random-modules", "quick", 0)
+    assert not result.passed
+    assert result.detail == ("rank bookkeeping fails at sample 0: "
+                             "rkA + rkB = 3, n - #strings = 2")
 
 
 def test_random_modules_reads_two_ranks_per_module(monkeypatch):
