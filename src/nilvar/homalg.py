@@ -24,14 +24,19 @@ audit the other:
     algebra.  For partial-permutation matrices (every string module, a
     band module with one layer and lambda = 1, and any direct sum or
     permutation conjugate of them) each scalar equation mentions at most
-    two entries of F with coefficient 1, so the system collapses to
-    union-find on the entries, merged only over pairs of ones of one
-    letter, with the entries forced to zero read off a 16 x 16 table of
+    two entries of F with coefficient 1, so the free entries fall into
+    classes, one per dimension.  When the source's arrow graph is a
+    forest (every string module and every sum of strings, in any basis
+    order) modmatrix.forest_hom_counter counts them with bit operations
+    on F as one int: the entries forced to zero from a 16 x 16 table of
     letter masks (MatrixPairModule.permutation_maps, read once per
-    module).  hom_oracle_table counts a row, one source against all
-    targets, in one pass against their direct sum: it is block diagonal,
-    so no equation joins two blocks and the free classes are counted per
-    block.  Otherwise a dense exact nullity is computed.
+    module), closed under one shift per pair of offset groups of ones
+    of a letter, and each live class counted once at its top entry.
+    hom_oracle_table counts a row, one source against all targets, in
+    one pass against their direct sum: it is block diagonal, so no
+    equation joins two blocks and the live classes are counted per
+    block.  Otherwise (a band with lambda = 1 as source, or no partial
+    permutation) a dense exact nullity is computed.
 
 Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
 formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
@@ -111,49 +116,6 @@ def hom_table(sources, targets) -> list[list[int]]:
 # the linear-algebra oracle
 # ---------------------------------------------------------------------------
 
-# _FORCED[m2][m1]: 1 iff the entry F[i, s] of a map M1 -> M2 is forced to
-# zero when vertex s of M1 has letter mask m1 and vertex i of M2 has mask
-# m2 (bits 1, 2: an x-, y-arrow into the vertex; 4, 8: out of it).  F
-# commutes with a letter, so an arrow into s must meet one into i, and an
-# arrow out of i one out of s.  Each row is padded to 256 bytes so that
-# bytes.translate reads a whole row of F off M1's masks at once.
-_FORCED = [bytes(m1 < 16 and bool(m1 & ~m2 & 3 | m2 & ~m1 & 12)
-                 for m1 in range(256)) for m2 in range(16)]
-
-
-def _hom_dim_unionfind(maps1, maps2, starts) -> list[int]:
-    """Solution dimension of F A1 = A2 F, F B1 = B2 F for n2 x n1 F when
-    all four matrices are partial permutations, given by permutation_maps,
-    per block k of M2: vertices starts[k] to starts[k + 1] - 1, with A2
-    and B2 block diagonal.  Each equation says F_p = F_q or F_p = 0, so
-    the free entries are the union-find classes with no entry forced to
-    zero.  For each letter, a one (s, j) of x1 and a one (i, t) of x2
-    give F[i, s] = (F x1)[i, j] = (x2 F)[i, j] = F[t, j], the only merges;
-    every other equation reads 0 = 0 or zeroes an entry _FORCED marks.
-    A merge marks the kept root if the dropped one was marked, else the
-    dropped one: a block's unmarked entries are its free classes' roots."""
-    (ones1, masks1), (ones2, masks2) = maps1, maps2
-    n1 = len(masks1)
-    forced = [masks1.translate(row) for row in _FORCED]
-    marked = bytearray(b"".join([forced[m] for m in masks2]))
-    parent = list(range(len(marked)))
-    for letter1, letter2 in zip(ones1, ones2):
-        for s, j in letter1:
-            for i, t in letter2:
-                p, q = i * n1 + s, t * n1 + j
-                while parent[p] != p:
-                    parent[p] = p = parent[parent[p]]
-                while parent[q] != q:
-                    parent[q] = q = parent[parent[q]]
-                if p != q:
-                    parent[p] = q
-                    if marked[p]:
-                        marked[q] = 1
-                    else:
-                        marked[p] = 1
-    return [marked.count(0, lo * n1, hi * n1) for lo, hi in zip(starts, starts[1:])]
-
-
 def _hom_dim_dense(m1, m2) -> int:
     from .exactla import RationalMatrix  # here only: classify never loads it
     n1, n2 = m1.n, m2.n
@@ -183,38 +145,49 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
     """dim Hom(m1, m2) = dim {F : F A1 = A2 F, F B1 = B2 F} for matrix-pair
     modules, by linear algebra, independent of any word combinatorics.
 
-    method: None picks union-find when all four matrices are partial
-    permutations (exact; one merge per pair of ones of a letter, one table
-    lookup per entry of F) and exact elimination otherwise; pass
-    "unionfind" or "dense" to force a route.  Each module's ones and
-    letter masks, or None, are read once and kept (permutation_maps).
+    method: None picks the bit-parallel count of free entry classes
+    (modmatrix.forest_hom_counter: exact; one mask and one shift per pair
+    of offset groups of ones of a letter, at most n1 rounds) when all four
+    matrices are partial permutations and m1's arrow graph is a forest,
+    and exact elimination otherwise; pass "unionfind" or "dense" to force
+    a route ("unionfind" names the count, which raises where it does not
+    hold).  Each module's ones and letter masks, or None, are read once
+    and kept (permutation_maps).
     """
+    from .modmatrix import forest_hom_counter  # here only: classify never loads it
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
     if method in (None, "unionfind"):
-        maps1, maps2 = m1.permutation_maps(), m2.permutation_maps()
-        if maps1 is not None and maps2 is not None:
-            return _hom_dim_unionfind(maps1, maps2, (0, m2.n))[0]
+        count = forest_hom_counter(m2, (0, m2.n))
+        dims = count and count(m1)
+        if dims is not None:
+            return dims[0]
         if method == "unionfind":
-            raise ValueError("union-find route needs partial-permutation matrices")
+            raise ValueError("the entry-class count needs partial-permutation "
+                             "matrices and a source whose arrow graph is a forest")
     elif method != "dense":
         raise ValueError(f"unknown method {method!r}")
     return _hom_dim_dense(m1, m2)
 
 
 def hom_oracle_table(sources, targets) -> list[list[int]]:
-    """[[hom_dim_oracle(u, v) for v in targets] for u in sources], each
-    row one union-find pass against the targets' direct sum when all the
-    modules are partial permutations; all must be over one algebra."""
-    from .modmatrix import direct_sum  # here only: classify never loads it
+    """[[hom_dim_oracle(u, v) for v in targets] for u in sources]; all
+    must be over one algebra.  When the targets are partial permutations,
+    each row whose source is a partial permutation with a forest arrow
+    graph is one pass of the entry-class count against the targets'
+    direct sum: it is block diagonal, so no equation joins two blocks and
+    the free classes are counted per block.  Any other row is filled pair
+    by pair."""
+    from .modmatrix import direct_sum, forest_hom_counter
     if len({m.params for m in (*sources, *targets)}) > 1:
         raise ValueError("hom_oracle_table needs modules over one algebra")
-    maps1 = [u.permutation_maps() for u in sources]
-    maps2 = direct_sum(targets).permutation_maps() if targets else None
-    if maps2 is None or None in maps1:
-        return [[hom_dim_oracle(u, v) for v in targets] for u in sources]
-    starts = list(accumulate((v.n for v in targets), initial=0))
-    return [_hom_dim_unionfind(maps, maps2, starts) for maps in maps1]
+    if not targets:
+        return [[] for _ in sources]
+    count = forest_hom_counter(direct_sum(targets),
+                               list(accumulate((v.n for v in targets), initial=0)))
+    rows = [count and count(u) for u in sources]
+    return [[hom_dim_oracle(u, v) for v in targets] if row is None else row
+            for u, row in zip(sources, rows)]
 
 
 # ---------------------------------------------------------------------------

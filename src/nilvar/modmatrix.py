@@ -73,7 +73,7 @@ class MatrixPairModule:
         return (_kills(A, B, 1, cols_a) and _kills(B, A, 1, cols_b)
                 and _kills(A, A, a - 1, cols_a) and _kills(B, B, b - 1, cols_b))
 
-    # -- the ones of A and B, for the union-find Hom oracle ----------------
+    # -- the ones of A and B, for the Hom oracle of forest_hom_counter -----
 
     def permutation_maps(self):
         """((ones of A, ones of B), masks) when A and B are partial
@@ -153,6 +153,142 @@ def _partial_permutation_ones(mat: RationalMatrix):
             cols.add(j)
             ones.append((i, j))
     return ones
+
+
+# _FORCED[m2][m1]: "1" iff the entry F[i, s] of a map M1 -> M2 is forced
+# to zero when vertex s of M1 has letter mask m1 and vertex i of M2 has
+# mask m2 (bits 1, 2: an x-, y-arrow into the vertex; 4, 8: out of it).
+# F commutes with a letter, so an arrow into s must meet one into i, and
+# an arrow out of i one out of s.  _TOP[m2][p]: "1" iff m2 has none of
+# the bits of p.  Rows are padded to 256 bytes so that bytes.translate
+# turns a whole row of F, read off M1's bytes, into the digits int(., 2)
+# reads.
+_FORCED = [bytes(b"01"[bool(m1 & ~m2 & 3 | m2 & ~m1 & 12)]
+                 for m1 in range(16)).ljust(256, b"0") for m2 in range(16)]
+_TOP = [bytes(b"01"[not p & m2] for p in range(16)).ljust(256, b"0")
+        for m2 in range(16)]
+
+
+def _parent_bits(ones, n):
+    """For the arrow graph on n vertices with one edge c - r per one
+    (r, c) of letter k of ones: per vertex, the bit of its end of the edge
+    to its parent in a depth-first spanning forest, 1 << k at the row r
+    (an arrow into it), 4 << k at the column c, 0 at a root; None when
+    the graph has a cycle, that is when it has more edges than the n
+    minus the number of trees of the forest."""
+    nbrs = [[] for _ in range(n)]
+    for k, letter in enumerate(ones):
+        for r, c in letter:
+            nbrs[r].append((c, 4 << k))
+            nbrs[c].append((r, 1 << k))
+    bits, seen, trees = bytearray(n), bytearray(n), 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        trees += 1
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            for v, bit in nbrs[stack.pop()]:
+                if not seen[v]:
+                    seen[v], bits[v] = 1, bit
+                    stack.append(v)
+    return bytes(bits) if sum(map(len, ones)) == n - trees else None
+
+
+def forest_hom_counter(target, starts):
+    """A function of a source module giving dim Hom(source, target) per
+    block k of target (vertices starts[k] to starts[k + 1] - 1, no one of
+    its A or B joining two blocks), or None for a source that is no
+    partial permutation or whose arrow graph (one edge per one of A or B)
+    has a cycle; None itself when target is no partial permutation.  So
+    it holds for any string module and any direct sum of strings, in any
+    basis order, as source, and a one-layer band with lambda = 1 as
+    target too.
+
+    The maps F, n2 x n1, solve F x1 = x2 F for both letters.  A one
+    (s, j) of x1 and a one (i, t) of x2 say F[i, s] = F[t, j], and every
+    other equation zeroes an entry _FORCED marks or reads 0 = 0; so the
+    free entries fall into classes, one per dimension, and the classes
+    that hold a forced zero are dead.  A path within a class projects to
+    a walk of the source's arrow graph that never goes back along the
+    edge it came by, since the ones of x2 are a partial injection; in a
+    forest that walk is a path.  So a class meets each source vertex at
+    most once, at most n1 entries, and maps its edges one to one onto the
+    edges of a subtree.  It has exactly one top entry: the one at the
+    subtree's vertex nearest the root, whose edge to its parent (found by
+    _parent_bits) the class does not hold.  An entry (i, v) holds that
+    edge iff vertex i of the target has the bit of v's end of it, so the
+    live top entries are counted off _TOP.
+
+    All of it is bit operations on F as one int, entry (i, s) at bit
+    i * n1 + s.  The ones of a letter, grouped by offset column - row on
+    each side, give per pair of groups one mask of entries, a product of
+    the target rows spread to stride n1 (one str.join per group, kept
+    per n1) and the source rows, and one shift d2 * n1 + d1 from (i, s)
+    to (t, j).  Each round sends the dead set both ways along every
+    shift, and since a class has at most n1 entries, at most n1 rounds
+    close it.  A block's dimension is the bit count of its live top
+    entries, one shift and mask each."""
+    maps = target.permutation_maps()
+    if maps is None:
+        return None
+    ones2, masks2 = maps
+    n2 = len(masks2)
+    by_mask = _vertex_sets(zip(masks2, range(n2)), n2)
+    by_offset = [_vertex_sets(((t - i, i) for i, t in letter), n2) for letter in ones2]
+    spread = {}
+
+    def count(source):
+        maps = source.permutation_maps()
+        parents = maps and _parent_bits(maps[0], source.n)
+        if parents is None:
+            return None
+        ones1, masks1 = maps
+        n1 = len(masks1)
+        if n1 not in spread:
+            gap = "0" * (n1 - 1)
+            spread[n1] = ([[(key, int(gap.join(digits), 2)) for key, digits in sets]
+                           for sets in (by_mask, *by_offset)],
+                          [(lo * n1, (1 << (hi - lo) * n1) - 1)
+                           for lo, hi in zip(starts, starts[1:])])
+        (rows_by_mask, *rows_by_offset), blocks = spread[n1]
+        shifts = []
+        for letter, groups in zip(ones1, rows_by_offset):
+            cols = {}
+            for s, j in letter:
+                cols[j - s] = cols.get(j - s, 0) | 1 << s
+            for d1, c in cols.items():
+                for d2, rows in groups:
+                    shift, mask = d2 * n1 + d1, rows * c
+                    if shift < 0:
+                        shift, mask = -shift, mask >> -shift
+                    shifts.append((shift, mask))
+        dead = top = 0
+        masks1, parents = masks1[::-1], parents[::-1]
+        for m, rows in rows_by_mask:
+            dead |= rows * int(masks1.translate(_FORCED[m]), 2)
+            top |= rows * int(parents.translate(_TOP[m]), 2)
+        for _ in range(n1):
+            before = dead
+            for shift, mask in shifts:
+                dead |= (dead & mask) << shift | dead >> shift & mask
+            if dead == before:
+                break
+        live = top & ~dead
+        return [(live >> lo & block).bit_count() for lo, block in blocks]
+
+    return count
+
+
+def _vertex_sets(keyed, n):
+    """[(key, digits)] for the pairs (key, i) of keyed, i < n: digits has
+    "1" at n - 1 - i for each i of its key, so that int(digits, 2) has
+    bit i set."""
+    sets = {}
+    for key, i in keyed:
+        sets.setdefault(key, bytearray(b"0" * n))[n - 1 - i] = 49
+    return [(key, digits.decode()) for key, digits in sets.items()]
 
 
 def _kills(left: RationalMatrix, right: RationalMatrix, times=1,

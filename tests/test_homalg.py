@@ -15,6 +15,7 @@ former position-based encoding of graph maps, kept here too.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -214,10 +215,13 @@ def band_words(params, max_len):
 
 def test_unionfind_equals_dense_with_bands():
     # a one-layer band with lambda = 1 is a partial permutation whose
-    # entry graph has cycles: seeded sums mixing such bands with strings,
+    # arrow graph has a cycle: seeded sums mixing such bands with strings,
     # n1 != n2 included, one side conjugated by a permutation, both
-    # argument orders, union-find against elimination on every pair
-    rng = random.Random(11)
+    # argument orders.  As sources they take the automatic route, which
+    # must equal elimination, and the forced entry-class count refuses
+    # them; as targets of a conjugated string sum (a forest source) the
+    # forced count must equal elimination
+    rng, strings_rng = random.Random(11), random.Random(12)
     sizes = set()
     for _ in range(40):
         params = rng.choice([P33, P23, P43])
@@ -232,8 +236,15 @@ def test_unionfind_equals_dense_with_bands():
         m1, m2 = sides
         m2 = conjugate(m2, rng.sample(range(m2.n), m2.n))
         for u, v in ((m1, m2), (m2, m1), (m1, m1), (m2, m2)):
-            assert hom_dim_oracle(u, v, method="unionfind") == hom_dim_oracle(
+            assert hom_dim_oracle(u, v) == hom_dim_oracle(
                 u, v, method="dense"), (u.to_json(), v.to_json())
+            with pytest.raises(ValueError, match="forest"):
+                hom_dim_oracle(u, v, method="unionfind")
+        src = direct_sum([string_module(w) for w in random_words(strings_rng, params)])
+        src = conjugate(src, strings_rng.sample(range(src.n), src.n))
+        for v in (m1, m2, src):
+            assert hom_dim_oracle(src, v, method="unionfind") == hom_dim_oracle(
+                src, v, method="dense"), (src.to_json(), v.to_json())
         sizes.add(m1.n == m2.n)
     assert sizes == {True, False}
 
@@ -241,9 +252,11 @@ def test_unionfind_equals_dense_with_bands():
 def test_oracle_table_equals_the_pairwise_oracle():
     # sources and targets of mixed sizes, not the same list: strings,
     # one-layer bands with lambda = 1, a direct sum and a permutation
-    # conjugate; each row is one union-find pass against the targets'
-    # direct sum, and must be the row of the per-pair oracle by either
-    # route, and sum to the oracle against that direct sum
+    # conjugate; each row with a string source is one pass of the
+    # entry-class count against the targets' direct sum, each row with a
+    # band (a cycle) is filled pair by pair, and every row must be the
+    # row of the per-pair oracle by either route, and sum to the oracle
+    # against that direct sum
     strings = [string_module(Word(t, P33)) for t in ("", "xxy", "yx", "xxyxyy")]
     bands = [band_module(Word(t, P33), [1]) for t in ("xy", "xxyy")]
     mixed = direct_sum([strings[1], bands[0]])
@@ -252,9 +265,11 @@ def test_oracle_table_equals_the_pairwise_oracle():
     sources = [strings[0], bands[1], mixed, conj, strings[3]]
     targets = [strings[1], bands[0], conj, strings[2], mixed, strings[0]]
     table = homalg.hom_oracle_table(sources, targets)
-    for method in ("unionfind", "dense"):
+    for method in (None, "dense"):
         assert table == [[hom_dim_oracle(u, v, method=method) for v in targets]
                          for u in sources]
+    assert [table[0], table[4]] == [[hom_dim_oracle(u, v, method="unionfind")
+                                     for v in targets] for u in (strings[0], strings[3])]
     assert [sum(row) for row in table] == [
         hom_dim_oracle(u, direct_sum(targets), method="dense") for u in sources]
     # a band with lambda = 2 is no partial permutation: the table falls
@@ -269,6 +284,90 @@ def test_oracle_table_equals_the_pairwise_oracle():
     assert homalg.hom_oracle_table([], targets) == []
     with pytest.raises(ValueError, match="one algebra"):
         homalg.hom_oracle_table(sources, [string_module(Word("xy", P23))])
+
+
+def shuffled(rng, mod):
+    """mod conjugated by a random permutation: its ones leave the diagonal
+    blocks and the offsets column - row of one letter scatter."""
+    return conjugate(mod, rng.sample(range(mod.n), mod.n))
+
+
+def test_entry_class_count_equals_elimination_on_seeded_pairs(monkeypatch):
+    # sources: conjugated sums of 1-3 strings, whose arrow graph is a
+    # forest in any basis order; targets: conjugated sums mixing strings
+    # and one-layer bands with lambda = 1.  Every pair by the forced
+    # entry-class count against elimination, and every row of
+    # hom_oracle_table; its last source, a conjugated band, has a cycle,
+    # and that row alone is filled pair by pair
+    per_pair = []
+    monkeypatch.setattr(homalg, "hom_dim_oracle", lambda u, v, method=None: (
+        per_pair.append((u, v)) or hom_dim_oracle(u, v, method)))
+    rng = random.Random(2031)
+    pairs = 0
+    for params in (P22, P23, P33, P43):
+        strings = enumerate_words(3, params)
+        bands = band_words(params, 4)
+        for _ in range(42):
+            sources = [shuffled(rng, direct_sum([string_module(rng.choice(strings))
+                                                 for _ in range(rng.randint(1, 3))]))
+                       for _ in range(3)]
+            targets = []
+            for _ in range(4):
+                parts = [string_module(rng.choice(strings))
+                         for _ in range(rng.randint(0, 2))]
+                parts += [band_module(rng.choice(bands), [1])
+                          for _ in range(rng.randint(0 if parts else 1, 1))]
+                rng.shuffle(parts)
+                targets.append(shuffled(rng, direct_sum(parts)))
+            dense = [[hom_dim_oracle(u, v, method="dense") for v in targets]
+                     for u in sources]
+            assert [[hom_dim_oracle(u, v, method="unionfind") for v in targets]
+                    for u in sources] == dense, [u.to_json() for u in sources]
+            band = shuffled(rng, band_module(rng.choice(bands), [1]))
+            per_pair.clear()
+            assert homalg.hom_oracle_table(sources + [band], targets) == dense + [
+                [hom_dim_oracle(band, v, method="dense") for v in targets]]
+            assert per_pair == [(band, v) for v in targets]
+            pairs += len(sources) * len(targets)
+    assert pairs == 2016
+
+
+def test_entry_class_count_on_long_words():
+    # strings of 200 to 400 letters, where a class runs along a diagonal
+    # of about n1 entries, so the closure needs about n1 / 2 rounds (a
+    # cap below that fails the first pair).  The ones of a letter of a
+    # string share one offset, so each round is four big-int shifts: the
+    # oracle side takes about 0.03 s here, and about 1 s with one shift
+    # per one of the source
+    pairs = [("xy" * 100, "xy" * 100), ("xxy" * 100, "xyy" * 100),
+             ("xyy" * 100, "xxy" * 100), ("xy" * 200, "xxyy" * 60),
+             ("yx" * 150 + "y", "x" + "yx" * 150)]
+    spent = 0
+    for s, t in pairs:
+        u, v = Word(s, P33), Word(t, P33)
+        m1, m2 = string_module(u), string_module(v)
+        start = time.process_time()
+        oracle = hom_dim_oracle(m1, m2)
+        spent += time.process_time() - start
+        assert oracle == hom_dim_graph(u, v), (s, t)
+    assert spent < 0.5
+
+
+def test_parent_bits_span_a_forest_or_refuse_a_cycle():
+    # M(xxy): e_0 <-x- e_1 <-x- e_2 -y-> e_3, one tree rooted at e_0; e_1
+    # is the column of the x-one (0, 1) to its parent (bit 4), e_2 the
+    # column of (1, 2) (bit 4), e_3 the row of the y-one (3, 2) (bit 2)
+    parent_bits = modmatrix._parent_bits
+    maps = string_module(Word("xxy", P33)).permutation_maps()
+    assert parent_bits(maps[0], 4) == bytes([0, 4, 4, 2])
+    # two simples: two roots; the band xy with lambda = 1: two edges on
+    # two vertices, a cycle
+    assert parent_bits(([], []), 2) == bytes(2)
+    band = band_module(Word("xy", P33), [1])
+    assert parent_bits(band.permutation_maps()[0], 2) is None
+    # a cycle beside a tree is refused too
+    both = direct_sum([string_module(Word("xy", P33)), band])
+    assert parent_bits(both.permutation_maps()[0], 5) is None
 
 
 def test_unionfind_forced_zeros_and_merges():
@@ -287,11 +386,17 @@ def test_unionfind_forced_zeros_and_merges():
     # letters stay apart: M(x) -> M(y) only through the top onto the socle
     assert hom_dim_oracle(mx, my, method="unionfind") == 1
     # the one-layer band on xy with lambda = 1: x and y both send e_1 to
-    # e_0, a cycle in the entry graph; End is spanned by the identity and
-    # e_1 -> e_0
+    # e_0, a cycle in its arrow graph; End is spanned by the identity and
+    # e_1 -> e_0.  The count refuses it as a source, and the automatic
+    # route eliminates; as a target it is counted
     band = band_module(Word("xy", P33), [1])
     assert band.permutation_maps()[1] == bytes([1 | 2, 4 | 8])
-    assert hom_dim_oracle(band, band, method="unionfind") == 2
+    assert hom_dim_oracle(band, band) == 2
+    with pytest.raises(ValueError, match="forest"):
+        hom_dim_oracle(band, band, method="unionfind")
+    assert hom_dim_oracle(mx, band, method="unionfind") == 1
+    assert hom_dim_oracle(string_module(Word("xy", P33)), band,
+                          method="unionfind") == 2
 
 
 def test_partial_permutation_ones_edge_cases():
@@ -357,7 +462,7 @@ def test_oracle_checks_the_route_once(monkeypatch):
     assert len(calls) == 4
     assert {id(mat) for mat in calls} == {id(m1.A), id(m1.B), id(m2.A), id(m2.B)}
     # a band is no partial permutation: the cached None sends every later
-    # automatic call to elimination and every forced union-find call to
+    # automatic call to elimination and every forced entry-class count to
     # the error, with no further scan
     calls.clear()
     band = band_module(Word("xxy", P33), [2])

@@ -137,12 +137,7 @@ def duplicate_loops(sources: dict, min_nodes=20) -> list[tuple[str, str]]:
 
 
 # the duplicate loops that src/nilvar keeps, pair of "file: line" -> reason
-DUPLICATE_LOOPS_ALLOWED = {
-    ("homalg.py: while parent[p] != p:", "homalg.py: while parent[q] != q:"):
-        "path halving for the two entries of one merge in _hom_dim_unionfind, "
-        "inlined for p and q because a call per find would cost the "
-        "hom-agreement hot path",
-}
+DUPLICATE_LOOPS_ALLOWED = {}
 
 
 def test_no_duplicate_loops():

@@ -340,8 +340,9 @@ def test_random_modules_pushes_no_row(monkeypatch, seed):
 
 
 def test_hom_agreement_runs_no_elimination(monkeypatch):
-    # every string module is a partial permutation, so the oracle side of
-    # the check is union-find throughout: no dense route, no rank
+    # every string module is a partial permutation with a forest arrow
+    # graph, so the oracle side of the check is the bit-parallel count of
+    # free entry classes throughout: no dense route, no rank
     def refuse(*args):
         raise AssertionError("hom-agreement runs no elimination")
 
@@ -397,13 +398,17 @@ def test_hom_agreement_reports_a_wrong_table_entry(monkeypatch, level, params,
 
 
 def test_hom_agreement_counts_one_union_find_per_source(monkeypatch):
-    # the oracle side is one union-find pass per source module against
-    # the direct sum of all the modules of its algebra, one block each:
-    # 65 + 31 + 83 calls, not one per pair
+    # the oracle side is one pass of the entry-class count per source
+    # module against the direct sum of all the modules of its algebra,
+    # one block each: 65 + 31 + 83 passes, not one per pair
     blocks = []
-    real = homalg._hom_dim_unionfind
-    monkeypatch.setattr(homalg, "_hom_dim_unionfind", lambda maps1, maps2, starts: (
-        blocks.append(len(starts) - 1) or real(maps1, maps2, starts)))
+    real = modmatrix.forest_hom_counter
+
+    def counter(target, starts):
+        count = real(target, starts)
+        return lambda source: blocks.append(len(starts) - 1) or count(source)
+
+    monkeypatch.setattr(modmatrix, "forest_hom_counter", counter)
     result = run_check("hom-agreement", "full", seed=0)
     assert result.passed, result.detail
     assert result.detail == "12075 string pairs across 3 parameter sets"
