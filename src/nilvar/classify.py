@@ -15,10 +15,9 @@ kinds:
   strings, together with their reflections (the semi-injective side).
 
 Everything here is arithmetic on partitions and words: the orbit
-dimensions come from graph-map counts of the summand words and the Ext^1
-tests from counting the distinct graph maps that factor through the
-words' projective covers, so no matrix module is built and no
-elimination runs.
+dimensions come from graph-map counts of the summand words, and so do
+the Ext^1 tests, through the syzygies of the words' projective covers
+(homalg.syzygy), so no matrix module is built and no elimination runs.
 """
 
 from __future__ import annotations

@@ -245,9 +245,7 @@ def build_parser() -> _Parser:
     add_format(p)
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("ext",
-                       help="does Ext^1 between string modules vanish "
-                            "(target must be semi-projective)")
+    p = sub.add_parser("ext", help="does Ext^1 between string modules vanish")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     add_params(p, 3, 3)

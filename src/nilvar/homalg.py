@@ -8,16 +8,16 @@ audit the other:
     source and substring window (q, E) of the target with the same middle
     word E.  A graph map is the triple (s, q, L), L = |E|: it sends
     e_{s+i} to e_{q+i} for i = 0..L and every other basis vector to
-    zero, and this is the one form in which graph maps, the projective
-    cover and the compositions below are handled.  The count builds no
-    map: it reads both words' windows grouped by middle off the index
-    that admissible_pairs uses too (words._middles, built once per word)
-    and multiplies, per middle word, the source's factor windows by the
-    target's substring windows.  hom_table counts a whole list of words
-    against another the same way, as one join on middle words: the
-    targets' middles are indexed once, as postings middle -> (target,
-    window count), and each source's middles are looked up there.  A
-    single pair is the one-by-one table, memoized.
+    zero, and this is the one form in which graph maps and the projective
+    cover are handled.  The count builds no map: it reads both words'
+    windows grouped by middle off the index that admissible_pairs uses
+    too (words._middles, built once per word) and multiplies, per middle
+    word, the source's factor windows by the target's substring windows.
+    hom_table counts a whole list of words against another the same way,
+    as one join on middle words: the targets' middles are indexed once,
+    as postings middle -> (target, window count), and each source's
+    middles are looked up there.  A single pair is the one-by-one table,
+    memoized.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
@@ -38,20 +38,25 @@ audit the other:
     block.  Otherwise (a band with lambda = 1 as source, or no partial
     permutation) a dense exact nullity is computed.
 
-Ext^1(M(C), M(D)) vanishing is decided through the Auslander-Reiten
-formula  Ext^1(X, Y) = D Hombar(tau^{-1} Y, X):  maps from tau^{-1} M(D)
-to M(C) are computed by graph maps, the ones factoring through a
-projective are exactly those factoring through the projective cover of
-M(C), and Ext^1 vanishes iff the cover compositions span Hom.  The cover
-is read off the word C, one Lambda per peak, each summand itself a graph
-map Lambda -> M(C), and each composition of a graph map into Lambda with
-a cover summand is the identity on the overlap of two windows: zero or
-itself a graph map M(tau^{-1} D) -> M(C), found in O(1) by _compose.
-Graph maps are a basis of Hom (Crawley-Boevey 1989), so the span has
-dimension the number of distinct nonzero compositions, and the Ext route
-is a count with no linear algebra.  This is the one Ext route; the tests
-audit it from outside by the cocycle dimension dim Z^1 - (n_M n_N - dim
-Hom), which needs only the module matrices.
+Ext^1(M(C), M(D)) is read off the syzygy of the projective cover, and
+needs nothing but graph counts.  The algebra is local, so the cover of
+M(C) is Lambda^p, one Lambda = M(x^{a-1}y^{b-1}) per peak of C, and its
+kernel Omega M(C) is a direct sum of short strings read off the peaks
+(syzygy).  Applying Hom(-, Y) to 0 -> Omega M(C) -> Lambda^p -> M(C) -> 0
+gives the long exact sequence (Auslander, Reiten and Smalo 1995)
+
+    0 -> Hom(M(C), Y) -> Hom(Lambda^p, Y) -> Hom(Omega M(C), Y)
+      -> Ext^1(M(C), Y) -> Ext^1(Lambda^p, Y) = 0,
+
+and Hom(Lambda, Y) = Y, so
+
+    dim Ext^1(M(C), Y) = dim Hom(Omega M(C), Y) - p dim Y + dim Hom(M(C), Y)
+
+for every module Y.  With Y = M(D) each term is a graph count, and graph
+maps are a basis of Hom (Crawley-Boevey 1989), so the Ext route is a
+count with no linear algebra.  This is the one Ext route; the tests audit
+it from outside by the cocycle dimension dim Z^1 - (n_M n_N - dim Hom),
+which needs only the module matrices.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .words import (MEMO_SIZE, AlgebraParams, Word, _middles, admissible_pairs,
-                    factor_windows, substring_windows, tau_inverse)
+from .words import (MEMO_SIZE, AlgebraParams, Word, _middles, factor_windows,
+                    substring_windows)
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +255,38 @@ def projective_cover(c: Word) -> list[tuple]:
     return cover
 
 
+def syzygy(c: Word) -> list[Word]:
+    """Omega M(c), the kernel of the projective cover Lambda^p -> M(c), as
+    the words of its string summands.  With l_k and r_k the x-run left and
+    the y-run right of peak k (cover summand (s, q, L): l = a-1-s, r = L-l),
+    the arms of the Lambdas that the cover leaves unused give, in order,
+    M(x^{a-2-l_1}) when l_1 <= a-2; per pair of adjacent peaks the valley
+    string M(x^{a-1-l_{k+1}} y^{b-1-r_k}), on top of the difference of the
+    two cover vectors that hit the shared valley; M(y^{b-2-r_p}) when
+    r_p <= b-2.  Their dimensions add up to p (a+b-1) - (|c|+1)."""
+    a, b = c.params
+    arms = [(a - 1 - s, length - (a - 1 - s)) for s, _, length in projective_cover(c)]
+    (first, _), (_, last) = arms[0], arms[-1]
+    texts = ["x" * (a - 2 - first)] if first <= a - 2 else []
+    texts += ["x" * (a - 1 - l) + "y" * (b - 1 - r)
+              for (_, r), (l, _) in zip(arms, arms[1:])]
+    texts += ["y" * (b - 2 - last)] if last <= b - 2 else []
+    return [Word(t, c.params) for t in texts]
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
-    p = AlgebraParams(a, b)
-    c = Word(c_text, p)
-    w = tau_inverse(Word(d_text, p))
-    return len(_cover_compositions(c, w)) == hom_dim_graph(w, c)
-
-
-def _compose(f: tuple, g: tuple):
-    """The graph map g after f, or None when it is zero: the identity on
-    the overlap of f's target window and g's source window."""
-    (s1, q1, l1), (s2, q2, l2) = f, g
-    lo, hi = max(q1, s2), min(q1 + l1, s2 + l2)
-    if lo > hi:
-        return None
-    return (lo - q1 + s1, lo - s2 + q2, hi - lo)
-
-
-def _cover_compositions(c: Word, w: Word) -> set:
-    """The distinct nonzero maps M(w) -> M(c) that factor through the
-    projective cover P -> M(c) via one graph map M(w) -> Lambda and one
-    Lambda summand of P.  Each is a graph map M(w) -> M(c); graph maps are
-    a basis of Hom, so the maps returned are linearly independent and
-    their number is the rank of the span."""
-    p = c.params
-    cover = projective_cover(c)
-    lam = Word("x" * (p.a - 1) + "y" * (p.b - 1), p)
-    return {_compose(f, g) for f in admissible_pairs(w, lam) for g in cover} - {None}
+    omega = [str(w) for w in syzygy(Word(c_text, AlgebraParams(a, b)))]
+    # 0 -> Omega -> Lambda^p -> M(c) -> 0 is exact: p (a+b-1) = dim Omega + |c|+1
+    p = (sum(len(w) + 1 for w in omega) + len(c_text) + 1) // (a + b - 1)
+    return (sum(_hom_count(w, d_text) for w in omega) + _hom_count(c_text, d_text)
+            == p * (len(d_text) + 1))
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:
-    """True iff Ext^1(M(c), M(d)) = 0, for semi-projective d (so that
-    tau^{-1} d is a word; semi-projective strings are never injective).
-
-    Auslander-Reiten route: Hom(M(tau^{-1}d), M(c)) modulo maps through
-    projectives is dual to Ext^1(M(c), M(d)), and a map factors through a
-    projective iff it factors through the projective cover of M(c); so
-    Ext^1 = 0 iff the distinct nonzero compositions with the cover
-    surjection number dim Hom(M(tau^{-1}d), M(c)).
-    """
+    """True iff Ext^1(M(c), M(d)) = 0, for any two strings over one
+    algebra: dim Hom(Omega M(c), M(d)) - p dim M(d) + dim Hom(M(c), M(d))
+    is 0, with Omega M(c) = syzygy(c) and p the number of peaks of c."""
     if c.params != d.params:
         raise ValueError("ext1_vanishes needs words over the same algebra")
     return _ext1_vanishes(str(c), str(d), c.params.a, c.params.b)
-

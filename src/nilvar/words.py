@@ -3,11 +3,11 @@
 A word is *valid* when no run of x is longer than a-1 and no run of y is
 longer than b-1; longer runs vanish in the algebra.  Valid words index the
 string modules (see modmatrix), cyclic-valid words index the bands, and a
-handful of word-combinatorial notions -- semi-projectivity, the inverse
-Auslander-Reiten translate, the admissible pairs that count homomorphisms
--- drive everything downstream.  Homomorphisms leave this module as graph
-maps, each the triple (s, q, L) sending e_{s+i} to e_{q+i} for i = 0..L
-and every other basis vector to zero.
+handful of word-combinatorial notions -- the open strings, the windows
+whose admissible pairs count homomorphisms -- drive everything
+downstream.  Homomorphisms leave this module as graph maps, each the
+triple (s, q, L) sending e_{s+i} to e_{q+i} for i = 0..L and every other
+basis vector to zero.
 
 Conventions, fixed once and for all:
 
@@ -27,9 +27,10 @@ from itertools import chain, groupby
 
 # entries kept by each memo table (words._middles, homalg._hom_count,
 # homalg._ext1_vanishes): bounded at any n, and above what a run uses
-# (`verify --level full --seed 0` leaves 342 window indexes, 282 Hom
+# (`verify --level full --seed 0` leaves 334 window indexes, 259 Hom
 # keys and 37 Ext keys, hom-agreement counting through homalg.hom_table
-# and so adding no Hom key; classify at n = 24 under 200 Hom keys)
+# and so adding no Hom key; classify at (24, 3, 3) leaves 243 Hom keys
+# and 140 Ext keys, at (48, 3, 3) 10,749 and 9,755)
 MEMO_SIZE = 2 ** 16
 
 
@@ -140,39 +141,8 @@ def band_class(w: Word):
 
 
 # ---------------------------------------------------------------------------
-# semi-projective / semi-injective words, open strings
+# open strings
 # ---------------------------------------------------------------------------
-
-def semi_kind(w: Word):
-    """Returns "semi-projective", "semi-injective", or None.
-
-    Semi-projective: |w| >= a+b-2, w starts with x^{a-1} and ends with
-    y^{b-1}.  Semi-injective is the mirror (starts y^{b-1}, ends x^{a-1}).
-    The two exclude each other -- the first letter already differs -- and
-    the empty word is neither.
-    """
-    a, b = w.params.a, w.params.b
-    if len(w) >= a + b - 2:
-        if w[: a - 1] == "x" * (a - 1) and w[len(w) - (b - 1):] == "y" * (b - 1):
-            return "semi-projective"
-        if w[: b - 1] == "y" * (b - 1) and w[len(w) - (a - 1):] == "x" * (a - 1):
-            return "semi-injective"
-    return None
-
-
-def tau_inverse(w: Word) -> Word:
-    """The inverse Auslander-Reiten translate on words.
-
-    Defined exactly for semi-projective w (such string modules are never
-    injective), by wrapping:  tau^{-1} w = x^{a-1} y w x y^{b-1}.
-    The result is again a valid word: w starts with x^{a-1} after the
-    inserted y and ends with y^{b-1} before the inserted x.
-    """
-    if semi_kind(w) != "semi-projective":
-        raise ValueError(f"tau_inverse needs a semi-projective word, got {str(w)!r}")
-    p = w.params
-    return Word("x" * (p.a - 1) + "y" + w + "x" + "y" * (p.b - 1), p)
-
 
 # Open strings, projective side.  Every one is a block word
 #

@@ -502,10 +502,9 @@ def test_classification_builds_no_matrix_module(capsys, monkeypatch, n, a, b):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[n, a, b]
 
 
-def test_lambda_windows_are_built_once(monkeypatch):
-    # every Ext^1 test composes maps into Lambda = M(xxyy) through
-    # admissible_pairs; a cold classification indexes Lambda's substring
-    # windows by middle on the first call and reads that index afterwards
+def test_window_indexes_are_built_once(monkeypatch):
+    # a cold classification indexes each (text, window kind) by middle on
+    # its first Hom count and reads that index afterwards
     built = []
 
     def counted(w, before, after):
@@ -517,7 +516,7 @@ def test_lambda_windows_are_built_once(monkeypatch):
     for memo in (words._middles, homalg._hom_count, homalg._ext1_vanishes):
         memo.cache_clear()
     components(24, 3, 3)
-    assert built.count(("xxyy", "y", "x")) == 1
+    assert built and len(built) == len(set(built))
 
 
 def test_components_validates_bounds_at_n1():

@@ -7,10 +7,12 @@ spanning Hom; Hom(Lambda, M) = dim M pins the conventions against
 free-module theory; the word-level End is checked against the oracle on
 explicit direct sums, and the projective cover read off the word against
 a generic cover computed by linear algebra, kept here as the reference;
-Ext^1 vanishing is checked against the cocycle dimension, also kept here
-as the reference, with the self-extension dichotomy for open strings as
-a frozen expectation; and the cover compositions are checked against the
-former position-based encoding of graph maps, kept here too.
+the syzygy's Ext^1 dimension is checked against the cocycle dimension,
+also kept here as the reference, with the self-extension dichotomy for
+open strings as a frozen expectation; and the former Auslander-Reiten
+count (cover compositions of graph maps from the inverse translate) is
+kept here as the large-n reference, itself checked against the former
+position-based encoding of graph maps.
 """
 
 import itertools
@@ -29,12 +31,12 @@ from nilvar.homalg import (
     hom_table,
     orbit_dim,
     projective_cover,
+    syzygy,
 )
 from nilvar.exactla import RationalMatrix, pivot_columns
 from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
 from nilvar.words import (AlgebraParams, Word, admissible_pairs, band_class,
-                          enumerate_open_strings, enumerate_words, open_type, semi_kind,
-                          tau_inverse)
+                          enumerate_open_strings, enumerate_words, open_type)
 
 P33 = AlgebraParams(3, 3)
 P23 = AlgebraParams(2, 3)
@@ -127,7 +129,7 @@ def test_hom_routes_agree_other_params():
 
 def test_hom_count_matches_pair_list():
     # the memoized count, the table's join on middle words and the
-    # graph-map list that Ext is built from must not drift apart: every
+    # graph-map list that the tests expand must not drift apart: every
     # ordered pair of the full hom-agreement range, so each pair in both
     # argument orders
     pairs = 0
@@ -668,6 +670,37 @@ def test_projective_cover_of_projective_is_identity_like():
                                               [None, 2, 3, None, None]]
 
 
+# -- syzygies --------------------------------------------------------------
+
+def test_syzygy_frozen_cases():
+    for params in COVER_PARAMS:
+        a, b = params
+        # Lambda is projective; the simple module's syzygy is rad Lambda
+        assert syzygy(lambda_word(params)) == []
+        assert syzygy(Word("", params)) == ["x" * (a - 2), "y" * (b - 2)]
+    # peaks 1 and 3 of xyx, each with one x to its left: the first arm's
+    # unused end (the simple), the valley string between the peaks and
+    # the last arm's unused end
+    assert syzygy(Word("xyx", P33)) == ["", "xy", "y"]
+    assert all(w.params == P33 for w in syzygy(Word("xyx", P33)))
+
+
+def test_syzygy_dimension():
+    # 0 -> Omega M(c) -> Lambda^p -> M(c) -> 0 is exact, p = dim top
+    for params in COVER_PARAMS:
+        for c in enumerate_words(8, params):
+            p = len(projective_cover(c))
+            assert sum(len(w) + 1 for w in syzygy(c)) == p * params.d - (len(c) + 1), str(c)
+
+
+def syzygy_ext1_dim(c, d):
+    """dim Ext^1(M(c), M(d)) = dim Hom(Omega M(c), M(d)) - p dim M(d)
+    + dim Hom(M(c), M(d)), by graph counts."""
+    p = len(projective_cover(c))
+    return (sum(hom_dim_graph(w, d) for w in syzygy(c)) - p * (len(d) + 1)
+            + hom_dim_graph(c, d))
+
+
 # -- Ext^1 -----------------------------------------------------------------
 
 def test_ext1_frozen_cases():
@@ -755,7 +788,150 @@ def test_ext1_dim_cocycle_known_values():
     assert ext1_dim_cocycle(simple, lam) == 3
 
 
+# every ordered pair of words up to a length per algebra, the empty word
+# included, as (a, b) -> length: 6,430 pairs
+EXT_GRID = {(3, 3): 5, (4, 3): 5, (2, 3): 6, (2, 2): 6, (3, 5): 4, (4, 4): 4}
+
+
 def test_ext1_matches_cocycle_dimension():
+    # the syzygy count as a dimension, not only as a verdict; where the
+    # target is semi-projective the Auslander-Reiten reference below must
+    # give the same dimension
+    pairs = vanishing = semi = 0
+    for (a, b), max_len in EXT_GRID.items():
+        words = enumerate_words(max_len, AlgebraParams(a, b))
+        modules = [string_module(w) for w in words]
+        for (c, mc), (d, md) in itertools.product(zip(words, modules), repeat=2):
+            dim = ext1_dim_cocycle(mc, md)
+            assert syzygy_ext1_dim(c, d) == dim, (str(c), str(d), c.params)
+            assert ext1_vanishes(c, d) == (dim == 0), (str(c), str(d), c.params)
+            if semi_kind(d) == "semi-projective":
+                assert ar_ext1_dim(c, d) == dim, (str(c), str(d), c.params)
+                semi += 1
+            pairs += 1
+            vanishing += dim == 0
+    assert (pairs, vanishing, semi) == (6430, 520, 218)
+
+
+def test_ext1_answers_any_target():
+    # targets that are not semi-projective, where tau^{-1} is no word
+    for c_text, d_text in (("xxyy", "xy"), ("xy", "yx"), ("yx", "xy"), ("", ""),
+                           ("xyx", "yxy")):
+        c, d = Word(c_text, P33), Word(d_text, P33)
+        assert semi_kind(d) != "semi-projective"
+        dim = ext1_dim_cocycle(string_module(c), string_module(d))
+        assert ext1_vanishes(c, d) == (dim == 0), (c_text, d_text)
+    # Lambda is projective; M(xy) -> M(yx) extends non-trivially
+    assert ext1_vanishes(Word("xxyy", P33), Word("xy", P33))
+    assert not ext1_vanishes(Word("xy", P33), Word("yx", P33))
+
+
+def test_ext1_rejects_mixed_params():
+    with pytest.raises(ValueError, match="same algebra"):
+        ext1_vanishes(Word("xy", P33), Word("xy", P23))
+
+
+# -- the Auslander-Reiten reference ----------------------------------------
+#
+# The former Ext route, kept as the reference at large n: Ext^1(M(c), M(d))
+# is dual to Hom(M(tau^{-1} d), M(c)) modulo the maps that factor through
+# a projective, which are those through the projective cover of M(c).
+# These are spanned by the compositions of the graph maps tau^{-1} d ->
+# Lambda with the cover summands, each zero or itself a graph map
+# tau^{-1} d -> c; graph maps are a basis of Hom, so the distinct nonzero
+# compositions are independent and Hom minus their number is dim Ext^1.
+# It needs tau^{-1} d to be a word, so d semi-projective.
+
+def semi_kind(w):
+    """"semi-projective" (|w| >= a+b-2, w starts with x^{a-1} and ends
+    with y^{b-1}), "semi-injective" (the mirror), or None.  The two
+    exclude each other -- the first letter already differs -- and the
+    empty word is neither."""
+    a, b = w.params
+    if len(w) >= a + b - 2:
+        if w[: a - 1] == "x" * (a - 1) and w[len(w) - (b - 1):] == "y" * (b - 1):
+            return "semi-projective"
+        if w[: b - 1] == "y" * (b - 1) and w[len(w) - (a - 1):] == "x" * (a - 1):
+            return "semi-injective"
+    return None
+
+
+def tau_inverse(w):
+    """The inverse Auslander-Reiten translate of a semi-projective word
+    (such string modules are never injective), by wrapping:
+    tau^{-1} w = x^{a-1} y w x y^{b-1}."""
+    if semi_kind(w) != "semi-projective":
+        raise ValueError(f"tau_inverse needs a semi-projective word, got {str(w)!r}")
+    a, b = w.params
+    return Word("x" * (a - 1) + "y" + w + "x" + "y" * (b - 1), w.params)
+
+
+def compose(f, g):
+    """The graph map g after f, or None when it is zero: the identity on
+    the overlap of f's target window and g's source window."""
+    (s1, q1, l1), (s2, q2, l2) = f, g
+    lo, hi = max(q1, s2), min(q1 + l1, s2 + l2)
+    if lo > hi:
+        return None
+    return (lo - q1 + s1, lo - s2 + q2, hi - lo)
+
+
+def cover_compositions(c, w):
+    """The distinct nonzero maps M(w) -> M(c) through one graph map
+    M(w) -> Lambda and one Lambda summand of the projective cover of M(c),
+    as graph maps M(w) -> M(c)."""
+    lam = lambda_word(c.params)
+    return {compose(f, g) for f in admissible_pairs(w, lam)
+            for g in projective_cover(c)} - {None}
+
+
+def ar_ext1_dim(c, d):
+    """dim Ext^1(M(c), M(d)) for semi-projective d, by the reference."""
+    w = tau_inverse(d)
+    return hom_dim_graph(w, c) - len(cover_compositions(c, w))
+
+
+def test_semi_kind():
+    assert semi_kind(Word("xxyy", P33)) == "semi-projective"
+    assert semi_kind(Word("yyxx", P33)) == "semi-injective"
+    assert semi_kind(Word("xxyxyy", P33)) == "semi-projective"
+    assert semi_kind(Word("xy", P33)) is None  # too short for (3,3)
+    assert semi_kind(Word("", P33)) is None
+    assert semi_kind(Word("xyxy", P33)) is None  # ends in one y only
+    assert semi_kind(Word("xy", P22)) == "semi-projective"
+    assert semi_kind(Word("yx", P22)) == "semi-injective"
+
+
+def test_semi_kinds_mutually_exclusive_and_mirror():
+    for w in enumerate_words(7, P33):
+        k = semi_kind(w)
+        kr = semi_kind(w.reverse())
+        if k == "semi-projective":
+            assert kr == "semi-injective"
+        elif k == "semi-injective":
+            assert kr == "semi-projective"
+        else:
+            assert kr is None
+
+
+def test_tau_inverse():
+    assert tau_inverse(Word("xxyy", P33)) == "xxyxxyyxyy"
+    assert tau_inverse(Word("xy", P22)) == "xyxyxy"
+    with pytest.raises(ValueError):
+        tau_inverse(Word("xy", P33))
+    with pytest.raises(ValueError):
+        tau_inverse(Word("yyxx", P33))
+    # tau-inverse of a semi-projective word is again semi-projective
+    for w in enumerate_open_strings(5, P33) + enumerate_open_strings(8, P33):
+        assert semi_kind(tau_inverse(w)) == "semi-projective"
+
+
+def test_reference_matches_syzygy_dimension():
+    # every word up to length 7 against every semi-projective one over
+    # three algebras, and the open strings of dimension <= 10 at (3, 3)
+    # both ways: the premise of the count (every cover composition is a
+    # graph map tau^{-1} d -> c), its dimension against the syzygy's, and
+    # the compositions against the positional encoding
     pairs = []
     for params in (P33, P23, P43):
         words = enumerate_words(7, params)
@@ -763,27 +939,15 @@ def test_ext1_matches_cocycle_dimension():
         pairs.extend(itertools.product(words, semi))
     opens = [w for dim in range(2, 11) for w in enumerate_open_strings(dim, P33)]
     pairs.extend(itertools.product(opens, repeat=2))
-    vanishing = 0
     for c, d in pairs:
-        dim = ext1_dim_cocycle(string_module(c), string_module(d))
-        assert dim >= 0
-        assert ext1_vanishes(c, d) == (dim == 0), (str(c), str(d), c.params)
-        # the premise of the count: every cover composition is a graph map
-        # tau^{-1} d -> c, so the distinct ones are independent and Hom
-        # minus their number is dim Ext^1, not only its vanishing
         w = tau_inverse(d)
-        compositions = homalg._cover_compositions(c, w)
+        compositions = cover_compositions(c, w)
         assert compositions <= set(admissible_pairs(w, c)), (str(c), str(d), c.params)
-        assert hom_dim_graph(w, c) - len(compositions) == dim, (str(c), str(d), c.params)
+        assert ar_ext1_dim(c, d) == syzygy_ext1_dim(c, d), (str(c), str(d), c.params)
         assert_compositions_match_positions(c, w)
-        vanishing += dim == 0
-    assert vanishing >= 34
 
-
-# -- graph-map compositions -----------------------------------------------
 
 def test_compose_cases():
-    compose = homalg._compose
     # f's target window [0, 1] misses g's source window [3, 4]
     assert compose((0, 0, 1), (3, 0, 1)) is None
     # windows [0, 2] and [2, 3] touch at 2: one vector survives
@@ -800,9 +964,9 @@ def test_compose_with_the_identity_of_lambda():
         assert identity in admissible_pairs(lam, lam)
         for w in enumerate_words(5, params):
             for f in admissible_pairs(w, lam):
-                assert homalg._compose(f, identity) == f
+                assert compose(f, identity) == f
             for g in projective_cover(w):
-                assert homalg._compose(identity, g) == g
+                assert compose(identity, g) == g
 
 
 def test_compose_is_the_matrix_product():
@@ -811,7 +975,7 @@ def test_compose_is_the_matrix_product():
         for w, c in itertools.product(enumerate_words(4, params), repeat=2):
             for f, g in itertools.product(admissible_pairs(w, lam), projective_cover(c)):
                 product = graph_map_matrix(g, lam, c).mul(graph_map_matrix(f, w, lam))
-                h = homalg._compose(f, g)
+                h = compose(f, g)
                 if h is None:
                     assert not any(product.rows), (f, g)
                 else:
@@ -856,31 +1020,33 @@ def positional_compositions(c, w):
 
 
 def assert_compositions_match_positions(c, w):
-    expanded = {flat_ones(graph_map_matrix(h, w, c))
-                for h in homalg._cover_compositions(c, w)}
+    expanded = {flat_ones(graph_map_matrix(h, w, c)) for h in cover_compositions(c, w)}
     assert expanded == positional_compositions(c, w), (str(c), str(w), c.params)
 
 
 @pytest.mark.parametrize("n, a, b", [(24, 3, 3), (24, 4, 4), (24, 3, 5)])
 def test_compositions_match_positions_on_classify_keys(monkeypatch, n, a, b):
-    # every Ext key the classification reaches, with the memo cleared so
-    # that each one is composed
-    keys = []
-    real = homalg._cover_compositions
-    monkeypatch.setattr(homalg, "_cover_compositions",
-                        lambda c, w: keys.append((c, w)) or real(c, w))
-    homalg._ext1_vanishes.cache_clear()
+    # every Ext key a cold classification reaches, with the verdict the
+    # syzygy gave it: the reference must give the same verdict, and its
+    # compositions must match the positional encoding
+    verdicts = {}
+    real = homalg._ext1_vanishes
+
+    def recorded(*key):
+        verdicts[key] = real(*key)
+        return verdicts[key]
+
+    monkeypatch.setattr(homalg, "_ext1_vanishes", recorded)
+    real.cache_clear()
     components(n, a, b)
     monkeypatch.undo()
-    homalg._ext1_vanishes.cache_clear()
-    assert keys
-    for c, w in keys:
-        assert_compositions_match_positions(c, w)
-
-
-def test_ext1_requires_semi_projective_second_argument():
-    with pytest.raises(ValueError):
-        ext1_vanishes(Word("xxyy", P33), Word("xy", P33))
+    real.cache_clear()
+    assert verdicts
+    params = AlgebraParams(a, b)
+    for (c_text, d_text, *_), vanishes in verdicts.items():
+        c, d = Word(c_text, params), Word(d_text, params)
+        assert (ar_ext1_dim(c, d) == 0) == vanishes, (c_text, d_text)
+        assert_compositions_match_positions(c, tau_inverse(d))
 
 
 # -- hom order -------------------------------------------------------------
@@ -900,9 +1066,9 @@ def test_hom_order_flip_example():
 
 def test_memo_tables_are_bounded():
     # finite at any n, and no verify or classify run evicts: a full verify
-    # makes 282 distinct Hom keys and 37 Ext keys, classify at n = 24 under
-    # 200 of each, and the per-word window indexes number two per word
-    # (342 in a full verify); the bound held stays at 12 374, room for
+    # makes 259 distinct Hom keys and 37 Ext keys, classify at (24, 3, 3)
+    # 243 and 140, and the per-word window indexes number two per word
+    # (334 in a full verify); the bound held stays at 12 374, room for
     # every one of hom-agreement's 12 075 pairs should a run key them all
     for memo in (words._middles, homalg._hom_count, homalg._ext1_vanishes):
         maxsize = memo.cache_info().maxsize

@@ -29,9 +29,7 @@ from nilvar.words import (
     letter_steps,
     open_type,
     runs,
-    semi_kind,
     substring_windows,
-    tau_inverse,
 )
 
 P33 = AlgebraParams(3, 3)
@@ -202,43 +200,6 @@ def test_band_rotation_invariance():
             assert band_class(rw) == cls
 
 
-# -- semi-projective / semi-injective --------------------------------------
-
-def test_semi_kind():
-    assert semi_kind(Word("xxyy", P33)) == "semi-projective"
-    assert semi_kind(Word("yyxx", P33)) == "semi-injective"
-    assert semi_kind(Word("xxyxyy", P33)) == "semi-projective"
-    assert semi_kind(Word("xy", P33)) is None  # too short for (3,3)
-    assert semi_kind(Word("", P33)) is None
-    assert semi_kind(Word("xyxy", P33)) is None  # ends in one y only
-    assert semi_kind(Word("xy", AlgebraParams(2, 2))) == "semi-projective"
-    assert semi_kind(Word("yx", AlgebraParams(2, 2))) == "semi-injective"
-
-
-def test_semi_kinds_mutually_exclusive_and_mirror():
-    for w in enumerate_words(7, P33):
-        k = semi_kind(w)
-        kr = semi_kind(w.reverse())
-        if k == "semi-projective":
-            assert kr == "semi-injective"
-        elif k == "semi-injective":
-            assert kr == "semi-projective"
-        else:
-            assert kr is None
-
-
-def test_tau_inverse():
-    assert tau_inverse(Word("xxyy", P33)) == "xxyxxyyxyy"
-    assert tau_inverse(Word("xy", AlgebraParams(2, 2))) == "xyxyxy"
-    with pytest.raises(ValueError):
-        tau_inverse(Word("xy", P33))
-    with pytest.raises(ValueError):
-        tau_inverse(Word("yyxx", P33))
-    # tau-inverse of a semi-projective word is again semi-projective
-    for w in enumerate_open_strings(5, P33) + enumerate_open_strings(8, P33):
-        assert semi_kind(tau_inverse(w)) == "semi-projective"
-
-
 # -- open strings ----------------------------------------------------------
 
 # hand-derived open-string lists for a = b = 3, projective side, by
@@ -267,8 +228,8 @@ def test_open_strings_are_semi_projective_and_typed():
     for params in (P33, P23, P44, AlgebraParams(3, 4)):
         for dim in range(2, 13):
             for w in enumerate_open_strings(dim, params):
-                assert len(w) == dim - 1
-                assert semi_kind(w) == "semi-projective"
+                assert len(w) == dim - 1 >= params.d - 1
+                assert w.startswith("x" * (params.a - 1)) and w.endswith("y" * (params.b - 1))
                 side, t = open_type(w)
                 assert side == "semi-projective" and t in (1, 2, 3)
                 side_r, t_r = open_type(w.reverse())
