@@ -231,6 +231,84 @@ def test_bad_lambda_literal_is_a_usage_error(capsys, lambdas):
     assert err == f"nilvar: error: --lambdas needs rationals like 2 or -1/2, got {lambdas}\n"
 
 
+# (exit code, sha256 of stdout, stderr) of one argv per command and
+# format, recorded before the commands came to return their output to
+# `main` for printing: every command's output must stay byte-identical
+OUTPUT_SHA256 = {
+    "classify --n 1 --a 3 --b 3 --format table":
+        (0, "5ebb29570ddf95a94b4dd308bc250c0206c842c7435591c912a733c75071a85c", ""),
+    "classify --n 1 --a 3 --b 3 --format json":
+        (0, "9adbaa52f5ff139592640a8154adebc506c049fbf8cdd33ebab9fa13b5528bc2", ""),
+    "classify --n 12 --a 3 --b 5 --format table":
+        (0, "5632c6d017bb0b21497c6a47e927ea58d406a1e99b1409f14393b871e1cbf6c1", ""),
+    "classify --n 12 --a 3 --b 5 --format json":
+        (0, "76f035cd1d0a59b4b08d6558b8869a5bb484f2df5dff4eda776b9fbfa83a7465", ""),
+    "tables --a 3 --b 3 --max-n 8 --format table":
+        (0, "5107c4989124f698a83ae164ebf17e158511b06a4bde2a6f31612aa40640ae91", ""),
+    "tables --a 3 --b 3 --max-n 8 --format json":
+        (0, "e26a22a209cd81845a752560131a15c287933c795e2b1cebcbdda9b33dbdb46d", ""),
+    "tables --a 3 --b 3 --max-n 4 --format table":
+        (0, "2b0b3e35616e0d63e26c3599a7135d30648af45e820e7cc790659a1cf31f38f4", ""),
+    "tables --a 3 --b 3 --max-n 4 --format json":
+        (0, "95e48cdc4eaede742315617374db93feeef8e2253a21c5b612bca92ef92bbcf3", ""),
+    "hom --source xxy --target xy --format table":
+        (0, "05b9b91f1e3dc159e133f7f20eff5c29129d89bd5ec113f77d34bb6f9393d9f9", ""),
+    "hom --source xxy --target xy --format json":
+        (0, "914234cde96dbad552fdc59a887a6a0115ed35ccfd3f3b99069eeff6d46075fe", ""),
+    "hom --source xxyy --target xxy --oracle --format table":
+        (0, "7d72420707f18d30d6c1c90b0f2398bdbb1c6b034d120fadc88fc74cafb6b435", ""),
+    "hom --source xxyy --target xxy --oracle --format json":
+        (0, "5e443eccb278be0c17b7d47e02cf882ba329eeb670112ef71a1fbb98716c6e57", ""),
+    "ext --source xxyy --target xxyy --format table":
+        (0, "7aa38a166c26483d0c491c19e5696e918d1a4ecff713b0e16d121ad830033ec7", ""),
+    "ext --source xxyy --target xxyy --format json":
+        (0, "b91f8335b3c08a65c6a6b1128d45655300e0de733e06045ec8c7e532938e26e5", ""),
+    "ext --source xy --target xxyy --format table":
+        (0, "4a07ac2a4f1ad74b766316f8d545e79a3670f5b15e01e81d4967d1a0fe8cf1c1", ""),
+    "ext --source xy --target xxyy --format json":
+        (0, "29df349eb79197f1971bbddc0f5d1e39127a74d9c9eb36556d0e492bb5e9eff6", ""),
+    "module --word xxyy --format table":
+        (0, "ec9ee8a1664d4b1986609ccea3694233c99fdef48b87ff3270118ef4fd964f0b", ""),
+    "module --word xxyy --format json":
+        (0, "dd527731ce15fd71dec5c343a778737f7eef311862ae42d67480f08054172181", ""),
+    "module --word xy --lambdas 1,1/2 --format table":
+        (0, "840b54bd56c4ae289e47274b2fb074f525bb64e81d1ea4ad78495ae3c49b1ed4", ""),
+    "module --word xy --lambdas 1,1/2 --format json":
+        (0, "716dcafd26eb5e44a56dae6e1d1acbee5506285b40fa5ad1485a8fcb96d8fa69", ""),
+    "module --word xxyxyy --lambdas=-3/2 --format table":
+        (0, "55055fbeb53c3320e95119c3dcdeb975fc456821338aa3d16d7b5b509b51789b", ""),
+    "module --word xxyxyy --lambdas=-3/2 --format json":
+        (0, "7cb4656cdcb68a382f87ba70aa64dacce71a4d105a73e8a233619fa5370fb5e1", ""),
+    "verify --level quick --format table":
+        (0, "147a8abd66a08272ff29366aff383395a6712d6563d64ad2c353c1524e5f6ce0", ""),
+    "verify --level quick --format json":
+        (0, "14351037baf90beac0236e9331aa74c532c7404e5564cf5207db87e4036946ba", ""),
+    "verify --check remarks --check regular-density --format table":
+        (0, "196087aa1b5564fa248333d8da4e2a2a5709499d7236e4e4ff778671c11c1f8d", ""),
+    "verify --check remarks --check regular-density --format json":
+        (0, "fc95da548319ca734edaa32546b3122313b25b056a05c62bdbca632f441bb2e5", ""),
+    "classify --n 0 --a 3 --b 3 --format table":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "nilvar: error: need n >= 1, got 0\n"),
+    "classify --n 0 --a 3 --b 3 --format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "nilvar: error: need n >= 1, got 0\n"),
+    "module --word xy --lambdas 1/0 --format table":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "nilvar: error: --lambdas needs nonzero denominators, got 1/0\n"),
+    "module --word xy --lambdas 1/0 --format json":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "nilvar: error: --lambdas needs nonzero denominators, got 1/0\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256))
+def test_output_is_byte_identical(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == \
+        OUTPUT_SHA256[argv]
+
+
 # sha256 of `nilvar [command] --help` stdout at 80 columns, recorded while
 # cli still imported nilvar.verify on load: the help must not change now
 # that the check names are looked up only when the verify help is shown.
