@@ -11,6 +11,12 @@ Exit codes: 0 on success, 1 on usage or domain errors and, quietly,
 when stdout closes early (`nilvar ... | head`), 2 when a
 verification-style command finds a disagreement.  Output is plain text
 or JSON (--format) and is byte-identical across runs for fixed inputs.
+
+One output path: each `cmd_*` prints nothing and returns its exit code,
+its JSON payload and its text lines; `main` alone writes stdout, the
+payload as JSON under --format json and the lines otherwise.  `module`
+alone builds its payload only under --format json, as its dense
+matrices cost far more than its table.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ import argparse
 import os
 import sys
 
-# json, fractions and the matrix stack (modmatrix, exactla) are imported
-# by the commands that use them, so `classify` loads none of them
+# json is imported by `_dump` under --format json alone, and fractions
+# and the matrix stack (modmatrix, exactla) by the commands that use
+# them, so `classify` loads none of them
 from .classify import components, normalize_params
 from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
 from .words import AlgebraParams, Word
@@ -49,32 +56,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _component_block(out, comps):
+def cmd_classify(args) -> tuple:
+    comps = components(args.n, args.a, args.b)
+    params = normalize_params(args.n, args.a, args.b)
+    payload = {"n": args.n, "a": params.a, "b": params.b,
+               "components": [c.as_dict() for c in comps]}
     heads = {"regular": "regular:", "orbit": "open orbits:", "zero": "point:"}
     width = max(len(c.label()) for c in comps)
-    seen = []
+    lines = [f"V({args.n}, {args.a}, {args.b}): {len(comps)} "
+             f"component{'s' if len(comps) != 1 else ''}"]
     for c in comps:
-        if c.kind not in seen:
-            seen.append(c.kind)
-            out.append(heads[c.kind])
-        out.append(f"  {c.label():<{width}}  {c.dim}")
+        if c.kind in heads:  # a kind's head once, above its first row
+            lines.append(heads.pop(c.kind))
+        lines.append(f"  {c.label():<{width}}  {c.dim}")
+    return 0, payload, lines
 
 
-def cmd_classify(args) -> int:
-    comps = components(args.n, args.a, args.b)
-    if args.format == "json":
-        params = normalize_params(args.n, args.a, args.b)
-        print(_dump({"n": args.n, "a": params.a, "b": params.b,
-                     "components": [c.as_dict() for c in comps]}))
-        return 0
-    out = [f"V({args.n}, {args.a}, {args.b}): {len(comps)} "
-           f"component{'s' if len(comps) != 1 else ''}"]
-    _component_block(out, comps)
-    print("\n".join(out))
-    return 0
-
-
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> tuple:
     AlgebraParams(args.a, args.b)  # rejects a or b < 2 before any work
     if args.max_n < 2:
         raise ValueError(f"need --max-n >= 2, got {args.max_n}")
@@ -85,74 +83,61 @@ def cmd_tables(args) -> int:
             if c.kind == "orbit" and c.side != "semi-projective":
                 continue
             target.append((n, c.label(), c.dim))
-    if args.format == "json":
-        print(_dump({"a": args.a, "b": args.b, "max_n": args.max_n,
-                     "regular": [{"n": n, "component": s, "dim": d}
-                                 for n, s, d in rows_reg],
-                     "open_orbits": [{"n": n, "component": s, "dim": d}
-                                     for n, s, d in rows_orb]}))
-        return 0
-    out = []
+    payload = {"a": args.a, "b": args.b, "max_n": args.max_n,
+               "regular": [{"n": n, "component": s, "dim": d}
+                           for n, s, d in rows_reg],
+               "open_orbits": [{"n": n, "component": s, "dim": d}
+                               for n, s, d in rows_orb]}
+    lines = []
     for title, rows in ((f"regular components, a = {args.a}, b = {args.b}",
                          rows_reg),
                         (f"open-orbit components, semi-projective side, "
                          f"a = {args.a}, b = {args.b} "
                          f"(semi-injective mirrors have equal dimensions)",
                          rows_orb)):
-        out.append(title)
+        lines.append(title)
         if not rows:
-            out.append("  (none)")
+            lines.append("  (none)")
         else:
             width = max(len(s) for _, s, _ in rows)
             last_n = None
             for n, s, d in rows:
                 tag = f"n = {n:<3}" if n != last_n else " " * 7
-                out.append(f"{tag} {s:<{width}}  {d}")
+                lines.append(f"{tag} {s:<{width}}  {d}")
                 last_n = n
-        out.append("")
-    print("\n".join(out).rstrip())
-    return 0
+        lines.append("")
+    return 0, payload, lines[:-1]  # no blank line after the last table
 
 
-def cmd_hom(args) -> int:
+def cmd_hom(args) -> tuple:
     params = AlgebraParams(args.a, args.b)
     src = Word(args.source, params)
     tgt = Word(args.target, params)
     graph = hom_dim_graph(src, tgt)
-    if args.oracle:
-        from .modmatrix import string_module
-        oracle = hom_dim_oracle(string_module(src), string_module(tgt))
-        if args.format == "json":
-            print(_dump({"source": str(src), "target": str(tgt),
-                         "graph": graph, "oracle": oracle,
-                         "agree": graph == oracle}))
-        else:
-            print(f"Hom(M({src}), M({tgt})) = {graph}")
-            print(f"linear-algebra oracle = {oracle}")
-            if graph != oracle:
-                print("DISAGREEMENT between counting and linear algebra")
-        return 0 if graph == oracle else 2
-    if args.format == "json":
-        print(_dump({"source": str(src), "target": str(tgt), "graph": graph}))
-    else:
-        print(f"Hom(M({src}), M({tgt})) = {graph}")
-    return 0
+    payload = {"source": str(src), "target": str(tgt), "graph": graph}
+    lines = [f"Hom(M({src}), M({tgt})) = {graph}"]
+    if not args.oracle:
+        return 0, payload, lines
+    from .modmatrix import string_module
+    oracle = hom_dim_oracle(string_module(src), string_module(tgt))
+    payload.update(oracle=oracle, agree=graph == oracle)
+    lines.append(f"linear-algebra oracle = {oracle}")
+    if graph != oracle:
+        lines.append("DISAGREEMENT between counting and linear algebra")
+    return 0 if graph == oracle else 2, payload, lines
 
 
-def cmd_ext(args) -> int:
+def cmd_ext(args) -> tuple:
     params = AlgebraParams(args.a, args.b)
     src = Word(args.source, params)
     tgt = Word(args.target, params)
     vanishes = ext1_vanishes(src, tgt)
-    if args.format == "json":
-        print(_dump({"source": str(src), "target": str(tgt),
-                     "vanishes": vanishes}))
-    else:
-        print(f"Ext^1(M({src}), M({tgt})) {'=' if vanishes else '!='} 0")
-    return 0
+    payload = {"source": str(src), "target": str(tgt), "vanishes": vanishes}
+    return 0, payload, [
+        f"Ext^1(M({src}), M({tgt})) {'=' if vanishes else '!='} 0"]
 
 
-def cmd_module(args) -> int:
+def cmd_module(args) -> tuple:
     from fractions import Fraction
 
     from .modmatrix import band_module, string_module
@@ -174,32 +159,29 @@ def cmd_module(args) -> int:
         label = f"M({word})"
     stats = mod.stats()
     pa, pb = mod.jordan_pair()
-    if args.format == "json":
+    payload = None
+    if args.format == "json":  # the dense matrices cost far more than lines
         payload = mod.to_json()
         payload["stats"] = stats
         payload["jordan"] = {"A": list(pa), "B": list(pb)}
-        print(_dump(payload))
-        return 0
-    print(f"{label}: dimension {mod.n} over K[x, y] / "
-          f"(xy, x^{params.a}, y^{params.b})")
-    print(f"  rank A = {stats['rkA']}, rank B = {stats['rkB']}")
-    print(f"  top = {stats['top_dim']}, socle = {stats['soc_dim']}")
-    print(f"  Jordan type of A: {tuple(pa)}")
-    print(f"  Jordan type of B: {tuple(pb)}")
-    print(f"  regular: {'yes' if stats['regular'] else 'no'}")
-    return 0
+    return 0, payload, [
+        f"{label}: dimension {mod.n} over K[x, y] / "
+        f"(xy, x^{params.a}, y^{params.b})",
+        f"  rank A = {stats['rkA']}, rank B = {stats['rkB']}",
+        f"  top = {stats['top_dim']}, socle = {stats['soc_dim']}",
+        f"  Jordan type of A: {tuple(pa)}",
+        f"  Jordan type of B: {tuple(pb)}",
+        f"  regular: {'yes' if stats['regular'] else 'no'}"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from .verify import run_suite  # only this command loads the checks
     results = run_suite(args.level, seed=args.seed, names=args.check or None)
-    if args.format == "json":
-        print(_dump([{"name": r.name, "passed": r.passed, "detail": r.detail}
-                     for r in results]))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    return 0 if all(r.passed for r in results) else 2
+    return (0 if all(r.passed for r in results) else 2,
+            [{"name": r.name, "passed": r.passed, "detail": r.detail}
+             for r in results],
+            [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
+             for r in results])
 
 
 def build_parser() -> _Parser:
@@ -275,7 +257,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        print(_dump(payload) if args.format == "json" else "\n".join(lines))
         sys.stdout.flush()
         return code
     except ValueError as exc:

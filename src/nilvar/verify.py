@@ -6,8 +6,9 @@ route (exact linear algebra, brute enumeration).  The same checks back
 the command-line `verify` subcommand and the acceptance tests.
 
 Levels: "quick" is a smoke pass in seconds, "full" runs the documented
-ranges.  Check output is deterministic for a fixed seed; timings are
-reported separately and never enter the details.
+ranges; `run_check`, and so `run_suite`, refuse any other level with a
+ValueError before a check runs.  Check output is deterministic for a
+fixed seed; timings are reported separately and never enter the details.
 """
 
 from __future__ import annotations
@@ -401,6 +402,8 @@ CHECKS = [
 
 
 def run_check(name, level="quick", seed=0) -> CheckResult:
+    if level not in ("quick", "full"):
+        raise ValueError(f"unknown level {level!r}; have quick, full")
     fn = dict(CHECKS).get(name)
     if fn is None:
         raise ValueError(f"unknown check {name!r}; have "

@@ -9,6 +9,7 @@ import pytest
 
 from nilvar import verify
 from nilvar.cli import main
+from nilvar.modmatrix import MatrixPairModule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -307,6 +308,18 @@ def test_output_is_byte_identical(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == \
         OUTPUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    argv for argv, (code, _, _) in sorted(OUTPUT_SHA256.items())
+    if argv.startswith("module") and argv.endswith("table") and code == 0])
+def test_module_table_builds_no_json(capsys, monkeypatch, argv):
+    # the dense matrices of the JSON payload are built for --format json
+    # only: a table of `module --word (xy)^300` needs none of them
+    def refuse(self):
+        raise AssertionError("to_json called for table output")
+    monkeypatch.setattr(MatrixPairModule, "to_json", refuse)
+    test_output_is_byte_identical(capsys, argv)
 
 
 # sha256 of `nilvar [command] --help` stdout at 80 columns, recorded while

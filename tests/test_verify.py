@@ -34,6 +34,23 @@ def test_unknown_names_raise():
         run_suite("quick", names=["regular-table", "bogus"])
 
 
+@pytest.mark.parametrize("level", ["Full", "slow", ""])
+def test_unknown_level_raises_before_any_check(monkeypatch, level):
+    # a misspelt level must not fall through to the quick ranges, as
+    # `run_suite("Full", names=["nnn-components"])` reporting n = 2..5
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS", [
+        (name, lambda lv, seed, name=name: ran.append(name))
+        for name, _ in verify.CHECKS])
+    with pytest.raises(ValueError, match="unknown level .*; have quick, full"):
+        run_check("nnn-components", level)
+    with pytest.raises(ValueError, match="unknown level .*; have quick, full"):
+        run_suite(level, names=["nnn-components"])
+    with pytest.raises(ValueError, match="unknown level .*; have quick, full"):
+        run_suite(level)
+    assert ran == []
+
+
 def test_failure_is_reported_not_raised(monkeypatch):
     monkeypatch.setitem(verify.GOLDEN_REGULAR_33, 2, {(("xy", 1),): 999})
     result = run_check("regular-table", level="quick")
