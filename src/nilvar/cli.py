@@ -25,10 +25,9 @@ import argparse
 import os
 import sys
 
-# json is imported by `_dump` under --format json alone, and fractions
-# and the matrix stack (modmatrix, exactla) by the commands that use
-# them, so `classify` loads none of them
-from .classify import components, normalize_params
+# json is imported by `_dump` under --format json alone; fractions, the
+# matrix stack (modmatrix, exactla) and the classifier (classify,
+# partitions) by the commands that use them
 from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
 from .words import AlgebraParams, Word
 
@@ -57,6 +56,7 @@ def _dump(obj) -> str:
 
 
 def cmd_classify(args) -> tuple:
+    from .classify import components, normalize_params
     comps = components(args.n, args.a, args.b)
     params = normalize_params(args.n, args.a, args.b)
     payload = {"n": args.n, "a": params.a, "b": params.b,
@@ -73,6 +73,7 @@ def cmd_classify(args) -> tuple:
 
 
 def cmd_tables(args) -> tuple:
+    from .classify import components
     AlgebraParams(args.a, args.b)  # rejects a or b < 2 before any work
     if args.max_n < 2:
         raise ValueError(f"need --max-n >= 2, got {args.max_n}")

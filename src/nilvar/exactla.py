@@ -12,12 +12,11 @@ matrix is built once, from sparse {col: entry} rows of its nonzero
 entries, and stays in that form through products and elimination;
 `dense()` gives the zeros back for output only.  Every elimination --
 rank and pivot columns -- goes through one routine, `echelon`.  It takes
-the rows as they are (a row holding a Fraction is first scaled by the
-lcm of its denominators) and reduces each against an incremental echelon
+the rows as they are and reduces each against an incremental echelon
 keyed by leading column, with the fraction-free step
 row * piv - f * pivot_row followed by division by the row's content gcd
-(Bareiss 1968).  The work stays proportional to the nonzeros and the
-integers stay small.
+(Bareiss 1968).  A row is scaled to ints only when it is reduced, so a
+pivot row may hold Fractions; the integers stay small.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ class RationalMatrix:
                                for row in self.rows], other.ncols)
 
     def rank(self) -> int:
-        """Rank as the number of pivots of `echelon` on the nonempty rows."""
-        return len(echelon(map(_int_row, filter(None, self.rows))))
+        """Rank: the pivots of `echelon` on the nonempty rows as they are."""
+        return len(echelon(filter(None, self.rows)))
 
 
 def _row_times(row: dict, rows: list) -> dict:
@@ -111,8 +110,8 @@ def _row_times(row: dict, rows: list) -> dict:
 def _int_row(row: dict) -> dict:
     """A sparse row as a {col: int} row of nonzeros spanning the same
     line: the row itself when its entries are nonzero ints, else scaled
-    by the lcm of its denominators with stored zeros dropped (`echelon`
-    takes the leading entry of a row as nonzero)."""
+    by the lcm of its denominators with stored zeros dropped.  `echelon`
+    calls it on a row only to reduce it, or when a stored zero leads."""
     for v in row.values():
         if type(v) is not int or not v:
             break
@@ -123,21 +122,30 @@ def _int_row(row: dict) -> dict:
 
 
 def echelon(rows) -> dict:
-    """Fraction-free echelon form of sparse integer rows.
+    """Fraction-free echelon form of sparse rows of exact entries.
 
     Returns {leading column: row}, one row per pivot; it spans the same
     row space as the input.  Each incoming row is reduced by the pivot
     row of its current leading column until its leading column is new
-    (it becomes a pivot) or it vanishes.
+    (it becomes a pivot) or it vanishes.  `_int_row` cleans a row when
+    it is first reduced or led by a stored zero, and a pivot row when it
+    is first used, so a pivot row that nothing met may hold Fractions.
     """
-    pivots = {}
+    pivots, cleaned = {}, set()
     for row in rows:
+        raw = True
         while row:
             c = min(row)
             prow = pivots.get(c)
+            if raw and (prow is not None or not row[c]):
+                row, raw = _int_row(row), False
+                continue
             if prow is None:
                 pivots[c] = row
                 break
+            if c not in cleaned:
+                cleaned.add(c)
+                prow = pivots[c] = _int_row(prow)
             row = _eliminate(row, prow, c)
     return pivots
 
@@ -166,5 +174,5 @@ def pivot_columns(mat: RationalMatrix) -> list[int]:
     """Indices of a left-to-right greedy maximal independent set of
     columns: the pivot columns of the reduced echelon form, which are the
     leading columns of any echelon form of the rows."""
-    return sorted(echelon(map(_int_row, filter(None, mat.rows))))
+    return sorted(echelon(filter(None, mat.rows)))
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactla import RationalMatrix, _entry, _row_times
-from .partitions import Partition
 from .words import Word, band_class
 
 
@@ -319,9 +318,10 @@ def _kills(left: RationalMatrix, right: RationalMatrix, times=1,
     return True
 
 
-def _jordan_type(m: RationalMatrix) -> Partition:
+def _jordan_type(m: RationalMatrix):
     """Jordan type of a nilpotent matrix from the ranks of its powers:
     the sequence (rk m^{k-1} - rk m^k) is the dual partition."""
+    from .partitions import Partition  # here only: loading modmatrix skips it
     diffs = []
     prev = m.nrows
     power = m
@@ -425,7 +425,7 @@ def direct_sum(modules) -> MatrixPairModule:
     Modules are never modified once built, so the sum of one part is
     that part itself.  Otherwise one pass over the parts: the first
     summand's row dicts are shared (offset 0), later ones re-keyed by
-    the rows placed so far."""
+    the rows placed so far, each empty row shared as it is."""
     modules = tuple(modules)
     if len(modules) == 1:
         return modules[0]
@@ -438,7 +438,7 @@ def direct_sum(modules) -> MatrixPairModule:
         off = len(a_rows)
         if off:
             for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
-                rows += [{off + j: v for j, v in row.items()} if row else {}
+                rows += [{off + j: v for j, v in row.items()} if row else row
                          for row in part.rows]
         else:
             a_rows += mod.A.rows

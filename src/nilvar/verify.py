@@ -20,8 +20,8 @@ from functools import lru_cache
 # Functions of the other modules are looked up in them at call time: this
 # module is loaded on demand, possibly after a profiler has wrapped some
 # of them there, and a from-import would keep what was bound at load.
-# indexmod is imported by _check_stratum_dims, its one user.
-from . import classify, homalg, modmatrix, words
+# indexmod and classify are imported in the checks that use them.
+from . import homalg, modmatrix, words
 from .words import AlgebraParams, Word
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,7 @@ def _family_key(comp):
 
 
 def _check_regular_table(level, seed):
+    from . import classify
     top = 12 if level == "full" else 8
     rows = 0
     for n in range(2, top + 1):
@@ -209,6 +210,7 @@ def _check_regular_table(level, seed):
 
 
 def _check_orbit_table(level, seed):
+    from . import classify
     top = 12 if level == "full" else 8
     rows = 0
     for n in range(2, top + 1):
@@ -232,6 +234,7 @@ def _check_orbit_table(level, seed):
 
 
 def _check_nnn(level, seed):
+    from . import classify
     top = 7 if level == "full" else 5
     for n in range(2, top + 1):
         ref = [(c.a_part, c.b_part, _family_key(c), c.dim)
@@ -268,7 +271,7 @@ def _check_hom_agreement(level, seed):
 
 
 def _check_stratum_dims(level, seed):
-    from . import indexmod
+    from . import classify, indexmod
     if level == "full":
         top, bounds = 10, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
     else:
@@ -321,6 +324,7 @@ def _check_stratum_dims(level, seed):
 
 
 def _check_remarks(level, seed):
+    from . import classify
     # a string used once may carry self-extensions and still give a
     # component: the open string of dimension 9
     p33 = AlgebraParams(3, 3)
@@ -353,15 +357,15 @@ def _check_random_modules(level, seed):
             raise CheckFailure(f"relations fail at sample {k}: "
                                f"{mod.to_json()}")
         rka, rkb = mod.A.rank(), mod.B.rank()
-        strings = sum(1 for _, layers in draws if layers is None)
+        strings = xs = ys = 0
+        for text, layers in draws:
+            strings += layers is None
+            xs += (layers or 1) * text.count("x")
+            ys += (layers or 1) * text.count("y")
         if rka + rkb != mod.n - strings:
             raise CheckFailure(
                 f"rank bookkeeping fails at sample {k}: rkA + rkB = "
                 f"{rka + rkb}, n - #strings = {mod.n - strings}")
-        xs = ys = 0
-        for text, layers in draws:
-            xs += (layers or 1) * text.count("x")
-            ys += (layers or 1) * text.count("y")
         if rka != xs or rkb != ys:
             raise CheckFailure(
                 f"letter-count ranks fail at sample {k}: "
@@ -370,6 +374,7 @@ def _check_random_modules(level, seed):
 
 
 def _check_regular_density(level, seed):
+    from . import classify
     if level == "full":
         top, bounds = 12, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
     else:

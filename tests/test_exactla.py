@@ -12,7 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from nilvar import exactla
 from nilvar.exactla import RationalMatrix, _entry, _int_row, pivot_columns
+from nilvar.modmatrix import band_module
+from nilvar.words import AlgebraParams, Word
 
 
 def matrix(dense):
@@ -206,6 +209,62 @@ def test_stored_zeros_do_not_change_results():
     # an all-int row of nonzeros goes to `echelon` as it is, uncopied
     row = {0: 2, 3: -1}
     assert _int_row(row) is row
+
+
+def counting_int_row(monkeypatch):
+    """Patch exactla._int_row to count its calls; returns the count list."""
+    calls, original = [], exactla._int_row
+
+    def counted(row):
+        calls.append(row)
+        return original(row)
+
+    monkeypatch.setattr(exactla, "_int_row", counted)
+    return calls
+
+
+def test_rows_no_pivot_meets_are_never_cleaned(monkeypatch):
+    # B of this band module holds a lambda of 1/2, and no two of its rows
+    # share a leading column: no row is reduced, so none is cleaned
+    band = band_module(Word("xxyxy", AlgebraParams(3, 3)), [Fraction(1, 2), 3])
+    assert any(type(v) is Fraction for row in band.B.rows for v in row.values())
+    calls = counting_int_row(monkeypatch)
+    for mat in (band.A, band.B):
+        ref = gauss_jordan_pivots(mat)
+        assert mat.rank() == len(ref) and pivot_columns(mat) == ref
+    assert calls == []
+    # its transpose has two entries in column 9: the later row and the
+    # pivot row it meets are cleaned once each
+    ref = gauss_jordan_pivots(band.B.transpose())
+    assert band.B.transpose().rank() == len(ref) == 4
+    assert len(calls) == 2
+
+
+def test_fraction_pivot_rows_are_cleaned_when_used():
+    half = Fraction(1, 2)
+    cases = [
+        # the pivot row {0: 1/2, 1: 1} is met by twice itself
+        [{0: half, 1: 1}, {0: 1, 1: 2}],
+        [{0: half, 1: 1}, {0: 1, 2: 1}],
+        # the third row, cleaned at column 0, then meets the pivot row
+        # {1: 1/2} that no row met before
+        [{0: 1, 1: 1}, {1: half}, {0: 1}],
+        [{0: 1, 1: 1}, {1: half, 2: Fraction(-3, 4)}, {0: 2, 2: 1}, {1: 3}],
+    ]
+    for rows in cases:
+        mat = RationalMatrix(rows, 3)
+        ref = gauss_jordan_pivots(mat)
+        assert mat.rank() == len(ref)
+        assert pivot_columns(mat) == ref
+
+
+def test_stored_zero_leading_a_new_column():
+    # {0: 0, 2: 1} leads at column 0, which has no pivot yet: it must
+    # not become the pivot of column 0 that {0: 5} then meets
+    mat = RationalMatrix([{0: 0, 2: 1}, {0: 5}], 3)
+    ref = gauss_jordan_pivots(mat)
+    assert ref == [0, 2]
+    assert mat.rank() == 2 and pivot_columns(mat) == ref
 
 
 def test_mul_shape_check():

@@ -360,6 +360,9 @@ def test_checker_flags_an_unnamed_method():
 # --format json
 NEVER = ("dataclasses", "inspect", "nilvar.indexmod", "nilvar.verify")
 MATRICES = ("nilvar.modmatrix", "nilvar.exactla", "fractions")
+# the classifier, needed by `classify`, `tables`, `module` (partitions,
+# for the Jordan types) and the checks that compare against it
+CLASSIFIER = ("nilvar.classify", "nilvar.partitions")
 
 # command -> (argv, the modules it must not load)
 COMMANDS = {
@@ -370,11 +373,11 @@ COMMANDS = {
     "tables": (["tables", "--a", "3", "--b", "3", "--max-n", "4"],
                NEVER + MATRICES + ("json",)),
     "hom": (["hom", "--source", "xxy", "--target", "xy"],
-            NEVER + MATRICES + ("json",)),
+            NEVER + MATRICES + CLASSIFIER + ("json",)),
     "hom-oracle": (["hom", "--source", "xxy", "--target", "xy", "--oracle"],
-                   NEVER + ("json",)),
+                   NEVER + CLASSIFIER + ("json",)),
     "ext": (["ext", "--source", "xy", "--target", "xxyy"],
-            NEVER + MATRICES + ("json",)),
+            NEVER + MATRICES + CLASSIFIER + ("json",)),
     "module": (["module", "--word", "xy", "--lambdas", "1,1/2"],
                NEVER + ("json",)),
 }
@@ -415,3 +418,9 @@ def test_matrix_checks_load_no_fractions(check):
     assert modules_loaded(["verify", "--check", check],
                           MATRICES + ("json",)) == [
         "nilvar.modmatrix", "nilvar.exactla"]
+
+
+@pytest.mark.parametrize("check", ["random-modules", "hom-agreement"])
+def test_matrix_checks_load_no_classifier(check):
+    # neither check compares against the classification tables
+    assert modules_loaded(["verify", "--check", check], CLASSIFIER) == []

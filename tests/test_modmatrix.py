@@ -380,6 +380,12 @@ def test_direct_sum_shares_rows_but_never_changes_them():
     # the first summand sits at offset 0: its row dicts are taken as they are
     assert all(r is s for r, s in zip(total.A.rows, m1.A.rows))
     assert all(r is s for r, s in zip(total.B.rows, m1.B.rows))
+    # each empty row of a later summand is that summand's own row dict
+    for part, off in ((m2, m1.n), (m1, m1.n + m2.n)):
+        for name in ("A", "B"):
+            rows, placed = getattr(part, name).rows, getattr(total, name).rows
+            empty = [i for i, row in enumerate(rows) if not row]
+            assert empty and all(placed[off + i] is rows[i] for i in empty)
     assert total.verify_relations()
     # reading the sum must not write through to the rows it shares
     total.stats(), total.jordan_pair(), total.to_json()
