@@ -212,7 +212,8 @@ def test_stored_zeros_do_not_change_results():
 
 
 def counting_int_row(monkeypatch):
-    """Patch exactla._int_row to count its calls; returns the count list."""
+    """Patch exactla._int_row to record the rows it is called on; returns
+    that list."""
     calls, original = [], exactla._int_row
 
     def counted(row):
