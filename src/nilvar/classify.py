@@ -23,6 +23,7 @@ the Ext^1 tests, through the syzygies of the words' projective covers
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import permutations
 
 from .homalg import ext1_vanishes, orbit_dim
 from .partitions import Partition, enumerate_partitions, reduced_length, reduced_pair
@@ -197,33 +198,32 @@ def regular_components(n: int, params: AlgebraParams) -> list:
     return out
 
 
-def _ext_orthogonal(words) -> bool:
-    distinct = sorted(set(words), key=str)
-    for u in distinct:
-        if words.count(u) >= 2 and not ext1_vanishes(u, u):
-            return False
-    for idx, u in enumerate(distinct):
-        for v in distinct[idx + 1:]:
-            if not (ext1_vanishes(u, v) and ext1_vanishes(v, u)):
-                return False
-    return True
-
-
 def nonregular_components(n: int, params: AlgebraParams) -> list:
-    """The orbit components of V(n, a, b): multisets of semi-projective
-    open strings of total dimension n with no Ext^1 between distinct
-    members and none on a repeated member (a string used once may have
-    self-extensions), plus the reflected semi-injective versions."""
+    """The orbit components of V(n, a, b), one per multiset of
+    semi-projective open strings of total dimension n with Ext^1(u, v) = 0
+    for the strings u, v at any two distinct positions of the multiset: a
+    string used once may extend itself, a repeated one may not.  Each
+    comes with its reflection on the semi-injective side.  The
+    semi-projective strings are listed by (length, text), the order the
+    search picks them in; the semi-injective ones are their reversals,
+    sorted the same way."""
     opens = []
     for k in range(2, n + 1):
         opens.extend(enumerate_open_strings(k, params))
 
-    found = []
+    out = []
 
     def extend(start, left, chosen):
         if left == 0:
-            if _ext_orthogonal(chosen):
-                found.append(list(chosen))
+            # longest summands first: a failing leaf stops sooner than shortest first
+            if all(ext1_vanishes(u, v) for u, v in permutations(chosen[::-1], 2)):
+                dim = orbit_dim(chosen)
+                out.append(Component(kind="orbit", dim=dim, side="semi-projective",
+                                     strings=tuple(chosen)))
+                mirrored = sorted((w.reverse() for w in chosen),
+                                  key=lambda w: (len(w), w))
+                out.append(Component(kind="orbit", dim=dim, side="semi-injective",
+                                     strings=tuple(mirrored)))
             return
         for j in range(start, len(opens)):
             need = len(opens[j]) + 1
@@ -234,18 +234,6 @@ def nonregular_components(n: int, params: AlgebraParams) -> list:
             chosen.pop()
 
     extend(0, n, [])
-
-    def key(w):
-        return (len(w), str(w))
-
-    out = []
-    for words in found:
-        dim = orbit_dim(words)
-        out.append(Component(kind="orbit", dim=dim, side="semi-projective",
-                             strings=tuple(sorted(words, key=key))))
-        mirrored = [w.reverse() for w in words]
-        out.append(Component(kind="orbit", dim=dim, side="semi-injective",
-                             strings=tuple(sorted(mirrored, key=key))))
     out.sort(key=Component.sort_key)
     return out
 

@@ -277,16 +277,21 @@ def _check_stratum_dims(level, seed):
     else:
         top, bounds = 6, [(2, 2), (2, 3), (3, 3)]
     regular = semiproj = formulas = 0
+
+    def stratum_of(pair, idx):
+        # the stratum dimension of idx, once idx is an index module
+        if not indexmod.is_index_module(idx, n, params):
+            raise CheckFailure(f"not an index module at {pair}, ({a}, {b}):"
+                               f" {[str(w) for w in idx]}")
+        return indexmod.stratum_dim(idx, n, params)
+
     for n in range(2, top + 1):
         for a, b in bounds:
             params = classify.normalize_params(n, a, b)
             for pair in classify.regular_pairs(n, params):
-                idx = indexmod.index_of_regular_stratum(*pair, params)
-                if not indexmod.is_index_module(idx, n, params):
-                    raise CheckFailure(f"not an index module at {pair}, ({a}, {b}):"
-                                       f" {[str(w) for w in idx]}")
+                stratum = stratum_of(
+                    pair, indexmod.index_of_regular_stratum(*pair, params))
                 delta = classify.delta_dim(*pair, params)
-                stratum = indexmod.stratum_dim(idx, n, params)
                 if delta != stratum:
                     raise CheckFailure(
                         f"delta formula vs index module at {pair}, ({a}, {b}):"
@@ -294,11 +299,8 @@ def _check_stratum_dims(level, seed):
                 regular += 1
             for pair in classify.regular_pairs(n, params, extra=1):
                 word, idx = indexmod.semiproj_index(*pair, params)
-                if not indexmod.is_index_module(idx, n, params):
-                    raise CheckFailure(f"not an index module at {pair}, ({a}, {b}):"
-                                       f" {[str(w) for w in idx]}")
+                stratum = stratum_of(pair, idx)
                 orbit = homalg.orbit_dim([word])
-                stratum = indexmod.stratum_dim(idx, n, params)
                 if orbit != stratum:
                     raise CheckFailure(
                         f"open orbit vs stratum at {pair}, ({a}, {b}): "

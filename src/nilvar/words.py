@@ -27,10 +27,10 @@ from itertools import chain, groupby
 
 # entries kept by each memo table (words._middles, homalg._hom_count,
 # homalg._ext1_vanishes): bounded at any n, and above what a run uses
-# (`verify --level full --seed 0` leaves 334 window indexes, 259 Hom
-# keys and 37 Ext keys, hom-agreement counting through homalg.hom_table
-# and so adding no Hom key; classify at (24, 3, 3) leaves 243 Hom keys
-# and 140 Ext keys, at (48, 3, 3) 10,749 and 9,755)
+# (`verify --level full --seed 0` leaves 334 window indexes, 256 Hom
+# keys and 34 Ext keys, hom-agreement counting through homalg.hom_table
+# and so adding no Hom key; classify at (24, 3, 3) leaves 204 Hom keys
+# and 115 Ext keys, at (48, 3, 3) 10,160 and 9,602)
 MEMO_SIZE = 2 ** 16
 
 

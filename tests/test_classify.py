@@ -382,6 +382,77 @@ def test_orbit_components_reproduce_the_table():
         assert inj == expected_inj, f"n = {n}"
 
 
+def ext_orthogonal(summands):
+    """The orbit search's leaf rule in its earlier two-case form: no
+    self-extension on a repeated string, and no Ext^1 either way between
+    two distinct strings."""
+    distinct = sorted(set(summands), key=str)
+    for u in distinct:
+        if summands.count(u) >= 2 and not homalg.ext1_vanishes(u, u):
+            return False
+    for i, u in enumerate(distinct):
+        for v in distinct[i + 1:]:
+            if not (homalg.ext1_vanishes(u, v) and homalg.ext1_vanishes(v, u)):
+                return False
+    return True
+
+
+def open_string_multisets(n, params):
+    """Every multiset of open strings of total dimension n, built apart
+    from the search: a partition of n into dimensions >= 2, then for each
+    dimension d used m times, a multiset of m open strings of dimension d."""
+    def dims(left, top):
+        if left == 0:
+            yield []
+        for d in range(min(left, top), 1, -1):
+            for rest in dims(left - d, d):
+                yield [d] + rest
+    for parts in dims(n, n):
+        counts = collections.Counter(parts)
+        yield from (sum(choice, ()) for choice in itertools.product(*(
+            itertools.combinations_with_replacement(
+                words.enumerate_open_strings(d, params), m)
+            for d, m in sorted(counts.items()))))
+
+
+def by_length_then_text(strings):
+    return tuple(sorted(map(str, strings), key=lambda t: (len(t), t)))
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product(range(2, 6), repeat=2)))
+def test_orbit_search_matches_the_two_case_rule_over_every_multiset(a, b):
+    for n in range(2, 25):
+        params = normalize_params(n, a, b)
+        expected = {}
+        for summands in open_string_multisets(n, params):
+            if ext_orthogonal(summands):
+                key = by_length_then_text(summands)
+                assert key not in expected
+                expected[key] = homalg.orbit_dim(summands)
+        comps = nonregular_components(n, params)
+        assert len(comps) == 2 * len(expected), (n, a, b)
+        proj = {tuple(map(str, c.strings)): c.dim
+                for c in comps if c.side == "semi-projective"}
+        inj = {tuple(map(str, c.strings)): c.dim
+               for c in comps if c.side == "semi-injective"}
+        assert proj == expected, (n, a, b)
+        assert inj == {by_length_then_text(s[::-1] for s in key): dim
+                       for key, dim in expected.items()}, (n, a, b)
+
+
+def test_a_string_used_once_may_extend_itself():
+    # Ext^1(M(xxyxyxyy), M(xxyxyxyy)) != 0: alone it is a component at
+    # n = 9, but two copies of it are none at n = 18
+    w = words.Word("xxyxyxyy", P33)
+    assert not homalg.ext1_vanishes(w, w)
+
+    def proj(n):
+        return {c.strings: c.dim for c in nonregular_components(n, P33)
+                if c.side == "semi-projective"}
+    assert proj(9)[(w,)] == 66
+    assert (w, w) not in proj(18)
+
+
 def test_components_concatenates_both_kinds():
     comps = components(12, 3, 3)
     kinds = [c.kind for c in comps]
@@ -473,14 +544,21 @@ def test_components_rejects_non_integer_parameters():
         components(True, 3, 3)
 
 
-# sha256 of `nilvar classify --format json` stdout while classify still
-# built matrix modules (the values of perfbench/expected_digests.json)
+# sha256 of `nilvar classify --format json` stdout: the n = 16 and 24
+# values are those of perfbench/expected_digests.json, recorded while
+# classify still built matrix modules; (40, 3, 3) was added when Ext^1
+# came to be decided by counting graph maps, and (40, 3, 5), (40, 4, 4)
+# and (48, 3, 3) while the orbit search still tested its leaves with a
+# self-Ext case and a both-ways case
 CLASSIFY_JSON_SHA256 = {
     (16, 3, 3): "ec362809dfededf7d58486b8076b5e408758bc190af4f4a5f34cd12bafd76703",
     (16, 4, 4): "cca17f15f09e3efa4f2cf82a20e304881f1455e522b28ef9dbbfd2f9465a9064",
     (16, 3, 5): "5d0f1cd3fab2ea6caadf6fbf66ac0e5331326095787a8560c24ce7e75b0cd602",
     (24, 3, 3): "507aa328c12619860fed04bb5423fe04e9641c8c11cf863cf9e9956cded64a68",
     (40, 3, 3): "d28dfb084cdacf1a77272734f0aed5314b02086f86815b10e56fdba33f137f4d",
+    (40, 3, 5): "701ec9eacb63f5fcc9bc19f7fb9cbbeb4b4995c5ea8d328ba509f895df357a6d",
+    (40, 4, 4): "95505eb21cb439087e96603330e1ed3b9906b46943e446ad1bfa1e9510b0562a",
+    (48, 3, 3): "30485933dc6f36e14a1739fc6edc9b46ca96e866377fe8aa45561e0e2ce8ac9c",
 }
 
 

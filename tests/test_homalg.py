@@ -1066,8 +1066,8 @@ def test_hom_order_flip_example():
 
 def test_memo_tables_are_bounded():
     # finite at any n, and no verify or classify run evicts: a full verify
-    # makes 259 distinct Hom keys and 37 Ext keys, classify at (24, 3, 3)
-    # 243 and 140, and the per-word window indexes number two per word
+    # makes 256 distinct Hom keys and 34 Ext keys, classify at (24, 3, 3)
+    # 204 and 115, and the per-word window indexes number two per word
     # (334 in a full verify); the bound held stays at 12 374, room for
     # every one of hom-agreement's 12 075 pairs should a run key them all
     for memo in (words._middles, homalg._hom_count, homalg._ext1_vanishes):

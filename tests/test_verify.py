@@ -59,23 +59,37 @@ def test_failure_is_reported_not_raised(monkeypatch):
 
 
 def test_stratum_dims_refuses_a_module_outside_the_inequalities(monkeypatch):
-    # M(x^{a-1}) padded with simples to the stratum's n(d-1) has the right
-    # dimension but breaks i <= a - 2 for the summands M(x^i)
+    # M(x^{a-1}) padded with simples to the stratum's dimension has the
+    # right dimension but breaks i <= a - 2 for the summands M(x^i); both
+    # loops, regular and semi-projective, refuse it with the same failure
     from nilvar import indexmod
+    index_of_regular_stratum = indexmod.index_of_regular_stratum
     semiproj_index = indexmod.semiproj_index
 
-    def bad(a_part, b_part, params):
-        word, idx = semiproj_index(a_part, b_part, params)
+    def outside(idx, params):
         simples = sum(len(w) + 1 for w in idx) - params.a
-        return word, ((Word("x" * (params.a - 1), params),)
-                      + (Word("", params),) * simples)
+        return ((Word("x" * (params.a - 1), params),)
+                + (Word("", params),) * simples)
 
-    monkeypatch.setattr(indexmod, "semiproj_index", bad)
-    result = run_check("stratum-dims", "quick")
-    assert not result.passed
-    assert result.detail == ("not an index module at (Partition([2, 1]), "
-                             "Partition([2, 1])), (2, 2): "
-                             "['x', '', '', '', '']")
+    def bad_regular(a_part, b_part, params):
+        return outside(index_of_regular_stratum(a_part, b_part, params), params)
+
+    def bad_semiproj(a_part, b_part, params):
+        word, idx = semiproj_index(a_part, b_part, params)
+        return word, outside(idx, params)
+
+    for name, bad, detail in [
+            ("index_of_regular_stratum", bad_regular,
+             "not an index module at (Partition([2]), Partition([2])), (2, 2): "
+             "['x', '', '']"),
+            ("semiproj_index", bad_semiproj,
+             "not an index module at (Partition([2, 1]), Partition([2, 1])), "
+             "(2, 2): ['x', '', '', '', '']")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(indexmod, name, bad)
+            result = run_check("stratum-dims", "quick")
+        assert not result.passed
+        assert result.detail == detail
 
 
 def test_random_module_is_deterministic():
