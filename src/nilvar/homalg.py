@@ -9,15 +9,13 @@ audit the other:
     word E.  A graph map is the triple (s, q, L), L = |E|: it sends
     e_{s+i} to e_{q+i} for i = 0..L and every other basis vector to
     zero, and this is the one form in which graph maps and the projective
-    cover are handled.  The count builds no map: it reads both words'
-    windows grouped by middle off the index that admissible_pairs uses
-    too (words._middles, built once per word) and multiplies, per middle
-    word, the source's factor windows by the target's substring windows.
-    hom_table counts a whole list of words against another the same way,
-    as one join on middle words: the targets' middles are indexed once,
-    as postings middle -> (target, window count), and each source's
-    middles are looked up there.  A single pair is the one-by-one table,
-    memoized.
+    cover are handled.  The count builds no map: this window join is the
+    basis count.  Each word's windows are counted by middle once
+    (words._middles, an index admissible_pairs does not read), and
+    hom_table joins a whole list of words against another on middle
+    words: the targets' counts become postings middle -> (target, window
+    count), and each source's counts multiply those they meet.  A single
+    pair is the one-by-one table, memoized.
 
   * hom_dim_oracle knows nothing about words: it computes the dimension
     of the solution space of F A_1 = A_2 F, F B_1 = B_2 F by linear
@@ -80,14 +78,14 @@ def _hom_rows(sources, targets) -> list[list[int]]:
     middle of a source adds its window count times each posting's."""
     postings = {}
     for col, text in enumerate(targets):
-        for middle, offsets in _middles(text, substring_windows).items():
-            postings.setdefault(middle, []).append((col, len(offsets)))
+        for middle, count in _middles(text, substring_windows).items():
+            postings.setdefault(middle, []).append((col, count))
     rows = []
     for text in sources:
         row = [0] * len(targets)
-        for middle, offsets in _middles(text, factor_windows).items():
-            for col, count in postings.get(middle, ()):
-                row[col] += len(offsets) * count
+        for middle, count in _middles(text, factor_windows).items():
+            for col, tgt_count in postings.get(middle, ()):
+                row[col] += count * tgt_count
         rows.append(row)
     return rows
 

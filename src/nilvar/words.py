@@ -21,16 +21,17 @@ Conventions, fixed once and for all:
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain, groupby
 
 # entries kept by each memo table (words._middles, homalg._hom_count,
-# homalg._ext1_vanishes): bounded at any n, and above what a run uses
-# (`verify --level full --seed 0` leaves 334 window indexes, 256 Hom
-# keys and 34 Ext keys, hom-agreement counting through homalg.hom_table
-# and so adding no Hom key; classify at (24, 3, 3) leaves 204 Hom keys
-# and 115 Ext keys, at (48, 3, 3) 10,160 and 9,602)
+# homalg._ext1_vanishes), above what a run uses: entries are bounded at
+# any n, bytes are not, as a window index holds one count per distinct
+# middle word of its text (`verify --level full --seed 0` leaves 334
+# window indexes, 256 Hom keys and 34 Ext keys, hom-agreement adding no
+# Hom key as it counts through homalg.hom_table; classify at (24, 3, 3)
+# leaves 204 Hom keys and 115 Ext keys, at (48, 3, 3) 10,160 and 9,602)
 MEMO_SIZE = 2 ** 16
 
 
@@ -212,41 +213,38 @@ def enumerate_open_strings(dim: int, params: AlgebraParams) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 def _windows(w, before, after):
-    """All windows (|D|, E) of splittings w = D E F, in order of |D| then
-    |E|, where D is empty or ends in `before` and F is empty or starts
-    with `after`."""
+    """Yields the windows (|D|, E) of splittings w = D E F, in order of |D|
+    then |E|, where D is empty or ends in `before` and F is empty or
+    starts with `after`."""
     n = len(w)
-    return [(i, w[i:j])
+    return ((i, w[i:j])
             for i in range(n + 1) if i == 0 or w[i - 1] == before
-            for j in range(i, n + 1) if j == n or w[j] == after]
+            for j in range(i, n + 1) if j == n or w[j] == after)
 
 
 def factor_windows(w):
-    """All windows (|D|, E) of splittings w = D E F where D is empty or
-    ends in x and F is empty or starts with y.  The basis vectors over E
-    then span a quotient of the string module of w.
+    """Yields the windows (|D|, E) of splittings w = D E F where D is
+    empty or ends in x and F is empty or starts with y.  The basis vectors
+    over E then span a quotient of the string module of w.
     """
     return _windows(w, "x", "y")
 
 
 def substring_windows(w):
-    """All windows (|D|, E) of splittings w = D E F where D is empty or
-    ends in y and F is empty or starts with x.  The basis vectors over E
-    then span a submodule of the string module of w.
+    """Yields the windows (|D|, E) of splittings w = D E F where D is
+    empty or ends in y and F is empty or starts with x.  The basis vectors
+    over E then span a submodule of the string module of w.
     """
     return _windows(w, "y", "x")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _middles(text: str, windows) -> dict:
-    """The windows of text grouped by middle, for windows one of
+def _middles(text: str, windows) -> Counter:
+    """The windows of text counted by middle, for windows one of
     factor_windows and substring_windows: each middle word E maps to the
-    offsets of its windows, in window order.  Built once per text and
-    shared, so never modified."""
-    out = {}
-    for q, e in windows(text):
-        out.setdefault(e, []).append(q)
-    return out
+    number of its windows.  Built once per text and shared, so never
+    modified."""
+    return Counter(e for _, e in windows(text))
 
 
 def admissible_pairs(w1, w2):
@@ -257,7 +255,9 @@ def admissible_pairs(w1, w2):
     """
     if getattr(w1, "params", None) != getattr(w2, "params", None):
         raise ValueError("admissible_pairs needs words over the same algebra")
-    by_middle = _middles(str(w2), substring_windows)
+    by_middle = {}  # not _middles: the basis stays apart from the Hom count
+    for q, e in substring_windows(w2):
+        by_middle.setdefault(e, []).append(q)
     return [(s, q, len(e))
             for s, e in factor_windows(w1) for q in by_middle.get(e, ())]
 

@@ -172,6 +172,35 @@ def test_ext_answers_non_semiprojective_target(capsys):
         1, "", "nilvar: error: run y^3 exceeds 2, not a word over (a,b)=(3,3)\n")
 
 
+# Runs `nilvar ARGV...` in a child and writes its exit code and max RSS
+# (KiB on Linux) to stderr.  A child's max RSS starts at that of the
+# process image it was spawned from, so this small interpreter spawns it,
+# not the test process, whose image may be larger than the bound.
+MAXRSS_SHIM = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "nilvar", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, answer", [("hom", " = 640801"), ("ext", " != 0")])
+def test_long_words_run_in_small_memory(command, answer):
+    # a window index keeps one count per distinct middle word: (xy)^800
+    # against itself builds no list of its windows, Theta(L^3) bytes and
+    # over 200 MB
+    word = "xy" * 800
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", MAXRSS_SHIM, command, "--source", word, "--target", word],
+        capture_output=True, env=env, text=True, timeout=60)
+    code, maxrss_kib = map(int, done.stderr.split())
+    assert code == 0
+    assert done.stdout.endswith(answer + "\n") and done.stdout.count("\n") == 1
+    assert maxrss_kib < 64 * 1024
+
+
 def test_module_table_and_json(capsys):
     code, out, _ = run(capsys, "module", "--word", "xxyy")
     assert code == 0

@@ -131,17 +131,22 @@ def test_hom_count_matches_pair_list():
     # the memoized count, the table's join on middle words and the
     # graph-map list that the tests expand must not drift apart: every
     # ordered pair of the full hom-agreement range, so each pair in both
-    # argument orders
-    pairs = 0
-    for params in (P33, P23, P43):
-        words = enumerate_words(6, params)
-        table = hom_table(words, words)
-        for (i, s), (j, t) in itertools.product(enumerate(words), repeat=2):
-            count = len(admissible_pairs(s, t))
-            assert homalg._hom_count(str(s), str(t)) == count, (str(s), str(t))
-            assert table[i][j] == count, (str(s), str(t))
-            pairs += 1
-    assert pairs == 12_075
+    # argument orders, and of the long words (xy)^k and (xxyy)^k, k <= 20,
+    # over (3, 3).  The list reads the windows, not the index that the
+    # count reads, so listing every pair leaves that index empty
+    grids = [enumerate_words(6, params) for params in (P33, P23, P43)]
+    grids.append([Word(u * k, P33) for u in ("xy", "xxyy") for k in range(1, 21)])
+    words._middles.cache_clear()
+    counts = [{(str(s), str(t)): len(admissible_pairs(s, t))
+               for s, t in itertools.product(grid, repeat=2)} for grid in grids]
+    assert words._middles.cache_info().currsize == 0
+    assert sum(map(len, counts[:3])) == 12_075
+    for grid, count in zip(grids, counts):
+        table = hom_table(grid, grid)
+        for (i, s), (j, t) in itertools.product(enumerate(grid), repeat=2):
+            key = str(s), str(t)
+            assert homalg._hom_count(*key) == count[key], key
+            assert table[i][j] == count[key], key
 
 
 def test_hom_table_rows_by_source():

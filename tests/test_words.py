@@ -288,7 +288,7 @@ def test_open_strings_22():
 
 def test_window_conventions():
     w = Word("xxy", P33)
-    assert factor_windows(w) == [
+    assert list(factor_windows(w)) == [
         (0, "xx"),
         (0, "xxy"),
         (1, "x"),
@@ -296,7 +296,7 @@ def test_window_conventions():
         (2, ""),
         (2, "y"),
     ]
-    assert substring_windows(w) == [
+    assert list(substring_windows(w)) == [
         (0, ""),
         (0, "x"),
         (0, "xxy"),
