@@ -26,9 +26,8 @@ import os
 import sys
 
 # json is imported by `_dump` under --format json alone; fractions, the
-# matrix stack (modmatrix, exactla) and the classifier (classify,
-# partitions) by the commands that use them
-from .homalg import ext1_vanishes, hom_dim_graph, hom_dim_oracle
+# Hom layer (homalg), the matrix stack (modmatrix, exactla) and the
+# classifier (classify, partitions) by the commands that use them
 from .words import AlgebraParams, Word
 
 
@@ -111,6 +110,7 @@ def cmd_tables(args) -> tuple:
 
 
 def cmd_hom(args) -> tuple:
+    from .homalg import hom_dim_graph, hom_dim_oracle
     params = AlgebraParams(args.a, args.b)
     src = Word(args.source, params)
     tgt = Word(args.target, params)
@@ -129,6 +129,7 @@ def cmd_hom(args) -> tuple:
 
 
 def cmd_ext(args) -> tuple:
+    from .homalg import ext1_vanishes
     params = AlgebraParams(args.a, args.b)
     src = Word(args.source, params)
     tgt = Word(args.target, params)

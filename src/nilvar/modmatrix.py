@@ -66,10 +66,15 @@ class MatrixPairModule:
         """True iff AB = BA = A^a = B^b = 0, tested by _kills without
         building any product or power: A^a as A A^{a-1}, B^b as B B^{b-1}.
         The column set of A starts the support walks of AB and A^a, that
-        of B the walks of BA and B^b; each is read off its matrix once."""
+        of B the walks of BA and B^b; each is read off its matrix once.
+        AB = 0 is settled first by the emptiness of its walk's first step,
+        as a membership test: no column of A indexes a nonempty row of B
+        (BA the same way round).  Only when one does, a stored zero or a
+        sum that cancels included, does _kills walk and push the rows."""
         A, B, a, b = self.A, self.B, self.params.a, self.params.b
         cols_a, cols_b = set().union(*A.rows), set().union(*B.rows)
-        return (_kills(A, B, 1, cols_a) and _kills(B, A, 1, cols_b)
+        return ((not any(map(B.rows.__getitem__, cols_a)) or _kills(A, B, 1, cols_a))
+                and (not any(map(A.rows.__getitem__, cols_b)) or _kills(B, A, 1, cols_b))
                 and _kills(A, A, a - 1, cols_a) and _kills(B, B, b - 1, cols_b))
 
     # -- the ones of A and B, for the Hom oracle of forest_hom_counter -----
@@ -423,28 +428,29 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
 def direct_sum(modules) -> MatrixPairModule:
     """Block-diagonal direct sum; all summands must share parameters.
     Modules are never modified once built, so the sum of one part is
-    that part itself.  Otherwise one pass over the parts: the first
-    summand's row dicts are shared (offset 0), later ones re-keyed by
-    the rows placed so far, each empty row shared as it is."""
+    that part itself.  Otherwise one pass: the first summand's row lists
+    are copied, sharing its row dicts (offset 0), and extended by each
+    later summand's rows re-keyed by the rows placed so far, each empty
+    row shared as it is."""
     modules = tuple(modules)
+    if not modules:
+        raise ValueError("direct_sum of nothing")
+    first = modules[0]
     if len(modules) == 1:
-        return modules[0]
-    params, a_rows, b_rows = None, [], []
-    for mod in modules:
-        if params is None:
-            params = mod.params
-        elif mod.params != params:
+        return first
+    params, a_rows, b_rows = first.params, list(first.A.rows), list(first.B.rows)
+    for mod in modules[1:]:
+        if mod.params != params:
             raise ValueError("direct_sum needs equal algebra parameters")
         off = len(a_rows)
-        if off:
-            for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
-                rows += [{off + j: v for j, v in row.items()} if row else row
-                         for row in part.rows]
-        else:
-            a_rows += mod.A.rows
-            b_rows += mod.B.rows
-    if params is None:
-        raise ValueError("direct_sum of nothing")
+        for rows, part in ((a_rows, mod.A), (b_rows, mod.B)):
+            for row in part.rows:
+                if len(row) == 1:  # most rows: shifted with no comprehension
+                    (j, v), = row.items()
+                    row = {off + j: v}
+                elif row:
+                    row = {off + j: v for j, v in row.items()}
+                rows.append(row)
     n = len(a_rows)
     return MatrixPairModule(n, RationalMatrix(a_rows, n),
                             RationalMatrix(b_rows, n), params)

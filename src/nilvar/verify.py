@@ -20,8 +20,9 @@ from functools import lru_cache
 # Functions of the other modules are looked up in them at call time: this
 # module is loaded on demand, possibly after a profiler has wrapped some
 # of them there, and a from-import would keep what was bound at load.
-# indexmod and classify are imported in the checks that use them.
-from . import homalg, modmatrix, words
+# homalg, indexmod and classify are imported in the checks that use them,
+# so random-modules loads none of them.
+from . import modmatrix, words
 from .words import AlgebraParams, Word
 
 # ---------------------------------------------------------------------------
@@ -111,14 +112,20 @@ _LAMBDAS = _pool((1, 2, 3, 4, 5))  # randint(1, 5): a band's lambda
 
 
 def _sampler_pools(params):
-    """(steps, x runs, y runs) for the sampler over params, each choice
-    as a pool: steps pools words.letter_steps to length 5, and the runs
-    are "x" .. "x" * (a - 1) and "y" .. "y" * (b - 1).  A one-text step
-    still draws, so the RNG sees the same calls whichever applies."""
+    """(steps, x runs, y runs, bands) for the sampler over params, each
+    choice as a pool: steps pools words.letter_steps to length 5, and the
+    runs are "x" .. "x" * (a - 1) and "y" .. "y" * (b - 1).  A one-text
+    step still draws, so the RNG sees the same calls whichever applies.
+    bands maps the text of every band word _random_band_word can draw,
+    one run pair x^i y^j or two unequal ones, to its Word, validated
+    here once."""
     steps = words.letter_steps(params, _MAX_LENGTH)
+    xruns, yruns = ([letter * k for k in range(1, bound)]
+                    for letter, bound in zip("xy", params))
+    pairs = [x + y for x in xruns for y in yruns]
+    bands = pairs + [p + q for p in pairs for q in pairs if p != q]
     return ({text: _pool(step) for text, step in steps.items()},
-            *(_pool([letter * k for k in range(1, bound)])
-              for letter, bound in zip("xy", params)))
+            _pool(xruns), _pool(yruns), {text: Word(text, params) for text in bands})
 
 
 # the pools of each pool algebra, built once; the two draws below take a
@@ -149,15 +156,15 @@ def _string_summand(text, params):
 def _random_band_word(rng, params):
     # alternating x/y runs always make a valid band; a single run pair is
     # automatically primitive, and x^i y^j x^k y^l is periodic, so
-    # resampled, iff (i, j) = (k, l)
-    getrandbits, (_, xruns, yruns) = rng.getrandbits, _POOLS[params]
+    # resampled, iff (i, j) = (k, l); the Word comes from the pool table
+    getrandbits, (_, xruns, yruns, bands) = rng.getrandbits, _POOLS[params]
     for _ in range(8):
         chunks = []
         for _ in range(_pick(getrandbits, _ONE_OR_TWO)):
             chunks += _pick(getrandbits, xruns), _pick(getrandbits, yruns)
         if chunks[:2] != chunks[2:]:
-            return Word("".join(chunks), params)
-    return Word("xy", params)
+            return bands["".join(chunks)]
+    return bands["xy"]
 
 
 def random_module(rng):
@@ -166,9 +173,10 @@ def random_module(rng):
     the (text, layers) drawn for each summand in block order, layers None
     for a string.  Every bounded draw is a _pick on rng.getrandbits, the
     same calls rng.choice would make.  String summands come from the
-    _string_summand memo; each band shares the frame that modmatrix
-    builds once per (word, layers) and gets fresh lambda rows.  A lone
-    summand is the module itself."""
+    _string_summand memo; a band's Word comes from the pool table of
+    _sampler_pools, and the band shares the frame that modmatrix builds
+    once per (word, layers) and gets fresh lambda rows.  A lone summand
+    is the module itself."""
     getrandbits = rng.getrandbits
     params = _pick(getrandbits, _ALGEBRAS)
     parts, draws = [], []
@@ -249,6 +257,7 @@ def _check_nnn(level, seed):
 
 
 def _check_hom_agreement(level, seed):
+    from . import homalg
     if level == "full":
         max_len, grids = 6, [(3, 3), (2, 3), (4, 3)]
     else:
@@ -271,7 +280,7 @@ def _check_hom_agreement(level, seed):
 
 
 def _check_stratum_dims(level, seed):
-    from . import classify, indexmod
+    from . import classify, homalg, indexmod
     if level == "full":
         top, bounds = 10, [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
     else:
@@ -326,7 +335,7 @@ def _check_stratum_dims(level, seed):
 
 
 def _check_remarks(level, seed):
-    from . import classify
+    from . import classify, homalg
     # a string used once may carry self-extensions and still give a
     # component: the open string of dimension 9
     p33 = AlgebraParams(3, 3)

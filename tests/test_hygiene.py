@@ -353,11 +353,12 @@ def test_checker_flags_an_unnamed_method():
 
 # modules that a command must not load unless it runs them: dataclasses
 # pulls in inspect, ast, dis and tokenize; nilvar.verify is needed by
-# `verify` alone and nilvar.indexmod by its stratum-dims check; the
-# matrix stack (nilvar.modmatrix, nilvar.exactla) by `module`,
-# `hom --oracle` and the checks, and fractions only by a matrix entry
-# that is not an int, as `module --lambdas 1,1/2` gives; json by
-# --format json
+# `verify` alone and nilvar.indexmod by its stratum-dims check; the Hom
+# layer (nilvar.homalg) by `hom`, `ext`, the classifier and the checks
+# that count Hom or Ext; the matrix stack (nilvar.modmatrix,
+# nilvar.exactla) by `module`, `hom --oracle` and the checks, and
+# fractions only by a matrix entry that is not an int, as
+# `module --lambdas 1,1/2` gives; json by --format json
 NEVER = ("dataclasses", "inspect", "nilvar.indexmod", "nilvar.verify")
 MATRICES = ("nilvar.modmatrix", "nilvar.exactla", "fractions")
 # the classifier, needed by `classify`, `tables`, `module` (partitions,
@@ -379,7 +380,7 @@ COMMANDS = {
     "ext": (["ext", "--source", "xy", "--target", "xxyy"],
             NEVER + MATRICES + CLASSIFIER + ("json",)),
     "module": (["module", "--word", "xy", "--lambdas", "1,1/2"],
-               NEVER + ("json",)),
+               NEVER + ("nilvar.homalg", "json")),
 }
 
 
@@ -422,5 +423,8 @@ def test_matrix_checks_load_no_fractions(check):
 
 @pytest.mark.parametrize("check", ["random-modules", "hom-agreement"])
 def test_matrix_checks_load_no_classifier(check):
-    # neither check compares against the classification tables
-    assert modules_loaded(["verify", "--check", check], CLASSIFIER) == []
+    # neither check compares against the classification tables, and
+    # random-modules counts no Hom either
+    hom = ["nilvar.homalg"] if check == "hom-agreement" else []
+    assert modules_loaded(["verify", "--check", check],
+                          CLASSIFIER + ("nilvar.homalg",)) == hom

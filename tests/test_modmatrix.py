@@ -483,12 +483,15 @@ BROKEN = {
 
 @pytest.mark.parametrize("relation", list(BROKEN))
 def test_each_relation_can_fail_alone(relation):
-    m = BROKEN[relation]
-    assert not m.verify_relations()
-    A, B = m.A, m.B
-    products = {"AB": A.mul(B), "BA": B.mul(A),
-                "A^a": A.mul(A).mul(A), "B^b": B.mul(B).mul(B)}
-    assert [k for k, p in products.items() if any(p.rows)] == [relation]
+    # the broken pair itself, and as the later summand of a sum, whose
+    # rows direct_sum re-keys
+    broken = BROKEN[relation]
+    for m in (broken, direct_sum([string_module(Word("xxy", P33)), broken])):
+        assert not m.verify_relations()
+        A, B = m.A, m.B
+        products = {"AB": A.mul(B), "BA": B.mul(A),
+                    "A^a": A.mul(A).mul(A), "B^b": B.mul(B).mul(B)}
+        assert [k for k, p in products.items() if any(p.rows)] == [relation]
 
 
 def test_power_relations_read_the_exponent():

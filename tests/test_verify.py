@@ -289,6 +289,26 @@ def test_random_band_words_are_primitive():
             assert (band_class(w)[0] == "primitive") == ((i, j) != (k, l)), str(w)
 
 
+def test_band_word_table():
+    # the band Words of each pool algebra are built once, at import: one
+    # per text the band sampler can return, one run pair or two unequal
+    # ones, each valid and primitive, and a draw hands out the table's
+    # own Word
+    rng = random.Random(3)
+    for params in verify._PARAMS:
+        bands = verify._POOLS[params][3]
+        for text, word in bands.items():
+            assert type(word) is Word
+            assert (word, word.params) == (Word(text, params), params)
+            assert band_class(word)[0] == "primitive"
+        pairs = ["x" * i + "y" * j for i in range(1, params.a) for j in range(1, params.b)]
+        assert sorted(bands) == sorted(
+            pairs + [p + q for p, q in itertools.product(pairs, repeat=2) if p != q])
+        for _ in range(200):
+            word = verify._random_band_word(rng, params)
+            assert word is bands[word]
+
+
 # -- the random-modules check ------------------------------------------------
 
 P33 = AlgebraParams(3, 3)
