@@ -83,8 +83,7 @@ class RationalMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
         right = other.rows
-        return RationalMatrix([{j: v if type(v) is int else _entry(v)
-                                for j, v in _row_times(row, right).items() if v}
+        return RationalMatrix([{j: _entry(v) for j, v in _row_times(row, right).items() if v}
                                for row in self.rows], other.ncols)
 
     def rank(self) -> int:

@@ -28,7 +28,7 @@ audit the other:
     order) modmatrix.forest_hom_counter counts them with bit operations
     on F as one int: the entries forced to zero from a 16 x 16 table of
     letter masks (MatrixPairModule.permutation_maps, read once per
-    module), closed under one shift per pair of offset groups of ones
+    pass), closed under one shift per pair of offset groups of ones
     of a letter, and each live class counted once at its top entry.
     hom_oracle_table counts a row, one source against all targets, in
     one pass against their direct sum: it is block diagonal, so no
@@ -155,7 +155,7 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
     and exact elimination otherwise; pass "unionfind" or "dense" to force
     a route ("unionfind" names the count, which raises where it does not
     hold).  Each module's ones and letter masks, or None, are read once
-    and kept (permutation_maps).
+    per call (permutation_maps).
     """
     from .modmatrix import forest_hom_counter  # here only: classify never loads it
     if m1.params != m2.params:

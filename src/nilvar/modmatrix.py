@@ -39,15 +39,14 @@ class MatrixPairModule:
     """A pair (A, B) of n x n rational matrices together with the algebra
     parameters.
 
-    A and B are never modified: the builders below fill plain row lists
-    and wrap each in a RationalMatrix once, and no matrix is written
-    after it is built.  So permutation_maps reads its ones and letter
-    masks off them once, band modules over one band frame share A and
-    the lambda-free rows of B, direct_sum shares rows (and returns a
-    lone part itself), and verify memoizes string modules.
+    A and B are never modified, nor is the module: the builders below
+    fill plain row lists and wrap each in a RationalMatrix once, and
+    nothing is written after it is built.  So band modules over one band
+    frame share A and the lambda-free rows of B, direct_sum shares rows
+    (and returns a lone part itself), and verify memoizes string modules.
     """
 
-    __slots__ = ("n", "A", "B", "params", "_maps")
+    __slots__ = ("n", "A", "B", "params")
 
     def __init__(self, n, A, B, params):
         if A.nrows != n or A.ncols != n or B.nrows != n or B.ncols != n:
@@ -66,15 +65,10 @@ class MatrixPairModule:
         """True iff AB = BA = A^a = B^b = 0, tested by _kills without
         building any product or power: A^a as A A^{a-1}, B^b as B B^{b-1}.
         The column set of A starts the support walks of AB and A^a, that
-        of B the walks of BA and B^b; each is read off its matrix once.
-        AB = 0 is settled first by the emptiness of its walk's first step,
-        as a membership test: no column of A indexes a nonempty row of B
-        (BA the same way round).  Only when one does, a stored zero or a
-        sum that cancels included, does _kills walk and push the rows."""
+        of B the walks of BA and B^b; each is read off its matrix once."""
         A, B, a, b = self.A, self.B, self.params.a, self.params.b
         cols_a, cols_b = set().union(*A.rows), set().union(*B.rows)
-        return ((not any(map(B.rows.__getitem__, cols_a)) or _kills(A, B, 1, cols_a))
-                and (not any(map(A.rows.__getitem__, cols_b)) or _kills(B, A, 1, cols_b))
+        return (_kills(A, B, 1, cols_a) and _kills(B, A, 1, cols_b)
                 and _kills(A, A, a - 1, cols_a) and _kills(B, B, b - 1, cols_b))
 
     # -- the ones of A and B, for the Hom oracle of forest_hom_counter -----
@@ -86,23 +80,18 @@ class MatrixPairModule:
         byte per basis vertex v, with bit 1 (x) or 2 (y) set when row v of
         that letter's matrix has a one, an arrow into e_v, and bit 4 (x)
         or 8 (y) when column v has one, an arrow out of e_v.  Read off the
-        matrices on the first call and kept, so that building a module
-        costs no scan."""
-        try:
-            return self._maps
-        except AttributeError:
-            pass
+        matrices on each call and kept nowhere: building a module costs
+        no scan, and a Hom pass reads each module once."""
         a = _partial_permutation_ones(self.A)
         b = None if a is None else _partial_permutation_ones(self.B)
-        self._maps = None
-        if b is not None:
-            masks = bytearray(self.n)
-            for k, ones in enumerate((a, b)):
-                for r, c in ones:
-                    masks[r] |= 1 << k
-                    masks[c] |= 4 << k
-            self._maps = ((a, b), bytes(masks))
-        return self._maps
+        if b is None:
+            return None
+        masks = bytearray(self.n)
+        for k, ones in enumerate((a, b)):
+            for r, c in ones:
+                masks[r] |= 1 << k
+                masks[c] |= 4 << k
+        return (a, b), bytes(masks)
 
     # -- invariants --------------------------------------------------------
 
@@ -301,18 +290,20 @@ def _kills(left: RationalMatrix, right: RationalMatrix, times=1,
     cols, the set of columns of left (read off left unless given), is
     replaced `times` times by the set of columns of right's rows at those
     indices.  It holds the columns where the product so far may be
-    nonzero, so once it empties every entry is an empty sum and the
-    product is 0 exactly.  Only a walk that survives its full length
-    falls back to pushing each row of left through `times` products with
-    right by the row product of RationalMatrix.mul (cancelled terms count
-    as zero), up to the first row that survives."""
+    nonzero.  Before each step a membership test asks whether any index
+    in cols holds a nonempty row of right; if none does, the next set is
+    empty, every entry is an empty sum and the product is 0 exactly.
+    Only a walk that survives its full length falls back to pushing each
+    row of left through `times` products with right by the row product
+    of RationalMatrix.mul (cancelled terms count as zero), up to the
+    first row that survives."""
     rows = right.rows
     if cols is None:
         cols = set().union(*left.rows)
     for _ in range(times):
-        cols = {j for k in cols for j in rows[k]}
-        if not cols:
+        if not any(map(rows.__getitem__, cols)):
             return True
+        cols = {j for k in cols for j in rows[k]}
     for row in filter(None, left.rows):
         for _ in range(times):
             row = {j: v for j, v in _row_times(row, rows).items() if v}
@@ -371,21 +362,24 @@ def string_module(word: Word) -> MatrixPairModule:
 
 
 @lru_cache(maxsize=1024)
-def _band_frame(text: str, params, layers: int):
-    """The lambda-free part of the band modules over the band text with
+def _band_frame(word: Word, params, layers: int):
+    """The lambda-free part of the band modules over the band word with
     `layers` layers: (canonical, A, B rows), the canonical rotation, A as
     one RationalMatrix, and the rows of B holding the ones of each
     layer's string canonical[:-1] and the layer couplings (z_{m,j} . y
     has z_{1,j-1}) but no lambda.  Rows are never written once built, so
     every module over the frame shares A and the lambda-free rows of B.
-    Keyed on the params too, since Word equality ignores them; the
-    sampler of `verify` can meet 356 keys (351 in a full pass at seed
-    1), so the bound never evicts there.  Raises unless text is a primitive band,
-    and so caches no rejected word."""
-    word = Word(text, params)
+    Keyed on the validated word itself and on its params, since Word
+    equality ignores them; the sampler of `verify` can meet 356 keys
+    (351 in a full pass at seed 1), so the bound never evicts there.
+    Raises unless word is a primitive band, and then unless layers is
+    positive; lru_cache stores nothing for a call that raises, so no
+    rejected word and no empty frame is cached."""
     kind, canonical = band_class(word)
     if kind != "primitive":
-        raise ValueError(f"band_module needs a primitive band, got {kind} for {text!r}")
+        raise ValueError(f"band_module needs a primitive band, got {kind} for {str(word)!r}")
+    if not layers:
+        raise ValueError("need at least one lambda layer")
     m = len(canonical)
     n = m * layers
     a_rows = [{} for _ in range(n)]
@@ -406,15 +400,13 @@ def band_module(word: Word, lambdas) -> MatrixPairModule:
     lambda-free rows of B come from the _band_frame memo of (word, k)
     and are shared; each call builds only the k rows that carry a
     lambda afresh, the wrap-around y of each layer (canonical form ends
-    with y): z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1}.  Empty lambdas
-    are refused after an unmemoized word check, leaving no memo entry.
+    with y): z_{m,j} . y = lambda_j z_{1,j} + z_{1,j-1}.  The word is
+    checked before the lambdas, and empty lambdas are refused by
+    _band_frame, leaving no memo entry.
     """
     lambdas = tuple(lambdas)
-    build = _band_frame if lambdas else _band_frame.__wrapped__
-    canonical, A, frame = build(str(word), word.params, len(lambdas))
+    canonical, A, frame = _band_frame(word, word.params, len(lambdas))
     lambdas = tuple(map(_entry, lambdas))
-    if not lambdas:
-        raise ValueError("need at least one lambda layer")
     if any(v == 0 for v in lambdas):
         raise ValueError("band lambdas must be nonzero")
 

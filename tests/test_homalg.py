@@ -456,30 +456,45 @@ def test_oracle_checks_the_route_once(monkeypatch):
     real = modmatrix._partial_permutation_ones
     monkeypatch.setattr(modmatrix, "_partial_permutation_ones",
                         lambda mat: calls.append(mat) or real(mat))
+
+    def scans(m1, m2, **kw):
+        """hom_dim_oracle(m1, m2) and the ids of the matrices it scanned,
+        checked to be among the A and B of its two modules, each at most
+        once per module."""
+        calls.clear()
+        dim = hom_dim_oracle(m1, m2, **kw)
+        got = [id(mat) for mat in calls]
+        held = [id(mat) for m in (m1, m2) for mat in (m.A, m.B)]
+        assert all(got.count(i) <= held.count(i) for i in got)
+        return dim, got
+
     m1, m2 = string_module(Word("xxy", P33)), string_module(Word("xyy", P33))
     assert calls == []  # building a module scans nothing
+    total = 0
     for _ in range(3):
-        assert hom_dim_oracle(m1, m2) == hom_dim_graph(
-            Word("xxy", P33), Word("xyy", P33))
-        assert hom_dim_oracle(m2, m1) == hom_dim_graph(
-            Word("xyy", P33), Word("xxy", P33))
-        assert hom_dim_oracle(m1, m1, method="unionfind") == end_dim(
-            [Word("xxy", P33)])
-    # each module's A and B read once in all, not four scans per call
-    assert len(calls) == 4
-    assert {id(mat) for mat in calls} == {id(m1.A), id(m1.B), id(m2.A), id(m2.B)}
-    # a band is no partial permutation: the cached None sends every later
-    # automatic call to elimination and every forced entry-class count to
-    # the error, with no further scan
-    calls.clear()
+        for u, v, kw, want in (
+                (m1, m2, {}, hom_dim_graph(Word("xxy", P33), Word("xyy", P33))),
+                (m2, m1, {}, hom_dim_graph(Word("xyy", P33), Word("xxy", P33))),
+                (m1, m1, {"method": "unionfind"}, end_dim([Word("xxy", P33)]))):
+            dim, got = scans(u, v, **kw)
+            assert dim == want
+            total += len(got)
+    # one call scans each of its two modules' A and B at most once, and
+    # strings are read in full: 4 scans a call, nothing kept between calls
+    assert total == 36
+    # a band is no partial permutation: every automatic call goes to
+    # elimination and every forced entry-class count to the error, each
+    # after scanning at most the band's own A and B
     band = band_module(Word("xxy", P33), [2])
-    dense = hom_dim_oracle(band, band, method="dense")
-    assert calls == []
+    dense, got = scans(band, band, method="dense")
+    assert got == []
     for _ in range(2):
-        assert hom_dim_oracle(band, band) == dense
+        dim, got = scans(band, band)
+        assert dim == dense and 1 <= len(got) <= 2
+        calls.clear()
         with pytest.raises(ValueError):
             hom_dim_oracle(band, band, method="unionfind")
-    assert 1 <= len(calls) <= 2
+        assert 1 <= len(calls) <= 2
     assert band.permutation_maps() is None
 
 

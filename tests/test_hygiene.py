@@ -13,10 +13,11 @@ class defines are called from outside and left out.  A true division,
 a float literal or a float(...) call in a source fails too, unless
 FLOAT_ALLOWED names its line with the reason, and so does a write
 through the rows of a matrix: matrices are built once from row lists
-and share rows, so none may change after it is built.  Two for/while
-loops of 20 or more AST nodes that match once every name is blanked
-fail unless DUPLICATE_LOOPS_ALLOWED names the pair with the reason:
-one idea, one loop.  Every lru_cache memo a module defines must have a
+and share rows, so none may change after it is built; for the same
+reason every slot a class declares is set in its __init__ or __new__.
+Two for/while loops of 20 or more AST nodes that match once every name
+is blanked fail unless DUPLICATE_LOOPS_ALLOWED names the pair with the
+reason: one idea, one loop.  Every lru_cache memo a module defines must have a
 bound, and MEMOS lists them all.  A fresh interpreter per command shows
 which modules that command loads.
 """
@@ -206,6 +207,46 @@ def test_checker_flags_a_row_write():
     assert row_writes(source) == ["A.rows[i][j] = 1", "m.A.rows[0] = {}",
                                   "A.rows[i][j] += 2", "del A.rows[i][j]",
                                   "A.rows[i].update(r)", "A.rows.append({})"]
+
+
+def unset_slots(source: str) -> list[str]:
+    """Class.slot for each slot that a class's __slots__ declares but
+    neither its __init__ nor its __new__ assigns (X.slot = v, or in a
+    tuple target), in source order."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        slots, assigned = (), set()
+        for node in cls.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in node.targets)):
+                slots = ast.literal_eval(node.value)
+            elif isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__new__"):
+                assigned |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                             and isinstance(n.ctx, ast.Store)}
+        out += [f"{cls.name}.{slot}" for slot in slots if slot not in assigned]
+    return out
+
+
+def test_every_slot_is_set_at_construction():
+    # an object is built once and never written after, like its matrix
+    # rows: no slot is filled later as hidden state
+    assert [f"{path.name}: {slot}" for path in SOURCES
+            for slot in unset_slots(path.read_text())] == []
+
+
+def test_checker_flags_an_unset_slot():
+    source = ("class P:\n    __slots__ = ('a', 'b', 'c')\n"
+              "    def __init__(self, a):\n        self.a = a\n"
+              "    def fill(self):\n        self.b = 1\n"
+              "class W(str):\n    __slots__ = ('p', 'q')\n"
+              "    def __new__(cls, t, p):\n        w = super().__new__(cls, t)\n"
+              "        w.p, w.q = p, None\n        return w\n"
+              "class T(tuple):\n    __slots__ = ()\n"
+              "class Plain:\n    def __init__(self):\n        self.x = 1\n")
+    assert unset_slots(source) == ["P.b", "P.c"]
 
 
 # every lru_cache memo of src/nilvar, as module.function: the tables a

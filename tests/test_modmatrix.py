@@ -248,7 +248,7 @@ def test_band_layer_memo_matches_the_reference(params):
         # a second call reads the frame and builds its lambda rows afresh
         m = len(band_class(w)[1])
         one, two = band_module(w, [1, 1]), band_module(w, [1, 1])
-        frame = modmatrix._band_frame(str(w), params, 2)[2]
+        frame = modmatrix._band_frame(w, params, 2)[2]
         assert all(one.B.rows[off] is not two.B.rows[off]
                    and one.B.rows[off] is not frame[off] for off in (0, m))
         # the rows it shares stay as built: a later module over the frame
@@ -298,7 +298,8 @@ def test_band_layer_memo_is_bounded_and_keyed_on_params():
     # equal texts over two algebras are two entries, each with its params
     m22, m33 = band_module(Word("xy", P22), [1]), band_module(Word("xy", P33), [1])
     assert (m22.params, m33.params) == (P22, P33)
-    assert modmatrix._band_frame("xy", P22, 1) is not modmatrix._band_frame("xy", P33, 1)
+    assert (modmatrix._band_frame(Word("xy", P22), P22, 1)
+            is not modmatrix._band_frame(Word("xy", P33), P33, 1))
 
 
 @pytest.mark.parametrize("text, lambdas", [
