@@ -271,7 +271,3 @@ def main(argv=None) -> int:
         # to devnull (the recipe of the `signal` module docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

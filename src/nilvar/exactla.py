@@ -10,13 +10,14 @@ floats, and so does each entry of a product that is not an int.
 The module matrices downstream are mostly zeros and mostly 0/1, so a
 matrix is built once, from sparse {col: entry} rows of its nonzero
 entries, and stays in that form through products and elimination;
-`dense()` gives the zeros back for output only.  Every elimination --
-rank and pivot columns -- goes through one routine, `echelon`.  It takes
-the rows as they are and reduces each against an incremental echelon
-keyed by leading column, with the fraction-free step
-row * piv - f * pivot_row followed by division by the row's content gcd
-(Bareiss 1968).  A row is scaled to ints only when it is reduced, so a
-pivot row may hold Fractions; the integers stay small.
+`dense()` gives the zeros back for output only.  Every product goes
+through one routine, `RationalMatrix.mul`, and every elimination -- rank
+and pivot columns -- through one, `echelon`, which takes the rows as
+they are and reduces each against an incremental echelon keyed by
+leading column, with the fraction-free step row * piv - f * pivot_row
+followed by division by the row's content gcd (Bareiss 1968).  A row is
+scaled to ints only when it is reduced, so a pivot row may hold
+Fractions; the integers stay small.
 """
 
 from __future__ import annotations
@@ -82,24 +83,18 @@ class RationalMatrix:
         entries that cancel to 0 are dropped."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        right = other.rows
-        return RationalMatrix([{j: _entry(v) for j, v in _row_times(row, right).items() if v}
-                               for row in self.rows], other.ncols)
+        right, rows = other.rows, []
+        for row in self.rows:
+            acc = {}
+            for k, v in row.items():
+                for j, w in right[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            rows.append({j: _entry(v) for j, v in acc.items() if v})
+        return RationalMatrix(rows, other.ncols)
 
     def rank(self) -> int:
         """Rank: the pivots of `echelon` on the nonempty rows as they are."""
         return len(echelon(filter(None, self.rows)))
-
-
-def _row_times(row: dict, rows: list) -> dict:
-    """The sparse row `row` times the matrix with sparse rows `rows`, as
-    {col: sum} over the nonzero products; a sum that cancels is kept as a
-    0, for the caller to drop."""
-    acc = {}
-    for k, v in row.items():
-        for j, w in rows[k].items():
-            acc[j] = acc.get(j, 0) + v * w
-    return acc
 
 
 # ---------------------------------------------------------------------------

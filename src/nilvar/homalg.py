@@ -120,6 +120,9 @@ def hom_table(sources, targets) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def _hom_dim_dense(m1, m2) -> int:
+    """dim Hom(m1, m2) by exact elimination of the equations F x1 = x2 F,
+    one per entry and letter: hom_dim_oracle's route where the entry-class
+    count does not hold, and the tests' reference for that count."""
     from .exactla import RationalMatrix  # here only: classify never loads it
     n1, n2 = m1.n, m2.n
     total = n1 * n2
@@ -148,28 +151,29 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
     """dim Hom(m1, m2) = dim {F : F A1 = A2 F, F B1 = B2 F} for matrix-pair
     modules, by linear algebra, independent of any word combinatorics.
 
-    method: None picks the bit-parallel count of free entry classes
+    The bit-parallel count of free entry classes
     (modmatrix.forest_hom_counter: exact; one mask and one shift per pair
     of offset groups of ones of a letter, at most n1 rounds) when all four
     matrices are partial permutations and m1's arrow graph is a forest,
-    and exact elimination otherwise; pass "unionfind" or "dense" to force
-    a route ("unionfind" names the count, which raises where it does not
-    hold).  Each module's ones and letter masks, or None, are read once
-    per call (permutation_maps).
+    and exact elimination (_hom_dim_dense) otherwise.  method="unionfind"
+    forces the count, which then raises where it does not hold; None is
+    the automatic route, and any other method raises.  Each module's ones
+    and letter masks, or None, are read at most once per call
+    (permutation_maps): the target's first, and the source's only when
+    the target is a partial permutation.
     """
     from .modmatrix import forest_hom_counter  # here only: classify never loads it
     if m1.params != m2.params:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
-    if method in (None, "unionfind"):
-        count = forest_hom_counter(m2, (0, m2.n))
-        dims = count and count(m1)
-        if dims is not None:
-            return dims[0]
-        if method == "unionfind":
-            raise ValueError("the entry-class count needs partial-permutation "
-                             "matrices and a source whose arrow graph is a forest")
-    elif method != "dense":
+    if method not in (None, "unionfind"):
         raise ValueError(f"unknown method {method!r}")
+    count = forest_hom_counter(m2, (0, m2.n))
+    dims = count and count(m1)
+    if dims is not None:
+        return dims[0]
+    if method == "unionfind":
+        raise ValueError("the entry-class count needs partial-permutation "
+                         "matrices and a source whose arrow graph is a forest")
     return _hom_dim_dense(m1, m2)
 
 

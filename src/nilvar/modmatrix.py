@@ -13,6 +13,8 @@ and the letter c_i couples e_{i-1} to e_i:
 
 So arrows point "leftward along x, rightward along y"; M("") is the
 simple module, and M(x^{a-1}y^{b-1}) is the regular representation.
+`_write_layer` writes these ones straight from the letters, for a
+string at offset 0 and for each layer of a band below.
 
 Band modules M(w, lambda_1..lambda_k) over a primitive band w (taken in
 canonical rotation, so w ends in y) have basis z_{i,j}, i = 1..|w| along
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactla import RationalMatrix, _entry, _row_times
+from .exactla import RationalMatrix, _entry
 from .words import Word, band_class
 
 
@@ -62,10 +64,12 @@ class MatrixPairModule:
     # -- the defining relations -------------------------------------------
 
     def verify_relations(self) -> bool:
-        """True iff AB = BA = A^a = B^b = 0, tested by _kills without
-        building any product or power: A^a as A A^{a-1}, B^b as B B^{b-1}.
-        The column set of A starts the support walks of AB and A^a, that
-        of B the walks of BA and B^b; each is read off its matrix once."""
+        """True iff AB = BA = A^a = B^b = 0, each decided by _kills: A^a as
+        A A^{a-1}, B^b as B B^{b-1}.  The column set of A starts the
+        support walks of AB and A^a, that of B the walks of BA and B^b;
+        each is read off its matrix once.  A product is built only where a
+        walk survives, which with entries >= 0 means the relation fails;
+        no module that `verify` samples reaches it."""
         A, B, a, b = self.A, self.B, self.params.a, self.params.b
         cols_a, cols_b = set().union(*A.rows), set().union(*B.rows)
         return (_kills(A, B, 1, cols_a) and _kills(B, A, 1, cols_b)
@@ -75,23 +79,31 @@ class MatrixPairModule:
 
     def permutation_maps(self):
         """((ones of A, ones of B), masks) when A and B are partial
-        permutations, None otherwise.  The ones of a letter are its (row,
-        col) positions (see _partial_permutation_ones); masks holds one
-        byte per basis vertex v, with bit 1 (x) or 2 (y) set when row v of
-        that letter's matrix has a one, an arrow into e_v, and bit 4 (x)
-        or 8 (y) when column v has one, an arrow out of e_v.  Read off the
-        matrices on each call and kept nowhere: building a module costs
-        no scan, and a Hom pass reads each module once."""
-        a = _partial_permutation_ones(self.A)
-        b = None if a is None else _partial_permutation_ones(self.B)
-        if b is None:
-            return None
-        masks = bytearray(self.n)
-        for k, ones in enumerate((a, b)):
-            for r, c in ones:
-                masks[r] |= 1 << k
-                masks[c] |= 4 << k
-        return (a, b), bytes(masks)
+        permutations (entries 0/1, at most one 1 per row and per column),
+        None otherwise.  The ones of a letter are its (row, col)
+        positions, by row; masks holds one byte per basis vertex v, with
+        bit 1 (x) or 2 (y) set when row v of that letter's matrix has a
+        one, an arrow into e_v, and bit 4 (x) or 8 (y) when column v has
+        one, an arrow out of e_v.  One pass over the rows of A and then B
+        reads both, a column already used by a letter being one whose
+        mask has that letter's out bit.  Read on each call and kept
+        nowhere: building a module costs no scan, and a Hom pass reads
+        each module once."""
+        masks, letters = bytearray(self.n), []
+        for k, mat in enumerate((self.A, self.B)):
+            into, out, ones = 1 << k, 4 << k, []
+            for i, row in enumerate(mat.rows):
+                if row:
+                    if len(row) > 1:
+                        return None
+                    (j, v), = row.items()
+                    if v != 1 or masks[j] & out:
+                        return None
+                    masks[i] |= into
+                    masks[j] |= out
+                    ones.append((i, j))
+            letters.append(ones)
+        return tuple(letters), bytes(masks)
 
     # -- invariants --------------------------------------------------------
 
@@ -129,23 +141,6 @@ class MatrixPairModule:
             "A": [[str(v) for v in row] for row in self.A.dense()],
             "B": [[str(v) for v in row] for row in self.B.dense()],
         }
-
-
-def _partial_permutation_ones(mat: RationalMatrix):
-    """The (row, col) positions of the ones of mat, by row, when its
-    entries are all 0/1 with at most one 1 per row and per column; None
-    when mat is not such a matrix."""
-    ones, cols = [], set()
-    for i, row in enumerate(mat.rows):
-        if row:
-            if len(row) > 1:
-                return None
-            (j, v), = row.items()
-            if v != 1 or j in cols:
-                return None
-            cols.add(j)
-            ones.append((i, j))
-    return ones
 
 
 # _FORCED[m2][m1]: "1" iff the entry F[i, s] of a map M1 -> M2 is forced
@@ -293,10 +288,9 @@ def _kills(left: RationalMatrix, right: RationalMatrix, times=1,
     nonzero.  Before each step a membership test asks whether any index
     in cols holds a nonempty row of right; if none does, the next set is
     empty, every entry is an empty sum and the product is 0 exactly.
-    Only a walk that survives its full length falls back to pushing each
-    row of left through `times` products with right by the row product
-    of RationalMatrix.mul (cancelled terms count as zero), up to the
-    first row that survives."""
+    Only a walk that survives its full length builds the product, by
+    `times` calls of RationalMatrix.mul, which drops the terms that
+    cancel."""
     rows = right.rows
     if cols is None:
         cols = set().union(*left.rows)
@@ -304,14 +298,9 @@ def _kills(left: RationalMatrix, right: RationalMatrix, times=1,
         if not any(map(rows.__getitem__, cols)):
             return True
         cols = {j for k in cols for j in rows[k]}
-    for row in filter(None, left.rows):
-        for _ in range(times):
-            row = {j: v for j, v in _row_times(row, rows).items() if v}
-            if not row:
-                break
-        else:
-            return False
-    return True
+    for _ in range(times):
+        left = left.mul(right)
+    return not any(left.rows)
 
 
 def _jordan_type(m: RationalMatrix):
@@ -335,20 +324,15 @@ def _jordan_type(m: RationalMatrix):
 # constructions
 # ---------------------------------------------------------------------------
 
-def _layer_ones(text: str):
-    """The (row, col) offsets of the ones of A and B that the letters of
-    text put on e_0, .., e_{|text|}: letter i is x at (i, i+1) in A or y
-    at (i+1, i) in B."""
-    return (tuple((i, i + 1) for i, letter in enumerate(text) if letter == "x"),
-            tuple((i + 1, i) for i, letter in enumerate(text) if letter == "y"))
-
-
-def _write_layer(a_rows, b_rows, layer, off):
-    """Write the ones of a layer, as _layer_ones gives them, into the rows
-    of A and B with its e_0 at basis position off."""
-    for rows, ones in zip((a_rows, b_rows), layer):
-        for r, c in ones:
-            rows[off + r][off + c] = 1
+def _write_layer(a_rows, b_rows, text, off):
+    """Write the ones that the letters of text put on e_off, ..,
+    e_{off+|text|} into the rows of A and B: letter i is x at
+    (off+i, off+i+1) in A or y at (off+i+1, off+i) in B."""
+    for i, letter in enumerate(text, off):
+        if letter == "x":
+            a_rows[i][i + 1] = 1
+        else:
+            b_rows[i + 1][i] = 1
 
 
 def string_module(word: Word) -> MatrixPairModule:
@@ -356,7 +340,7 @@ def string_module(word: Word) -> MatrixPairModule:
     n = len(word) + 1
     a_rows = [{} for _ in range(n)]
     b_rows = [{} for _ in range(n)]
-    _write_layer(a_rows, b_rows, _layer_ones(word), 0)
+    _write_layer(a_rows, b_rows, word, 0)
     return MatrixPairModule(n, RationalMatrix(a_rows, n), RationalMatrix(b_rows, n),
                             word.params)
 
@@ -384,7 +368,7 @@ def _band_frame(word: Word, params, layers: int):
     n = m * layers
     a_rows = [{} for _ in range(n)]
     b_rows = [{} for _ in range(n)]
-    layer = _layer_ones(canonical[:-1])
+    layer = canonical[:-1]
     for off in range(0, n, m):  # position i in layer j is j*m + i, layer-major
         _write_layer(a_rows, b_rows, layer, off)
         if off:

@@ -625,6 +625,11 @@ def test_nnn_components_match_general_machinery():
         assert all(dim == n * n - n + 1 for *_, dim in ref)
 
 
+def test_nnn_components_refuses_n1():
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        nnn_components(1)
+
+
 def test_nnn_components_frozen_n4():
     rows = [(c.a_part, c.b_part, family_key(c)) for c in nnn_components(4)]
     assert rows == [

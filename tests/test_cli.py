@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nilvar import verify
+from nilvar import homalg, verify
 from nilvar.cli import main
 from nilvar.modmatrix import MatrixPairModule
 
@@ -145,6 +145,19 @@ def test_hom_and_oracle(capsys):
     payload = json.loads(out)
     assert payload["graph"] == payload["oracle"] == 3
     assert payload["agree"] is True
+
+
+def test_hom_oracle_disagreement_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(homalg, "hom_dim_oracle", lambda m1, m2: 4)
+    code, out, _ = run(capsys, "hom", "--source", "xxy", "--target", "xy", "--oracle")
+    assert code == 2
+    assert out == ("Hom(M(xxy), M(xy)) = 3\nlinear-algebra oracle = 4\n"
+                   "DISAGREEMENT between counting and linear algebra\n")
+    code, out, _ = run(capsys, "hom", "--source", "xxy", "--target", "xy",
+                       "--oracle", "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["graph"], payload["oracle"], payload["agree"]) == (3, 4, False)
 
 
 @pytest.mark.parametrize("source, message", [

@@ -24,6 +24,7 @@ import pytest
 from nilvar import homalg, modmatrix, verify, words
 from nilvar.classify import components
 from nilvar.homalg import (
+    _hom_dim_dense,
     end_dim,
     ext1_vanishes,
     hom_dim_graph,
@@ -124,7 +125,7 @@ def test_hom_routes_agree_other_params():
             m1, m2 = string_module(w1), string_module(w2)
             g = hom_dim_graph(w1, w2)
             assert g == hom_dim_oracle(m1, m2, method="unionfind")
-            assert g == hom_dim_oracle(m1, m2, method="dense")
+            assert g == _hom_dim_dense(m1, m2)
 
 
 def test_hom_count_matches_pair_list():
@@ -185,9 +186,7 @@ def random_words(rng, params):
 def test_unionfind_equals_dense_on_string_sums():
     m1 = direct_sum([string_module(Word("xxy", P33)), string_module(Word("xy", P33))])
     m2 = direct_sum([string_module(Word("xxyy", P33)), string_module(Word("y", P33))])
-    assert hom_dim_oracle(m1, m2, method="unionfind") == hom_dim_oracle(
-        m1, m2, method="dense"
-    )
+    assert hom_dim_oracle(m1, m2, method="unionfind") == _hom_dim_dense(m1, m2)
     # and the pairwise graph counts give the same number
     total = sum(
         hom_dim_graph(u, v)
@@ -209,7 +208,7 @@ def test_unionfind_equals_dense_on_string_sums():
         assert hom_dim_oracle(m1, m2, method="unionfind") == total, (u, v)
         assert hom_dim_oracle(m2, m1, method="unionfind") == sum(
             hom_dim_graph(t, s) for s in u for t in v), (u, v)
-        assert hom_dim_oracle(m1, m2, method="dense") == total, (u, v)
+        assert _hom_dim_dense(m1, m2) == total, (u, v)
         sizes.add(m1.n == m2.n)
     assert sizes == {True, False}
 
@@ -243,15 +242,15 @@ def test_unionfind_equals_dense_with_bands():
         m1, m2 = sides
         m2 = conjugate(m2, rng.sample(range(m2.n), m2.n))
         for u, v in ((m1, m2), (m2, m1), (m1, m1), (m2, m2)):
-            assert hom_dim_oracle(u, v) == hom_dim_oracle(
-                u, v, method="dense"), (u.to_json(), v.to_json())
+            assert hom_dim_oracle(u, v) == _hom_dim_dense(u, v), (
+                u.to_json(), v.to_json())
             with pytest.raises(ValueError, match="forest"):
                 hom_dim_oracle(u, v, method="unionfind")
         src = shuffled(strings_rng, direct_sum(
             [string_module(w) for w in random_words(strings_rng, params)]))
         for v in (m1, m2, src):
-            assert hom_dim_oracle(src, v, method="unionfind") == hom_dim_oracle(
-                src, v, method="dense"), (src.to_json(), v.to_json())
+            assert hom_dim_oracle(src, v, method="unionfind") == _hom_dim_dense(
+                src, v), (src.to_json(), v.to_json())
         sizes.add(m1.n == m2.n)
     assert sizes == {True, False}
 
@@ -262,8 +261,8 @@ def test_oracle_table_equals_the_pairwise_oracle():
     # conjugate; each row with a string source is one pass of the
     # entry-class count against the targets' direct sum, each row with a
     # band (a cycle) is filled pair by pair, and every row must be the
-    # row of the per-pair oracle by either route, and sum to the oracle
-    # against that direct sum
+    # row of the per-pair oracle and of elimination, and sum to
+    # elimination against that direct sum
     strings = [string_module(Word(t, P33)) for t in ("", "xxy", "yx", "xxyxyy")]
     bands = [band_module(Word(t, P33), [1]) for t in ("xy", "xxyy")]
     mixed = direct_sum([strings[1], bands[0]])
@@ -272,20 +271,19 @@ def test_oracle_table_equals_the_pairwise_oracle():
     sources = [strings[0], bands[1], mixed, conj, strings[3]]
     targets = [strings[1], bands[0], conj, strings[2], mixed, strings[0]]
     table = homalg.hom_oracle_table(sources, targets)
-    for method in (None, "dense"):
-        assert table == [[hom_dim_oracle(u, v, method=method) for v in targets]
-                         for u in sources]
+    assert table == [[hom_dim_oracle(u, v) for v in targets] for u in sources]
+    assert table == [[_hom_dim_dense(u, v) for v in targets] for u in sources]
     assert [table[0], table[4]] == [[hom_dim_oracle(u, v, method="unionfind")
                                      for v in targets] for u in (strings[0], strings[3])]
     assert [sum(row) for row in table] == [
-        hom_dim_oracle(u, direct_sum(targets), method="dense") for u in sources]
+        _hom_dim_dense(u, direct_sum(targets)) for u in sources]
     # a band with lambda = 2 is no partial permutation: the table falls
     # back to the per-pair oracle, dense on that band's column
     targets.append(band_module(Word("xxy", P33), [2]))
     assert homalg.hom_oracle_table(sources, targets) == [
-        [hom_dim_oracle(u, v, method="dense") for v in targets] for u in sources]
+        [_hom_dim_dense(u, v) for v in targets] for u in sources]
     assert homalg.hom_oracle_table(targets[-1:], sources) == [
-        [hom_dim_oracle(targets[-1], v, method="dense") for v in sources]]
+        [_hom_dim_dense(targets[-1], v) for v in sources]]
     # the shapes of hom_table, and one algebra only
     assert homalg.hom_oracle_table(sources, []) == [[]] * len(sources)
     assert homalg.hom_oracle_table([], targets) == []
@@ -326,14 +324,14 @@ def test_entry_class_count_equals_elimination_on_seeded_pairs(monkeypatch):
                           for _ in range(rng.randint(0 if parts else 1, 1))]
                 rng.shuffle(parts)
                 targets.append(shuffled(rng, direct_sum(parts)))
-            dense = [[hom_dim_oracle(u, v, method="dense") for v in targets]
+            dense = [[_hom_dim_dense(u, v) for v in targets]
                      for u in sources]
             assert [[hom_dim_oracle(u, v, method="unionfind") for v in targets]
                     for u in sources] == dense, [u.to_json() for u in sources]
             band = shuffled(rng, band_module(rng.choice(bands), [1]))
             per_pair.clear()
             assert homalg.hom_oracle_table(sources + [band], targets) == dense + [
-                [hom_dim_oracle(band, v, method="dense") for v in targets]]
+                [_hom_dim_dense(band, v) for v in targets]]
             assert per_pair == [(band, v) for v in targets]
             pairs += len(sources) * len(targets)
     assert pairs == 2016
@@ -407,8 +405,6 @@ def test_unionfind_forced_zeros_and_merges():
 
 
 def test_partial_permutation_ones_edge_cases():
-    ones = modmatrix._partial_permutation_ones
-
     def as_letters(mat):
         # permutation_maps of the module with mat as x, then as y, the
         # other letter zero
@@ -419,21 +415,22 @@ def test_partial_permutation_ones_edge_cases():
     # (row, col) of the ones, by row; masks: 1/2 an x/y-arrow into the
     # vertex (its row has a one), 4/8 one out of it (its column has one)
     swap = RationalMatrix([{2: 1}, {}, {0: 1}], 3)
-    assert ones(swap) == [(0, 2), (2, 0)]
     assert as_letters(swap) == ((([(0, 2), (2, 0)], []), bytes([5, 0, 5])),
-                           (([], [(0, 2), (2, 0)]), bytes([10, 0, 10])))
+                                (([], [(0, 2), (2, 0)]), bytes([10, 0, 10])))
     shift = RationalMatrix([{1: 1}, {2: 1}, {}], 3)
-    assert ones(shift) == [(0, 1), (1, 2)]
     assert as_letters(shift) == ((([(0, 1), (1, 2)], []), bytes([1, 5, 4])),
-                            (([], [(0, 1), (1, 2)]), bytes([2, 10, 8])))
+                                 (([], [(0, 1), (1, 2)]), bytes([2, 10, 8])))
     for bad in ([{1: 2}, {}],          # an entry 2
                 [{1: 1}, {1: 1}],      # a repeated column
                 [{0: 1, 1: 1}, {}]):   # two ones in a row
-        assert ones(RationalMatrix(bad, 2)) is None
         assert as_letters(RationalMatrix(bad, 2)) == (None, None)
     zero = RationalMatrix([{}, {}, {}], 3)
-    assert ones(zero) == []
     assert as_letters(zero) == ((([], []), bytes(3)),) * 2
+    # a column used by one letter may be used by the other: the band
+    # xy with lambda = 1 has both its ones at (0, 1)
+    both = RationalMatrix([{1: 1}, {}], 2)
+    assert MatrixPairModule(2, both, both, P33).permutation_maps() == (
+        ([(0, 1)], [(0, 1)]), bytes([1 | 2, 4 | 8]))
     # a string module: M(xxy) has A e_1 = e_0, A e_2 = e_1, B e_2 = e_3
     assert string_module(Word("xxy", P33)).permutation_maps() == (
         ([(0, 1), (1, 2)], [(3, 2)]), bytes([1, 5, 4 | 8, 2]))
@@ -447,49 +444,50 @@ def test_unionfind_refuses_nonpermutation():
     band = band_module(Word("xxy", P33), [2])
     with pytest.raises(ValueError):
         hom_dim_oracle(band, band, method="unionfind")
-    with pytest.raises(ValueError):
-        hom_dim_oracle(band, band, method="gauss")
+    for method in ("gauss", "dense"):
+        with pytest.raises(ValueError, match="unknown method"):
+            hom_dim_oracle(band, band, method=method)
 
 
 def test_oracle_checks_the_route_once(monkeypatch):
     calls = []
-    real = modmatrix._partial_permutation_ones
-    monkeypatch.setattr(modmatrix, "_partial_permutation_ones",
-                        lambda mat: calls.append(mat) or real(mat))
+    real = MatrixPairModule.permutation_maps
+    monkeypatch.setattr(MatrixPairModule, "permutation_maps",
+                        lambda mod: calls.append(mod) or real(mod))
 
-    def scans(m1, m2, **kw):
-        """hom_dim_oracle(m1, m2) and the ids of the matrices it scanned,
-        checked to be among the A and B of its two modules, each at most
-        once per module."""
+    def reads(m1, m2, **kw):
+        """hom_dim_oracle(m1, m2) and the ids of the modules whose ones it
+        read, checked to be among its two modules, each at most once."""
         calls.clear()
         dim = hom_dim_oracle(m1, m2, **kw)
-        got = [id(mat) for mat in calls]
-        held = [id(mat) for m in (m1, m2) for mat in (m.A, m.B)]
+        got = [id(mod) for mod in calls]
+        held = [id(m1), id(m2)]
         assert all(got.count(i) <= held.count(i) for i in got)
         return dim, got
 
     m1, m2 = string_module(Word("xxy", P33)), string_module(Word("xyy", P33))
-    assert calls == []  # building a module scans nothing
+    assert calls == []  # building a module reads nothing
     total = 0
     for _ in range(3):
         for u, v, kw, want in (
                 (m1, m2, {}, hom_dim_graph(Word("xxy", P33), Word("xyy", P33))),
                 (m2, m1, {}, hom_dim_graph(Word("xyy", P33), Word("xxy", P33))),
                 (m1, m1, {"method": "unionfind"}, end_dim([Word("xxy", P33)]))):
-            dim, got = scans(u, v, **kw)
+            dim, got = reads(u, v, **kw)
             assert dim == want
             total += len(got)
-    # one call scans each of its two modules' A and B at most once, and
-    # strings are read in full: 4 scans a call, nothing kept between calls
-    assert total == 36
+    # one call reads each of its two modules at most once, and strings
+    # are read in full: 2 reads a call, nothing kept between calls
+    assert total == 18
     # a band is no partial permutation: every automatic call goes to
     # elimination and every forced entry-class count to the error, each
-    # after scanning at most the band's own A and B
+    # after reading at most the band itself; elimination reads nothing
     band = band_module(Word("xxy", P33), [2])
-    dense, got = scans(band, band, method="dense")
-    assert got == []
+    calls.clear()
+    dense = _hom_dim_dense(band, band)
+    assert calls == []
     for _ in range(2):
-        dim, got = scans(band, band)
+        dim, got = reads(band, band)
         assert dim == dense and 1 <= len(got) <= 2
         calls.clear()
         with pytest.raises(ValueError):
@@ -849,6 +847,16 @@ def test_ext1_answers_any_target():
 def test_ext1_rejects_mixed_params():
     with pytest.raises(ValueError, match="same algebra"):
         ext1_vanishes(Word("xy", P33), Word("xy", P23))
+
+
+def test_hom_routes_reject_mixed_params():
+    # "xy" is a word over both algebras, so the texts alone would count
+    with pytest.raises(ValueError, match="same algebra"):
+        hom_dim_graph(Word("xy", P33), Word("xy", P23))
+    m33, m23 = string_module(Word("xy", P33)), string_module(Word("xy", P23))
+    for method in (None, "unionfind"):
+        with pytest.raises(ValueError, match="equal algebra parameters"):
+            hom_dim_oracle(m33, m23, method=method)
 
 
 # -- the Auslander-Reiten reference ----------------------------------------

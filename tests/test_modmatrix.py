@@ -17,7 +17,7 @@ import pytest
 
 from nilvar import modmatrix
 from nilvar.exactla import RationalMatrix, _entry, pivot_columns
-from nilvar.homalg import hom_dim_oracle
+from nilvar.homalg import _hom_dim_dense, hom_dim_oracle
 from nilvar.modmatrix import (
     MatrixPairModule,
     _kills,
@@ -163,6 +163,15 @@ def test_band_jordan_oracle_sweep():
         assert st["top_dim"] == st["soc_dim"] == k * sum(
             1 for l, _ in runs(canon) if l == "x"
         )
+
+
+def test_module_refuses_matrices_of_the_wrong_shape():
+    square, zero = RationalMatrix([{1: 1}, {}], 2), RationalMatrix([{}, {}], 2)
+    for n, A, B in ((2, RationalMatrix([{}], 2), zero),       # A has one row
+                    (2, square, RationalMatrix([{}, {}], 3)),  # B has three columns
+                    (3, square, square)):                      # both 2 x 2
+        with pytest.raises(ValueError, match=f"matrices must be {n}x{n}"):
+            MatrixPairModule(n, A, B, P33)
 
 
 def test_band_canonicalizes_rotation():
@@ -420,7 +429,7 @@ def test_operations_never_modify_their_operands():
         m.A.mul(m.B), m.B.mul(m.A), m.A.mul(m.A)
         m.stats(), m.jordan_pair(), m.verify_relations(), m.permutation_maps()
         for other in mods:
-            hom_dim_oracle(m, other, method="dense")
+            _hom_dim_dense(m, other)
             if m.permutation_maps() and other.permutation_maps():
                 hom_dim_oracle(m, other, method="unionfind")
     for parts in ([strings[1], bands[0]], [bands[1], strings[2], strings[1]]):
@@ -554,12 +563,13 @@ def random_sparse(rng, nrows, ncols, entries):
 ], ids=["int", "fraction"])
 def test_kills_matches_the_built_power(monkeypatch, entries):
     # _kills against left @ right^times built with mul; a walk that empties
-    # decides without a row push, one that survives its full length pushes
-    # rows, and the push finds a zero product (cancellation) or not
-    pushes = []
-    row_times = modmatrix._row_times
-    monkeypatch.setattr(modmatrix, "_row_times",
-                        lambda row, rows: pushes.append(1) or row_times(row, rows))
+    # decides without a product, one that survives its full length builds
+    # it by `times` calls of mul, and finds a zero product (cancellation)
+    # or not
+    products = []
+    mul = RationalMatrix.mul
+    monkeypatch.setattr(RationalMatrix, "mul",
+                        lambda self, other: products.append(1) or mul(self, other))
     rng, branches = random.Random(24), set()
     for _ in range(500):
         n = rng.randint(2, 4)
@@ -570,11 +580,12 @@ def test_kills_matches_the_built_power(monkeypatch, entries):
             for _ in range(times - 1):
                 power = power.mul(right)
             zero = not any(left.mul(power).rows)
-            pushes.clear()
+            products.clear()
             assert _kills(left, right, times) == zero
-            branches.add(("walk empties" if not pushes
-                          else "push cancels" if zero else "push survives"))
-    assert branches == {"walk empties", "push cancels", "push survives"}
+            assert len(products) in (0, times)
+            branches.add(("walk empties" if not products
+                          else "product cancels" if zero else "product survives"))
+    assert branches == {"walk empties", "product cancels", "product survives"}
 
 
 def relations_by_products(mod):

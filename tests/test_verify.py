@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nilvar import homalg, modmatrix, verify
+from nilvar import classify, homalg, modmatrix, verify
 from nilvar.exactla import RationalMatrix
 from nilvar.modmatrix import MatrixPairModule, band_module, direct_sum, string_module
 from nilvar.verify import CheckResult, run_check, run_suite, random_module
@@ -51,11 +51,79 @@ def test_unknown_level_raises_before_any_check(monkeypatch, level):
     assert ran == []
 
 
-def test_failure_is_reported_not_raised(monkeypatch):
-    monkeypatch.setitem(verify.GOLDEN_REGULAR_33, 2, {(("xy", 1),): 999})
-    result = run_check("regular-table", level="quick")
-    assert not result.passed
-    assert "n = 2" in result.detail
+def off_by_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def negated(real):
+    return lambda *args: not real(*args)
+
+
+def without_side(real, side):
+    return lambda n, params: [c for c in real(n, params) if c.side != side]
+
+
+# per check, each way it can fail: (check, patch, a case the detail names).
+# A patch changes the fast route that the check holds to its reference,
+# or for regular-table and the orbit table value the published table
+FAILURES = [
+    ("regular-table",
+     lambda patch: patch.setitem(verify.GOLDEN_REGULAR_33, 2, {(("xy", 1),): 999}),
+     "regular components differ at n = 2"),
+    ("orbit-table",
+     lambda patch: patch.setattr(classify, "nonregular_components", without_side(
+         classify.nonregular_components, "semi-projective")),
+     "orbit components differ at n = 5: {} != {('xxyy',): 20}"),
+    ("orbit-table",
+     lambda patch: patch.setattr(classify, "nonregular_components", without_side(
+         classify.nonregular_components, "semi-injective")),
+     "reflected components differ at n = 5"),
+    ("nnn-components",
+     lambda patch: patch.setattr(classify, "nnn_components", lambda n: []),
+     "V(n, n, n) components differ at n = 2"),
+    ("nnn-components",
+     lambda patch: (patch.setattr(classify, "nnn_components", lambda n: []),
+                    patch.setattr(classify, "components", lambda n, a, b: [])),
+     "V(n, n, n) shape wrong at n = 2: []"),
+    ("stratum-dims",
+     lambda patch: patch.setattr(classify, "delta_dim", off_by_one(classify.delta_dim)),
+     "delta formula vs index module at (Partition([2]), Partition([2])), (2, 2): "
+     "4 != 3"),
+    ("stratum-dims",
+     lambda patch: patch.setattr(homalg, "orbit_dim", off_by_one(homalg.orbit_dim)),
+     "open orbit vs stratum at (Partition([2, 1]), Partition([2, 1])), (2, 2): "
+     "7 != 6"),
+    ("stratum-dims",
+     lambda patch: patch.setattr(classify, "open_orbit_dim_formula",
+                                 off_by_one(classify.open_orbit_dim_formula)),
+     "closed form at (Partition([2, 1]), Partition([2, 1])), (2, 2): 7 != 6"),
+    ("stratum-dims",
+     lambda patch: patch.setitem(verify.GOLDEN_ORBIT_33, 5, {("xxyy",): 21}),
+     "table value at (Partition([3, 1, 1]), Partition([3, 1, 1])): 21 != 20"),
+    ("remarks",
+     lambda patch: patch.setattr(homalg, "ext1_vanishes", lambda c, d: True),
+     "Ext^1(M(xxyxyxyy), M(xxyxyxyy)) should not vanish"),
+    ("remarks",
+     lambda patch: patch.setattr(classify, "nonregular_components",
+                                 lambda n, params: []),
+     "xxyxyxyy should give a 66-dimensional component, got {}"),
+    ("remarks",
+     lambda patch: patch.setattr(classify, "components", lambda n, a, b: []),
+     "V(3, 2, 2) should be two 6-dimensional orbit closures, got []"),
+    ("regular-density",
+     lambda patch: patch.setattr(classify, "regular_dense",
+                                 negated(classify.regular_dense)),
+     "density criterion fails at n = 2, (2, 2): criterion False, enumeration empty"),
+]
+
+
+@pytest.mark.parametrize("name, patch, case", FAILURES,
+                         ids=[f"{name}-{k}" for k, (name, *_) in enumerate(FAILURES)])
+def test_failure_is_reported_not_raised(monkeypatch, name, patch, case):
+    patch(monkeypatch)
+    result = run_check(name, level="quick")
+    assert result.passed is False
+    assert case in result.detail, result.detail
 
 
 def test_stratum_dims_refuses_a_module_outside_the_inequalities(monkeypatch):
@@ -367,25 +435,15 @@ def test_random_modules_reads_two_ranks_per_module(monkeypatch):
     assert len(calls) == 2 * 500
 
 
-def test_random_modules_builds_no_product(monkeypatch):
-    # the relations are tested by _kills, and A^a and B^b with them:
-    # no product or power of A and B is built
-    def refuse(*args):
-        raise AssertionError("random-modules builds no matrix product")
-
-    monkeypatch.setattr(RationalMatrix, "mul", refuse)
-    result = run_check("random-modules", "quick", seed=0)
-    assert result.passed, result.detail
-
-
 @pytest.mark.parametrize("seed", [0, 1])
-def test_random_modules_pushes_no_row(monkeypatch, seed):
+def test_random_modules_builds_no_product(monkeypatch, seed):
     # every sampled module has entries >= 0, so nothing cancels: each
-    # relation holds by a support walk that empties, and no row push runs
+    # relation, A^a and B^b with them, holds by a support walk that
+    # empties, and no product or power of A and B is built
     def refuse(*args):
         raise AssertionError("the support walks decide every relation")
 
-    monkeypatch.setattr(modmatrix, "_row_times", refuse)
+    monkeypatch.setattr(RationalMatrix, "mul", refuse)
     result = run_check("random-modules", "quick", seed=seed)
     assert result.passed, result.detail
 
