@@ -7,10 +7,11 @@
     nilvar module --word xxyy --format json
     nilvar verify --level full --seed 0
 
-Exit codes: 0 on success, 1 on usage or domain errors and, quietly,
-when stdout closes early (`nilvar ... | head`), 2 when a
-verification-style command finds a disagreement.  Output is plain text
-or JSON (--format) and is byte-identical across runs for fixed inputs.
+Exit codes: 0 on success, 1 on usage or domain errors, on running out
+of memory (one stderr line, no traceback) and, quietly, when stdout
+closes early (`nilvar ... | head`), 2 when a verification-style command
+finds a disagreement.  Output is plain text or JSON (--format) and is
+byte-identical across runs for fixed inputs.
 
 One output path: each `cmd_*` prints nothing and returns its exit code,
 its JSON payload and its text lines; `main` alone writes stdout, the
@@ -265,6 +266,10 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         print(f"nilvar: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("nilvar: error: out of memory; try a shorter word or a smaller n",
+              file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader has gone: send what is left, and the flush at exit,

@@ -60,14 +60,6 @@ class RationalMatrix:
         """The entries as a list of row lists, zeros included."""
         return [[row.get(j, 0) for j in range(self.ncols)] for row in self.rows]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 

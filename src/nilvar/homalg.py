@@ -26,10 +26,12 @@ audit the other:
     classes, one per dimension.  When the source's arrow graph is a
     forest (every string module and every sum of strings, in any basis
     order) modmatrix.forest_hom_counter counts them with bit operations
-    on F as one int: the entries forced to zero from a 16 x 16 table of
-    letter masks (MatrixPairModule.permutation_maps, read once per
-    pass), closed under one shift per pair of offset groups of ones
-    of a letter, and each live class counted once at its top entry.
+    on F as one int, laid out at one stride for every row of a table:
+    the entries forced to zero and the top entries are seeded per source
+    vertex from two 16-entry tables of target rows keyed by letter mask
+    (MatrixPairModule.permutation_maps, read once per pass), the dead set
+    is closed under one shift per pair of offset groups of ones of a
+    letter, and each live class is counted once at its top entry.
     hom_oracle_table counts a row, one source against all targets, in
     one pass against their direct sum: it is block diagonal, so no
     equation joins two blocks and the live classes are counted per
@@ -167,7 +169,7 @@ def hom_dim_oracle(m1, m2, method=None) -> int:
         raise ValueError("hom_dim_oracle needs equal algebra parameters")
     if method not in (None, "unionfind"):
         raise ValueError(f"unknown method {method!r}")
-    count = forest_hom_counter(m2, (0, m2.n))
+    count = forest_hom_counter(m2, (0, m2.n), m1.n)
     dims = count and count(m1)
     if dims is not None:
         return dims[0]
@@ -182,16 +184,17 @@ def hom_oracle_table(sources, targets) -> list[list[int]]:
     must be over one algebra.  When the targets are partial permutations,
     each row whose source is a partial permutation with a forest arrow
     graph is one pass of the entry-class count against the targets'
-    direct sum: it is block diagonal, so no equation joins two blocks and
-    the free classes are counted per block.  Any other row is filled pair
-    by pair."""
+    direct sum, laid out at the widest source's stride: the sum is block
+    diagonal, so no equation joins two blocks and the free classes are
+    counted per block.  Any other row is filled pair by pair."""
     from .modmatrix import direct_sum, forest_hom_counter
     if len({m.params for m in (*sources, *targets)}) > 1:
         raise ValueError("hom_oracle_table needs modules over one algebra")
     if not targets:
         return [[] for _ in sources]
     count = forest_hom_counter(direct_sum(targets),
-                               list(accumulate((v.n for v in targets), initial=0)))
+                               list(accumulate((v.n for v in targets), initial=0)),
+                               max((u.n for u in sources), default=0))
     rows = [count and count(u) for u in sources]
     return [[hom_dim_oracle(u, v) for v in targets] if row is None else row
             for u, row in zip(sources, rows)]

@@ -214,6 +214,20 @@ def test_long_words_run_in_small_memory(command, answer):
     assert maxrss_kib < 64 * 1024
 
 
+def test_out_of_memory_is_one_line(capsys, monkeypatch):
+    # a command that runs out of memory ends like a domain error: exit 1
+    # and one stderr line, with no traceback and nothing on stdout
+    def exhausted(src, tgt):
+        raise MemoryError
+
+    monkeypatch.setattr(homalg, "hom_dim_graph", exhausted)
+    code, out, err = run(capsys, "hom", "--source", "xy", "--target", "xy")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("nilvar: error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_module_table_and_json(capsys):
     code, out, _ = run(capsys, "module", "--word", "xxyy")
     assert code == 0

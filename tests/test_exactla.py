@@ -74,6 +74,11 @@ def entries(mat):
     return [v for row in mat.dense() for v in row]
 
 
+def shape_rows(mat):
+    """(nrows, ncols, rows): what makes two matrices equal."""
+    return mat.nrows, mat.ncols, mat.rows
+
+
 def assert_sparse(mat):
     """The storage invariant: one {col: entry} dict per row, keys inside
     the matrix, no stored zeros, an int for every integral entry."""
@@ -146,7 +151,7 @@ def test_mul_matches_naive():
             pairs.append((a, b))
     for a, b in pairs:
         prod = a.mul(b)
-        assert prod == naive_mul(a, b)
+        assert shape_rows(prod) == shape_rows(naive_mul(a, b))
         assert_sparse(prod)
 
 
@@ -276,7 +281,7 @@ def test_mul_shape_check():
 def test_transpose_involution():
     rng = random.Random(3)
     m = rand_matrix(rng, 4, 6, denom=True)
-    assert m.transpose().transpose() == m
+    assert shape_rows(m.transpose().transpose()) == shape_rows(m)
     assert m.transpose().dense()[2][1] == m.dense()[1][2]
 
 

@@ -33,6 +33,11 @@ P22 = AlgebraParams(2, 2)
 P43 = AlgebraParams(4, 3)
 
 
+def shape_rows(mat):
+    """(nrows, ncols, rows): what makes two matrices equal."""
+    return mat.nrows, mat.ncols, mat.rows
+
+
 def assert_sparse(mat):
     """No stored zeros and no column outside the matrix."""
     assert len(mat.rows) == mat.nrows
@@ -175,8 +180,9 @@ def test_module_refuses_matrices_of_the_wrong_shape():
 
 
 def test_band_canonicalizes_rotation():
-    assert band_module(Word("yxx", P33), [1]).A == band_module(Word("xxy", P33), [1]).A
-    assert band_module(Word("yxx", P33), [1]).B == band_module(Word("xxy", P33), [1]).B
+    rotated, canonical = (band_module(Word(t, P33), [1]) for t in ("yxx", "xxy"))
+    assert shape_rows(rotated.A) == shape_rows(canonical.A)
+    assert shape_rows(rotated.B) == shape_rows(canonical.B)
 
 
 def test_band_rejections():
@@ -433,7 +439,7 @@ def test_operations_never_modify_their_operands():
             if m.permutation_maps() and other.permutation_maps():
                 hom_dim_oracle(m, other, method="unionfind")
     for parts in ([strings[1], bands[0]], [bands[1], strings[2], strings[1]]):
-        assert direct_sum(parts).A == direct_sum(parts).A
+        assert shape_rows(direct_sum(parts).A) == shape_rows(direct_sum(parts).A)
     assert [(m.A.rows, m.B.rows) for m in mods] == before
 
 

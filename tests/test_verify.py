@@ -12,6 +12,11 @@ from nilvar.verify import CheckResult, run_check, run_suite, random_module
 from nilvar.words import AlgebraParams, Word, band_class, enumerate_words
 
 
+def shape_rows(mat):
+    """(nrows, ncols, rows): what makes two matrices equal."""
+    return mat.nrows, mat.ncols, mat.rows
+
+
 def test_quick_suite_passes():
     results = run_suite("quick", seed=7)
     assert [r.name for r in results] == [n for n, _ in verify.CHECKS]
@@ -271,7 +276,8 @@ def test_random_module_matches_the_reference():
                                                 _reference_random_module(ref))
             assert mod.params == want.params
             assert draws == want_draws
-            assert (mod.A, mod.B) == (want.A, want.B)
+            assert (shape_rows(mod.A), shape_rows(mod.B)) == (
+                shape_rows(want.A), shape_rows(want.B))
         assert ours.getstate() == ref.getstate()
 
 
@@ -317,7 +323,8 @@ def test_string_summand_memo():
         if memo.cache_info().hits > hits:
             cached += 1
             fresh = string_module(Word(text, params))
-            assert (mod.n, mod.A, mod.B) == (fresh.n, fresh.A, fresh.B)
+            assert (mod.n, shape_rows(mod.A), shape_rows(mod.B)) == (
+                fresh.n, shape_rows(fresh.A), shape_rows(fresh.B))
             assert mod.params == params
     assert cached == held
     # equal texts over two algebras are two entries, each with its params
@@ -513,8 +520,8 @@ def test_hom_agreement_counts_one_union_find_per_source(monkeypatch):
     blocks = []
     real = modmatrix.forest_hom_counter
 
-    def counter(target, starts):
-        count = real(target, starts)
+    def counter(target, starts, width):
+        count = real(target, starts, width)
         return lambda source: blocks.append(len(starts) - 1) or count(source)
 
     monkeypatch.setattr(modmatrix, "forest_hom_counter", counter)
