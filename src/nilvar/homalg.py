@@ -64,8 +64,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .words import (MEMO_SIZE, AlgebraParams, Word, _middles, factor_windows,
-                    substring_windows)
+from .words import MEMO_SIZE, Word, _middles, factor_windows, runs, substring_windows
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,7 @@ def hom_dim_graph(src: Word, tgt: Word) -> int:
     the word texts)."""
     if src.params != tgt.params:
         raise ValueError("hom_dim_graph needs words over the same algebra")
-    return _hom_count(str(src), str(tgt))
+    return _hom_count(src, tgt)
 
 
 def hom_table(sources, targets) -> list[list[int]]:
@@ -114,7 +113,7 @@ def hom_table(sources, targets) -> list[list[int]]:
     All the words must be over one algebra."""
     if len({w.params for w in (*sources, *targets)}) > 1:
         raise ValueError("hom_table needs words over one algebra")
-    return _hom_rows([str(w) for w in sources], [str(w) for w in targets])
+    return _hom_rows(sources, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +210,7 @@ def end_dim(words) -> int:
     has End of dimension hom_dim_oracle(m, m)."""
     if len({w.params for w in words}) != 1:
         raise ValueError("end_dim needs one or more words over one algebra")
-    texts = [str(w) for w in words]
-    return sum(_hom_count(t1, t2) for t1 in texts for t2 in texts)
+    return sum(_hom_count(w1, w2) for w1 in words for w2 in words)
 
 
 def orbit_dim(words) -> int:
@@ -228,35 +226,32 @@ def orbit_dim(words) -> int:
 # ---------------------------------------------------------------------------
 
 def projective_cover(c: Word) -> list[tuple]:
-    """The projective cover P -> M(c), read off the word.
+    """The projective cover P -> M(c), read off the runs of the word.
 
-    The peaks of c -- positions i with no x at c[i] and no y at c[i-1],
-    which neither A nor B reaches -- span the top of M(c), and P has one
-    Lambda = M(x^{a-1}y^{b-1}) per peak.  With z_1..z_d the string basis
-    of Lambda (z_a generates), peak i's summand runs down the x-run to its
-    left and up the y-run to its right, and to zero past their ends:
+    Pad the runs of c to alternate x, y: an empty x-run before a leading
+    y (or the empty word), an empty y-run after a trailing x.  Each pair
+    of an x-run of length l starting at q and the y-run of length r after
+    it is one peak, at i = q + l, which neither A nor B reaches: the peaks
+    span the top of M(c), and P has one Lambda = M(x^{a-1}y^{b-1}) per
+    peak.  With z_1..z_d the string basis of Lambda (z_a generates), peak
+    i's summand runs down its x-run and up its y-run, and to zero past
+    their ends:
 
         z_j      |-> A^{a-j} e_i = e_{i-(a-j)}   (j = 1..a)
         z_{a+l}  |-> B^l e_i     = e_{i+l}       (l = 1..b-1)
 
     Returns, per peak in increasing order, that summand as the graph map
-    Lambda -> M(c) (a-1-l, i-l, l+r), with l the length of the x-run just
-    left of the peak and r that of the y-run just right of it.
+    Lambda -> M(c) (a-1-l, q, l+r).  The next x-run starts at q + l + r,
+    so the target windows [q, q+l+r] meet end to end, the last ends at
+    |c|, and the cover surjects.
     """
     a, _ = c.params
-    cover = []
-    for i in range(len(c) + 1):
-        if c[i:i + 1] == "x" or c[i - 1:i] == "y":
-            continue
-        left = i - len(c[:i].rstrip("x"))
-        right = len(c) - i - len(c[i:].lstrip("y"))
-        cover.append((a - 1 - left, i - left, left + right))
-    # the target windows [q, q+L] cover 0..|c|
-    reach = 0
-    for _, q, length in cover:
-        assert q <= reach, "cover fails to surject"
-        reach = max(reach, q + length + 1)
-    assert reach == len(c) + 1, "cover fails to surject"
+    lengths = [0] * (not c.startswith("x")) + [k for _, k in runs(c)]
+    lengths += [0] * (len(lengths) % 2)
+    cover, q = [], 0
+    for l, r in zip(lengths[::2], lengths[1::2]):
+        cover.append((a - 1 - l, q, l + r))
+        q += l + r
     return cover
 
 
@@ -280,12 +275,13 @@ def syzygy(c: Word) -> list[Word]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _ext1_vanishes(c_text: str, d_text: str, a: int, b: int) -> bool:
-    omega = [str(w) for w in syzygy(Word(c_text, AlgebraParams(a, b)))]
+def _ext1_vanishes(c: Word, d: Word, a: int, b: int) -> bool:
+    # (a, b) keys the memo beside the words, whose equality ignores params
+    omega = syzygy(c)
     # 0 -> Omega -> Lambda^p -> M(c) -> 0 is exact: p (a+b-1) = dim Omega + |c|+1
-    p = (sum(len(w) + 1 for w in omega) + len(c_text) + 1) // (a + b - 1)
-    return (sum(_hom_count(w, d_text) for w in omega) + _hom_count(c_text, d_text)
-            == p * (len(d_text) + 1))
+    p = (sum(len(w) + 1 for w in omega) + len(c) + 1) // (a + b - 1)
+    return (sum(_hom_count(w, d) for w in omega) + _hom_count(c, d)
+            == p * (len(d) + 1))
 
 
 def ext1_vanishes(c: Word, d: Word) -> bool:
@@ -294,4 +290,4 @@ def ext1_vanishes(c: Word, d: Word) -> bool:
     is 0, with Omega M(c) = syzygy(c) and p the number of peaks of c."""
     if c.params != d.params:
         raise ValueError("ext1_vanishes needs words over the same algebra")
-    return _ext1_vanishes(str(c), str(d), c.params.a, c.params.b)
+    return _ext1_vanishes(c, d, *c.params)

@@ -58,7 +58,7 @@ class AlgebraParams(namedtuple("AlgebraParams", "a b")):
 
 def runs(text):
     """Run-length encoding of a word: "xxyxy" -> [(x,2),(y,1),(x,1),(y,1)]."""
-    return [(letter, sum(1 for _ in grp)) for letter, grp in groupby(text)]
+    return [(letter, len(list(grp))) for letter, grp in groupby(text)]
 
 
 class Word(str):
@@ -122,7 +122,10 @@ def band_class(w: Word):
     A band must use both letters and have all rotations valid; for a
     mixed-letter word that is equivalent to validity of ww.  Powers of a
     single letter are never bands (all their rotations are valid, but both
-    arrows must act around the cycle), hence the separate check.
+    arrows must act around the cycle), hence the separate check.  The
+    root's length is the least shift per > 0 that maps the canonical
+    rotation to itself, its first match in its own square past offset 0;
+    per divides |w|, and per = |w| iff w is primitive.
     """
     p = w.params
     if len(set(w)) < 2:
@@ -132,12 +135,9 @@ def band_class(w: Word):
     except ValueError:
         return ("not-band", None)
     canonical = min(w[i:] + w[:i] for i in range(len(w)))
-    n = len(w)
-    for per in range(1, n + 1):
-        if n % per == 0 and canonical[:per] * (n // per) == canonical:
-            break
-    if per < n:
-        return ("periodic", (Word(canonical[:per], p), n // per))
+    per = (canonical * 2).find(canonical, 1)
+    if per < len(w):
+        return ("periodic", (Word(canonical[:per], p), len(w) // per))
     return ("primitive", Word(canonical, p))
 
 
@@ -185,8 +185,11 @@ def _open_strings(params, L):
 
 
 def open_type(w: Word):
-    """Decides whether w is an open string -- one whose string module has
-    open orbit inside its irreducible stratum.
+    """Decides whether w is an open string: a word of one of the paper's
+    three block-word types of _open_strings (semi-projective), or the
+    reversal of one (semi-injective).  The types decide, not the orbit:
+    the word of every semi-projective stratum (indexmod.semiproj_index)
+    has an orbit as large as its stratum, open or not.
 
     Returns (side, t) with side in {"semi-projective", "semi-injective"}
     and t in {1, 2, 3} the pattern type, trying the projective side first

@@ -34,7 +34,7 @@ from nilvar.partitions import (
     reduced_length,
     reduced_pair,
 )
-from nilvar.words import AlgebraParams
+from nilvar.words import AlgebraParams, enumerate_open_strings, open_type
 
 P33 = AlgebraParams(3, 3)
 P43 = AlgebraParams(4, 3)
@@ -230,6 +230,53 @@ def test_ip_maximal_dominates_its_cell():
     assert dominates(other[0], pair[0]) and dominates(other[1], pair[1])
     assert not dominates(pair[0], other[0])
     assert delta_dim(*other, P43) <= delta_dim(*pair, P43)
+
+
+def test_ip_maximal_is_the_largest_pair_of_every_cell():
+    # the regular pairs grouped by cell (l(a_part), l(a_part - 1)), at
+    # every (a, b) in {2..5}^2 and n <= 16: ip_maximal lies in its cell
+    # and dominates every pair there on both sides, and is None exactly
+    # for the cells that hold no pair (1,699 cells, 3,804 pairs)
+    seen = collections.Counter()
+    for a, b in itertools.product(range(2, 6), repeat=2):
+        params = AlgebraParams(a, b)
+        for n in range(1, 17):
+            cells = collections.defaultdict(list)
+            for a_part, b_part in regular_pairs(n, params):
+                cells[len(a_part), reduced_length(a_part)].append((a_part, b_part))
+            for i, p in itertools.product(range(n + 1), repeat=2):
+                top, pairs = ip_maximal(n, params, i, p), cells.get((i, p), [])
+                assert (top is None) == (not pairs), (a, b, n, i, p)
+                if top is not None:
+                    assert top in pairs, (a, b, n, i, p)
+                    assert all(dominates(a_part, top[0]) and dominates(b_part, top[1])
+                               for a_part, b_part in pairs), (a, b, n, i, p)
+            seen["cells"] += len(cells)
+            seen["pairs"] += sum(map(len, cells.values()))
+    assert seen == {"cells": 1699, "pairs": 3804}
+
+
+def test_every_open_string_is_the_word_of_a_semi_projective_pair():
+    # at every (a, b) in {2..5}^2 and n <= 16, each open string of
+    # dimension n is semiproj_index's word for a semi-projective pair of n
+    # (415 open strings)
+    count = 0
+    for a, b in itertools.product(range(2, 6), repeat=2):
+        params = AlgebraParams(a, b)
+        for n in range(1, 17):
+            pair_words = {semiproj_index(*pair, params)[0]
+                          for pair in regular_pairs(n, params, extra=1)}
+            open_strings = enumerate_open_strings(n, params)
+            assert set(open_strings) <= pair_words, (a, b, n)
+            count += len(open_strings)
+    assert count == 415
+    # not conversely: this pair's word has an orbit as large as its
+    # stratum, and is no open string
+    params = AlgebraParams(2, 4)
+    word, index = semiproj_index((2, 2, 2, 1, 1, 1, 1, 1), (4, 3, 3, 1), params)
+    assert word == "xyyxyyxyyy"
+    assert homalg.orbit_dim([word]) == stratum_dim(index, 11, params) == 98
+    assert open_type(word) is None
 
 
 def test_delta_dim_rejects_what_is_not_a_pair():

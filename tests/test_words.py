@@ -171,6 +171,34 @@ def test_band_class_basic():
     assert band_class(Word("xxyxy", P33)) == ("primitive", "xxyxy")
 
 
+def divisor_loop_band_class(w):
+    """band_class(w) by a loop over the divisors per of |w|: the root is
+    the least per whose prefix of the lex-least rotation, repeated
+    |w| / per times, gives that rotation back."""
+    try:
+        Word(w + w, w.params)
+    except ValueError:
+        return ("not-band", None)
+    if len(set(w)) < 2:
+        return ("not-band", None)
+    canonical, n = min(w[i:] + w[:i] for i in range(len(w))), len(w)
+    per = next(per for per in range(1, n + 1)
+               if n % per == 0 and canonical[:per] * (n // per) == canonical)
+    return ("periodic", (canonical[:per], n // per)) if per < n else ("primitive", canonical)
+
+
+def test_band_class_matches_a_divisor_loop():
+    # every valid word of <= 12 letters over four algebras, the empty word
+    # included (4,246 nonempty); the periodic ones have roots of every
+    # length from 2 to 6
+    count = 0
+    for params in (AlgebraParams(2, 2), P33, AlgebraParams(4, 3), AlgebraParams(2, 5)):
+        for w in enumerate_words(12, params):
+            assert band_class(w) == divisor_loop_band_class(w), (str(w), params)
+            count += 1
+    assert count == 4250
+
+
 def test_canonical_band_shape():
     # canonical form starts with a longest x-run and ends with y,
     # and is minimal among all rotations
